@@ -46,7 +46,6 @@ class RunConfig:
     max_iter: int = 200_000
     scheme: str = "monotone"
     rhs: str = "one"
-    seed: int = 0
     workers: int = 1
     out: str = "."
 
@@ -98,7 +97,6 @@ _KEY_PARSERS = {
     "max_iter": _parse_int,
     "scheme": lambda key, value, lineno: value,
     "rhs": lambda key, value, lineno: value,
-    "seed": _parse_int,
     "workers": _parse_int,
     "out": lambda key, value, lineno: value,
 }
@@ -149,14 +147,16 @@ def _validate(cfg: RunConfig, lines=None):
             _fail("s_list", lines, f"every s in s_list must lie in (0, 1), got {s}")
     if any(b <= a for a, b in zip(cfg.s_list, cfg.s_list[1:])):
         _fail("s_list", lines, "s_list must be strictly ascending")
-    if cfg.mu <= 0.0:
-        _fail("mu", lines, f"mu must be positive, got {cfg.mu}")
-    if cfg.a < 0.0:
-        _fail("a", lines, f"a must be nonnegative, got {cfg.a}")
+    if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
+        _fail("mu", lines, f"mu must be positive and finite, got {cfg.mu}")
+    if not (math.isfinite(cfg.a) and cfg.a >= 0.0):
+        _fail("a", lines, f"a must be nonnegative and finite, got {cfg.a}")
+    if not math.isfinite(cfg.b):
+        _fail("b", lines, f"b must be finite, got {cfg.b}")
     if cfg.a > cfg.b:
         _fail("b" if "b" in lines else "a", lines, f"a > b ({cfg.a} > {cfg.b})")
-    if cfg.tol <= 0.0:
-        _fail("tol", lines, f"tol must be positive, got {cfg.tol}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        _fail("tol", lines, f"tol must be positive and finite, got {cfg.tol}")
     if cfg.max_iter < 1:
         _fail("max_iter", lines, f"max_iter must be positive, got {cfg.max_iter}")
     if cfg.scheme not in SCHEMES:
@@ -254,14 +254,15 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _cmd_control(cfg: RunConfig) -> int:
     grid = cfg.grid()
     s = cfg.single_s()
-    result = eigen_solve_control(assemble_fractional(grid, s), cfg.control())
+    op = assemble_fractional(grid, s)
+    result = eigen_solve_control(op, cfg.control())
     x = grid.nodes()
     write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
               zip(x, result.f_star, result.u_star))
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
           f"norm_f={norm_h(result.f_star, grid):.12g} active={result.active_bound} "
-          f"grad_norm={result.grad_norm:.3e} iters={result.iters} "
-          f"converged={result.converged} -> control.csv")
+          f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
+          f"gap={op.top_pair.gap:.3e} converged={result.converged} -> control.csv")
     if not result.converged:
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -345,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--b", type=float)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--seed", type=int)
     return parser
 
 
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         else:
             cfg = RunConfig()
         overrides = {key: getattr(args, key) for key in
-                     ("out", "n", "s", "mu", "a", "b", "tol", "workers", "seed")
+                     ("out", "n", "s", "mu", "a", "b", "tol", "workers")
                      if getattr(args, key) is not None}
         if overrides:
             cfg = replace(cfg, **overrides)

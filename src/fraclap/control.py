@@ -13,12 +13,12 @@ the direct solver is authoritative and the gradient iteration serves as a
 cross-check that may stop at a non-global stationary point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import Grid, GridFunction, Operator, inner_product_h, norm_h
-from .linalg import cholesky_factor, eig_extreme
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,13 @@ class ControlConfig:
     step_rule: str = "fixed"  # "fixed" (Lipschitz estimate) or "armijo"
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"regularization mu must be positive, got {self.mu}")
-        if not 0.0 <= self.a <= self.b:
-            raise ValueError(f"annulus bounds must satisfy 0 <= a <= b, got a={self.a}, b={self.b}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"regularization mu must be positive and finite, got {self.mu}")
+        if not (math.isfinite(self.b) and 0.0 <= self.a <= self.b):
+            raise ValueError(f"annulus bounds must be finite and satisfy 0 <= a <= b, "
+                             f"got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.step_rule not in ("fixed", "armijo"):
@@ -58,7 +59,7 @@ class OptimResult:
 def reduced_cost(op: Operator, f: GridFunction, mu: float) -> float:
     """J(f) = 1/2 <u_f, f>_h + mu/2 ||f||_h^2."""
     f = np.asarray(f, dtype=float)
-    u = cholesky_factor(op).solve(f)
+    u = op.factor.solve(f)
     g = op.grid
     return 0.5 * inner_product_h(u, f, g) + 0.5 * mu * inner_product_h(f, f, g)
 
@@ -70,7 +71,7 @@ def reduced_gradient(op: Operator, f: GridFunction, mu: float) -> GridFunction:
     exists; the state itself is the derivative of the energy term.
     """
     f = np.asarray(f, dtype=float)
-    u = cholesky_factor(op).solve(f)
+    u = op.factor.solve(f)
     return u + mu * f
 
 
@@ -128,7 +129,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
     """
     grid = op.grid
     mu = cfg.mu
-    factor = cholesky_factor(op)
+    factor = op.factor
     degenerate = False
     if f0 is None:
         f = project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
@@ -138,8 +139,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
             degenerate = True
         f = project_annulus(f0, cfg.a, cfg.b, grid)
 
-    lam_min = eig_extreme(op, which="smallest", tol=1e-9, h=grid.h).value
-    step = 1.0 / (1.0 / lam_min + mu)
+    step = 1.0 / (1.0 / op.bottom_pair.value + mu)
 
     def cost(fv, uv):
         return 0.5 * inner_product_h(uv, fv, grid) + 0.5 * mu * inner_product_h(fv, fv, grid)
@@ -153,21 +153,22 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
         it += 1
         grad = u + mu * f
         if cfg.step_rule == "fixed":
+            used = step
             f_new = project_annulus(f - step * grad, cfg.a, cfg.b, grid)
             u_new = factor.solve(f_new, refine=False)
-            used = step
+            dn = norm_h(f_new - f, grid)
         else:
             used = 4.0 * step
             while True:
                 f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
                 u_new = factor.solve(f_new, refine=False)
                 dn = norm_h(f_new - f, grid)
-                if cost(f_new, u_new) <= J - 1e-4 / max(used, 1e-300) * dn**2 \
-                        or used < 1e-12 * step:
+                J_new = cost(f_new, u_new)
+                if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
                     break
                 used *= 0.5
-            J = cost(f_new, u_new)
-        pg_res = norm_h(f - f_new, grid) / used
+            J = J_new
+        pg_res = dn / used
         f, u = f_new, u_new
         if pg_res <= cfg.tol:
             converged = True
@@ -194,19 +195,19 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     J(t f) = t^2 J(f) grows in t, so for a > 0 the lower bound is active
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
+    converged reports whether that eigenpair meets cfg.tol.
     """
     grid = op.grid
     if cfg.a == 0.0:
         z = np.zeros(grid.n)
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
                            converged=True, active_bound="none")
-    pair = eig_extreme(op, which="largest", tol=cfg.tol, max_iter=cfg.max_iter * 10, h=grid.h)
+    pair = op.top_pair
     f = _sign_normalize(cfg.a * pair.vector)
-    factor = cholesky_factor(op)
-    u = factor.solve(f)
+    u = op.factor.solve(f)
     J = 0.5 * inner_product_h(u, f, grid) + 0.5 * cfg.mu * inner_product_h(f, f, grid)
     # Residual of the projected optimality condition, evaluated honestly.
-    step = 1.0 / (1.0 / eig_extreme(op, which="smallest", tol=1e-9, h=grid.h).value + cfg.mu)
+    step = 1.0 / (1.0 / op.bottom_pair.value + cfg.mu)
     f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
     pg_res = norm_h(f - f_next, grid) / step
     return OptimResult(
@@ -214,7 +215,7 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         u_star=u,
         J_star=J,
         grad_norm=pg_res,
-        iters=pair.iterations,
-        converged=pair.converged,
+        iters=0,
+        converged=pair.meets(cfg.tol),
         active_bound=_active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol),
     )

@@ -26,9 +26,11 @@ operator degenerates to the classical three-point stencil.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .specfun import frac_constant
 
 # Nodal vectors carry interior values only; the exterior is implicitly zero.
@@ -73,7 +75,9 @@ class Operator:
     """Dense symmetric operator on the interior nodes of a grid.
 
     kind is "fractional" (order s in (0,1)) or "classical" (s stored as 1.0).
-    The matrix is frozen read-only; rebuild rather than mutate.
+    The matrix is frozen read-only; rebuild rather than mutate.  Its
+    Cholesky factor and extreme eigenpairs are computed on first use and
+    kept for the operator's lifetime.
     """
 
     kind: str
@@ -87,6 +91,21 @@ class Operator:
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @cached_property
+    def factor(self) -> linalg.CholeskyFactor:
+        """Cholesky factor of the matrix, for repeated solves."""
+        return linalg.cholesky_factor(self)
+
+    @cached_property
+    def bottom_pair(self) -> linalg.EigenPair:
+        """Smallest eigenpair, vector of unit h-norm: lambda_min and its mode."""
+        return linalg.eig_extreme(self, which="smallest", h=self.grid.h)
+
+    @cached_property
+    def top_pair(self) -> linalg.EigenPair:
+        """Largest eigenpair, vector of unit h-norm: lambda_max and its mode."""
+        return linalg.eig_extreme(self, which="largest", h=self.grid.h)
 
 
 def stencil_weights(s: float, h: float, K: int) -> StencilWeights:

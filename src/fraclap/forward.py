@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import GridFunction, Operator, inner_product_h, norm_h, quadratic_form
-from .linalg import cholesky_solve, eig_extreme
+from .discretize import GridFunction, Operator, inner_product_h, norm_h
+from .linalg import cholesky_solve
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,6 @@ def maximum_principle_check(op: Operator, f: GridFunction):
     return bool(np.all(u >= floor))
 
 
-def poincare_constant(op: Operator, tol: float = 1e-9) -> float:
+def poincare_constant(op: Operator) -> float:
     """Smallest constant with ||u||_h^2 <= C <A u, u>_h on the grid: 1/lambda_min."""
-    pair = eig_extreme(op, which="smallest", tol=tol, h=op.grid.h)
-    return 1.0 / pair.value
-
-
-def cross_seminorm(op_t: Operator, v: GridFunction) -> float:
-    """Energy of v in a weaker fractional order t; a decay diagnostic.
-
-    Identical to quadratic_form(op_t, v); kept as a named operation because
-    sweeps report it separately from the native-order seminorm.
-    """
-    return quadratic_form(op_t, v)
+    return 1.0 / op.bottom_pair.value

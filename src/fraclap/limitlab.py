@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlConfig, OptimResult, eigen_solve_control, reduced_cost
+from .control import ControlConfig, eigen_solve_control, reduced_cost
 from .discretize import (
     Grid,
     GridFunction,
@@ -86,19 +86,7 @@ def _sweep_task(args):
     grid, s, control = args
     op = assemble_fractional(grid, s)
     result = eigen_solve_control(op, control)
-    lam = _lambda_max_of(op, result, control)
-    return s, result, lam, poincare_constant(op)
-
-
-def _lambda_max_of(op, result: OptimResult, control: ControlConfig) -> float:
-    """Largest eigenvalue as the Rayleigh quotient of the optimal control."""
-    from .linalg import eig_extreme
-
-    f = result.f_star
-    denom = float(f @ f)
-    if denom == 0.0:
-        return eig_extreme(op, which="largest", tol=control.tol, h=op.grid.h).value
-    return float(f @ (op.matrix @ f)) / denom
+    return s, result, op.top_pair.value, poincare_constant(op)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -113,7 +101,6 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     ref = eigen_solve_control(ref_op, cfg.control)
     if not ref.converged:
         raise SweepError("classical reference solve did not converge")
-    lam_ref = _lambda_max_of(ref_op, ref, cfg.control)
 
     tasks = [(grid, s, cfg.control) for s in cfg.s_list]
     if cfg.workers > 1:
@@ -141,7 +128,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     return SweepReport(
         rows=rows,
         J_star_classical=ref.J_star,
-        lambda_max_classical=lam_ref,
+        lambda_max_classical=ref_op.top_pair.value,
         f_star_classical=ref.f_star,
         u_star_classical=ref.u_star,
     )

@@ -1,14 +1,15 @@
 """Dense symmetric solvers and eigensolvers.
 
 Direct solves go through LAPACK's Cholesky (dpotrf/dpotrs) with one step of
-iterative refinement; conjugate gradients, power/inverse iteration and the
-cyclic Jacobi eigensolver are implemented here so the direct and iterative
-routes stay independent of each other.
+iterative refinement; extreme eigenpairs come from LAPACK's dsyevr
+restricted to the two eigenvalues at one end of the spectrum.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 
@@ -65,163 +66,42 @@ def cholesky_solve(A, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CgResult:
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    residual: float
-
-
-def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> CgResult:
-    """Conjugate gradients on an SPD system; never raises on stagnation.
-
-    Returns the last iterate with its relative residual when max_iter is
-    exhausted (converged=False) instead of crashing.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    m = _as_matrix(A)
-    b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return CgResult(x=np.zeros_like(b), converged=True, iterations=0, residual=0.0)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for it in range(1, max_iter + 1):
-        Ap = m @ p
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * bnorm:
-            return CgResult(x=x, converged=True, iterations=it, residual=np.sqrt(rs_new) / bnorm)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return CgResult(x=x, converged=False, iterations=max_iter, residual=np.sqrt(rs) / bnorm)
-
-
-@dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue with unit eigenvector (h-weighted norm when h is supplied)."""
+    """Eigenvalue with unit eigenvector (h-weighted norm when h is supplied).
+
+    residual is ||A v - value v|| for the Euclidean-unit v.  gap is the
+    relative distance |value - next| / |value| to the next eigenvalue
+    inwards; the eigenvector's angular error is about residual / (gap |value|).
+    """
 
     value: float
     vector: np.ndarray
     converged: bool
-    iterations: int
     residual: float
+    gap: float
+
+    def meets(self, tol: float) -> bool:
+        """Whether the pair is finite with residual at most tol * |value|."""
+        return math.isfinite(self.value) and self.residual <= tol * abs(self.value)
 
 
-def _start_vector(n: int) -> np.ndarray:
-    # All-ones plus an alternating component: covers both the smooth bottom
-    # mode and the sawtooth top mode, each of which the other misses on
-    # reflection-symmetric operators.
-    v = 1.0 + 0.5 * (-1.0) ** np.arange(n)
-    return v / np.linalg.norm(v)
+def eig_extreme(A, which: str = "largest", tol: float = 1e-9, h: float = 1.0) -> EigenPair:
+    """Extreme eigenpair of a symmetric matrix by LAPACK's MRRR driver (dsyevr).
 
-
-def eig_extreme(A, which: str = "largest", tol: float = 1e-9,
-                max_iter: int = 2_000_000, h: float = 1.0) -> EigenPair:
-    """Extreme eigenpair of an SPD matrix.
-
-    The largest pair comes from power iteration with Rayleigh-quotient
-    stopping, the smallest from inverse iteration through the Cholesky
-    factor.  On stagnation (no residual progress at all over a long
-    window) the iteration reseeds once with a fixed-seed pseudorandom
-    vector before reporting non-convergence.
+    One call returns the extreme pair and its inward neighbour, which gives
+    the relative gap.  converged reports EigenPair.meets(tol).
     """
     if which not in ("largest", "smallest"):
         raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
     m = _as_matrix(A)
     n = m.shape[0]
-    factor = cholesky_factor(m) if which == "smallest" else None
-
-    v = _start_vector(n)
-    lam = 0.0
-    res = np.inf
-    window_res = np.inf
-    last_check = 0
-    reseeded = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        nxt = m @ v if which == "largest" else factor.solve(v)
-        if which == "largest":
-            y = nxt
-        else:
-            y = m @ v
-        lam = float(v @ y)
-        res = float(np.linalg.norm(y - lam * v))
-        if res <= tol * abs(lam):
-            break
-        # The top of the spectrum is clustered (relative gaps ~1/n^2), so
-        # residuals legitimately shrink slowly; only a flat-lined residual
-        # counts as stagnation.
-        if it - last_check >= 5000:
-            if res > 0.999 * window_res:
-                if reseeded:
-                    break
-                rng = np.random.default_rng(1234)
-                nxt = rng.standard_normal(n)
-                reseeded = True
-            window_res = res
-            last_check = it
-        v = nxt / np.linalg.norm(nxt)
-    converged = res <= tol * abs(lam)
-    v = v / np.sqrt(h * float(v @ v))
-    return EigenPair(value=lam, vector=v, converged=converged, iterations=it,
-                     residual=res)
-
-
-def eig_full_jacobi(A, tol: float = 1e-13, max_sweeps: int = 50, h: float = 1.0):
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
-
-    Test oracle; capped at n <= 256.  Returns eigenpairs sorted ascending.
-    """
-    m = _as_matrix(A)
-    n = m.shape[0]
-    if n > 256:
-        raise ValueError(f"jacobi oracle is capped at n=256, got n={n}")
-    a = m.copy()
-    V = np.eye(n)
-    norm = np.linalg.norm(a)
-    diag_mask = np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a[~diag_mask])
-        if off <= tol * norm:
-            break
-        thresh = off / n
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh * 1e-4:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = s * vp + c * V[:, q]
-    values = np.diag(a).copy()
-    order = np.argsort(values)
-    scale = 1.0 / np.sqrt(h)
-    pairs = []
-    for j in order:
-        vec = V[:, j] * scale
-        lam = float(values[j])
-        r = float(np.linalg.norm(m @ V[:, j] - lam * V[:, j]))
-        pairs.append(EigenPair(value=lam, vector=vec, converged=True,
-                               iterations=0, residual=r))
-    return pairs
+    lo, hi = (max(n - 2, 0), n - 1) if which == "largest" else (0, min(1, n - 1))
+    values, vectors = scipy.linalg.eigh(m, subset_by_index=[lo, hi], driver="evr")
+    k = -1 if which == "largest" else 0
+    lam = float(values[k])
+    v = vectors[:, k]
+    residual = float(np.linalg.norm(m @ v - lam * v))
+    gap = float(values[-1] - values[0]) / abs(lam) if n > 1 and lam != 0.0 else math.inf
+    pair = EigenPair(value=lam, vector=v / np.sqrt(h * float(v @ v)), converged=False,
+                     residual=residual, gap=gap)
+    return replace(pair, converged=pair.meets(tol))

@@ -1,0 +1,113 @@
+"""Independent reference solvers for the tests.
+
+Pure-Python cyclic Jacobi and conjugate gradients share no code with the
+LAPACK routes in fraclap.linalg, so agreement between the two is evidence
+for both.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+def _as_matrix(A) -> np.ndarray:
+    """Accept an assembled operator or a bare symmetric ndarray."""
+    return np.asarray(getattr(A, "matrix", A), dtype=float)
+
+
+@dataclass(frozen=True)
+class CgResult:
+    x: np.ndarray
+    converged: bool
+    iterations: int
+    residual: float
+
+
+def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> CgResult:
+    """Conjugate gradients on an SPD system; never raises on stagnation.
+
+    Returns the last iterate with its relative residual when max_iter is
+    exhausted (converged=False) instead of crashing.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    m = _as_matrix(A)
+    b = np.asarray(b, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return CgResult(x=np.zeros_like(b), converged=True, iterations=0, residual=0.0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    for it in range(1, max_iter + 1):
+        Ap = m @ p
+        alpha = rs / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= tol * bnorm:
+            return CgResult(x=x, converged=True, iterations=it, residual=np.sqrt(rs_new) / bnorm)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return CgResult(x=x, converged=False, iterations=max_iter, residual=np.sqrt(rs) / bnorm)
+
+
+@dataclass(frozen=True)
+class JacobiPair:
+    """Eigenvalue with its eigenvector (unit h-weighted norm) and residual."""
+
+    value: float
+    vector: np.ndarray
+    residual: float
+
+
+def eig_full_jacobi(A, tol: float = 1e-13, max_sweeps: int = 50, h: float = 1.0):
+    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
+
+    Capped at n <= 256.  Returns eigenpairs sorted ascending.
+    """
+    m = _as_matrix(A)
+    n = m.shape[0]
+    if n > 256:
+        raise ValueError(f"jacobi oracle is capped at n=256, got n={n}")
+    a = m.copy()
+    V = np.eye(n)
+    norm = np.linalg.norm(a)
+    diag_mask = np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(a[~diag_mask])
+        if off <= tol * norm:
+            break
+        thresh = off / n
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= thresh * 1e-4:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                vp = V[:, p].copy()
+                V[:, p] = c * vp - s * V[:, q]
+                V[:, q] = s * vp + c * V[:, q]
+    values = np.diag(a).copy()
+    order = np.argsort(values)
+    scale = 1.0 / np.sqrt(h)
+    pairs = []
+    for j in order:
+        lam = float(values[j])
+        r = float(np.linalg.norm(m @ V[:, j] - lam * V[:, j]))
+        pairs.append(JacobiPair(value=lam, vector=V[:, j] * scale, residual=r))
+    return pairs

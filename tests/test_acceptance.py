@@ -31,7 +31,8 @@ from fraclap.limitlab import (
     recovery_sequence_check,
     run_sweep,
 )
-from fraclap.linalg import cholesky_factor, eig_full_jacobi
+from fraclap.linalg import cholesky_factor
+from oracles import eig_full_jacobi
 
 
 def report(criterion, ok, detail):

@@ -89,6 +89,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("scheme = galerkin")
 
+    def test_nonfinite_values_name_line(self):
+        for text in ("mu = nan", "n = 16\na = inf", "b = inf", "tol = inf"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert "finite" in str(err.value) and "line" in str(err.value)
+
+    def test_seed_is_not_a_key(self):
+        with pytest.raises(ConfigError):
+            parse_config("seed = 5")
+
 
 class TestRhsPresets:
     def test_one(self):
@@ -218,6 +228,26 @@ class TestMain:
 
     def test_invalid_override_exit(self):
         assert main(["solve", "--n", "2"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--mu", "inf"),
+                                             ("--tol", "nan"), ("--tol", "inf")])
+    def test_nonfinite_control_input_exits_config(self, flag, value, tmp_path, capsys):
+        code = main(["control", "--n", "32", flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["solve", "--seed", "5"])
+
+    def test_control_at_large_n(self, tmp_path, capsys):
+        assert main(["control", "--n", "1024", "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "converged=True" in out and "residual=" in out and "gap=" in out
+        _, rows = read_csv(tmp_path / "control.csv")
+        assert len(rows) == 1024
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

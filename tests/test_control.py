@@ -18,7 +18,7 @@ from fraclap.discretize import (
     inner_product_h,
     norm_h,
 )
-from fraclap.linalg import eig_full_jacobi
+from oracles import eig_full_jacobi
 
 
 def make_op(n=64, s=0.5):
@@ -37,6 +37,12 @@ class TestControlConfig:
     def test_rejects_unknown_step_rule(self):
         with pytest.raises(ValueError):
             ControlConfig(mu=0.1, a=1.0, b=2.0, step_rule="exact")
+
+    def test_rejects_nonfinite_inputs(self):
+        for bad in ({"mu": math.nan}, {"mu": math.inf}, {"b": math.inf},
+                    {"a": math.nan}, {"tol": math.nan}, {"tol": math.inf}):
+            with pytest.raises(ValueError):
+                ControlConfig(**{"mu": 0.1, "a": 1.0, "b": 2.0, **bad})
 
 
 class TestReducedCost:
@@ -215,6 +221,12 @@ class TestEigenSolveControl:
         r1 = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10))
         r2 = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-12))
         assert np.abs(r1.f_star - r2.f_star).max() <= 1e-6
+
+    def test_unattainable_tolerance_is_reported_not_converged(self):
+        op = make_op(n=64, s=0.5)
+        assert eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10)).converged
+        r = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-300))
+        assert not r.converged and np.all(np.isfinite(r.f_star))
 
     def test_gradient_is_radial_at_solution(self):
         op = make_op(n=64, s=0.5)

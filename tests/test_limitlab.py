@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import fraclap.linalg
 from fraclap.control import ControlConfig, eigen_solve_control
 from fraclap.discretize import Grid, assemble_classical, norm_h
 from fraclap.limitlab import (
@@ -65,6 +67,27 @@ class TestRunSweep:
                     r1.lambda_max, r1.seminorm_sq, r1.poincare_c) == \
                    (r2.s, r2.J_star, r2.dist_f, r2.dist_u, r2.align,
                     r2.lambda_max, r2.seminorm_sq, r2.poincare_c)
+
+    def test_one_factorization_and_two_eigen_solves_per_operator(self, monkeypatch):
+        calls = {"cholesky_factor": [], "eig_extreme": []}
+
+        def counting(name):
+            original = getattr(fraclap.linalg, name)
+
+            def counted(A, *args, **kwargs):
+                calls[name].append(A)  # holding A keeps each id unique
+                return original(A, *args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(fraclap.linalg, name, counting(name))
+        run_sweep(SweepConfig(grid=Grid(-1.0, 1.0, 32), s_list=default_s_ladder(10),
+                              control=CONTROL))
+        factors = Counter(map(id, calls["cholesky_factor"]))
+        eigs = Counter(map(id, calls["eig_extreme"]))
+        assert len(factors) == 11 and set(eigs) == set(factors)
+        assert set(factors.values()) == {1}
+        assert max(eigs.values()) <= 2
 
     def test_rejects_unsorted_ladder(self):
         with pytest.raises(ValueError):

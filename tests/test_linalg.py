@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from fraclap.discretize import Grid, assemble_classical, assemble_fractional
-from fraclap.linalg import (
-    CgResult,
-    FactorizationError,
-    cg_solve,
-    cholesky_factor,
-    cholesky_solve,
-    eig_extreme,
-    eig_full_jacobi,
-)
+from fraclap.linalg import FactorizationError, cholesky_factor, cholesky_solve, eig_extreme
+from oracles import CgResult, cg_solve, eig_full_jacobi
 
 
 def random_spd(n, seed):
@@ -121,6 +114,28 @@ class TestEigExtreme:
     def test_rejects_unknown_which(self):
         with pytest.raises(ValueError):
             eig_extreme(np.eye(3), "middle")
+
+    def test_large_operator_matches_full_spectrum(self):
+        g = Grid(-1.0, 1.0, 1024)
+        op = assemble_fractional(g, 0.5)
+        lam = np.linalg.eigvalsh(op.matrix)
+        top = eig_extreme(op, "largest", tol=1e-9, h=g.h)
+        bottom = eig_extreme(op, "smallest", tol=1e-9, h=g.h)
+        for pair, value, gap in ((top, lam[-1], (lam[-1] - lam[-2]) / lam[-1]),
+                                 (bottom, lam[0], (lam[1] - lam[0]) / lam[0])):
+            assert pair.converged
+            assert pair.value == pytest.approx(value, rel=1e-10)
+            assert pair.gap == pytest.approx(gap, rel=1e-6)
+            res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
+            assert res <= 1e-9 * pair.value * np.linalg.norm(pair.vector)
+
+    def test_converged_means_residual_within_tol(self):
+        A = random_spd(30, 7)
+        pair = eig_extreme(A, "largest", tol=1e-9)
+        assert pair.converged and 0.0 < pair.residual <= 1e-9 * pair.value
+        strict = eig_extreme(A, "largest", tol=0.5 * pair.residual / pair.value)
+        assert not strict.converged
+        assert not eig_extreme(A, "largest", tol=float("nan")).converged
 
 
 class TestJacobi:
