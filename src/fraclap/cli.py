@@ -43,18 +43,15 @@ class RunConfig:
     a: float = 1.0
     b: float = 2.0
     tol: float = 1e-10
-    max_iter: int = 200_000
     scheme: str = "monotone"
     rhs: str = "one"
-    workers: int = 1
     out: str = "."
 
     def grid(self) -> Grid:
         return Grid(self.x_left, self.x_right, self.n)
 
     def control(self) -> ControlConfig:
-        return ControlConfig(mu=self.mu, a=self.a, b=self.b, tol=self.tol,
-                             max_iter=self.max_iter)
+        return ControlConfig(mu=self.mu, a=self.a, b=self.b, tol=self.tol)
 
     def single_s(self) -> float:
         return 0.5 if self.s is None else self.s
@@ -94,10 +91,8 @@ _KEY_PARSERS = {
     "a": _parse_float,
     "b": _parse_float,
     "tol": _parse_float,
-    "max_iter": _parse_int,
     "scheme": lambda key, value, lineno: value,
     "rhs": lambda key, value, lineno: value,
-    "workers": _parse_int,
     "out": lambda key, value, lineno: value,
 }
 
@@ -135,6 +130,9 @@ def _fail(key, lines, message):
 
 def _validate(cfg: RunConfig, lines=None):
     lines = lines or {}
+    for key in ("x_left", "x_right"):
+        if not math.isfinite(getattr(cfg, key)):
+            _fail(key, lines, f"{key} must be finite, got {getattr(cfg, key)}")
     if not cfg.x_left < cfg.x_right:
         _fail("x_right", lines, f"domain endpoints must satisfy x_left < x_right, "
                                 f"got [{cfg.x_left}, {cfg.x_right}]")
@@ -157,14 +155,10 @@ def _validate(cfg: RunConfig, lines=None):
         _fail("b" if "b" in lines else "a", lines, f"a > b ({cfg.a} > {cfg.b})")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         _fail("tol", lines, f"tol must be positive and finite, got {cfg.tol}")
-    if cfg.max_iter < 1:
-        _fail("max_iter", lines, f"max_iter must be positive, got {cfg.max_iter}")
     if cfg.scheme not in SCHEMES:
         _fail("scheme", lines, f"unknown scheme '{cfg.scheme}' (available: {', '.join(SCHEMES)})")
     if cfg.rhs not in RHS_PRESETS:
         _fail("rhs", lines, f"unknown rhs preset '{cfg.rhs}' (available: {', '.join(RHS_PRESETS)})")
-    if cfg.workers < 1:
-        _fail("workers", lines, f"workers must be >= 1, got {cfg.workers}")
 
 
 def rhs_preset(name: str, grid: Grid) -> np.ndarray:
@@ -223,14 +217,16 @@ def _cmd_validate(cfg: RunConfig) -> int:
     sizes = [64, 128, 256, 512]
     errors = []
     print(f"validate: s={s}, f = 1, exact solution c*(1-x^2)^s")
-    print(f"{'n':>6} {'rel_l2_error':>14}")
+    print(f"{'n':>6} {'rel_l2_error':>14} {'rate':>8}")
     for n in sizes:
         grid = Grid(cfg.x_left, cfg.x_right, n)
         sol = solve_poisson(assemble_fractional(grid, s), np.ones(n))
         exact = exact_unit_ball_solution(grid.nodes(), s)
         err = norm_h(sol.u - exact, grid) / norm_h(exact, grid)
+        # Observed order of convergence: log2 of the error ratio per doubling of n.
+        rate = f" {math.log2(errors[-1] / err):8.2f}" if errors else ""
         errors.append(err)
-        print(f"{n:>6} {err:>14.6e}")
+        print(f"{n:>6} {err:>14.6e}{rate}")
     decreasing = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
     ok = decreasing and errors[-1] <= 0.03
     print(f"monotone decrease: {decreasing}; final error {errors[-1]:.4%} "
@@ -256,21 +252,20 @@ def _cmd_control(cfg: RunConfig) -> int:
     s = cfg.single_s()
     op = assemble_fractional(grid, s)
     result = eigen_solve_control(op, cfg.control())
-    x = grid.nodes()
-    write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
-              zip(x, result.f_star, result.u_star))
+    if result.converged:
+        write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
+                  zip(grid.nodes(), result.f_star, result.u_star))
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
           f"norm_f={norm_h(result.f_star, grid):.12g} active={result.active_bound} "
           f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
-          f"gap={op.top_pair.gap:.3e} converged={result.converged} -> control.csv")
-    if not result.converged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+          f"gap={op.top_pair.gap:.3e} converged={result.converged}"
+          + (" -> control.csv" if result.converged else ""))
+    return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     sweep_cfg = SweepConfig(grid=cfg.grid(), s_list=cfg.sweep_s_list(),
-                            control=cfg.control(), workers=cfg.workers)
+                            control=cfg.control())
     report = limitlab.run_sweep(sweep_cfg)
     if any(row.error for row in report.rows):
         for row in report.rows:
@@ -330,8 +325,15 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
         return EXIT_NUMERICAL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG, not argparse's 2, with its one-line message."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fraclap",
         description="Fractional-Laplacian forward solves, norm-constrained "
                     "optimal control, and classical-limit sweeps on an interval.",
@@ -345,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--a", type=float)
     parser.add_argument("--b", type=float)
     parser.add_argument("--tol", type=float)
-    parser.add_argument("--workers", type=int)
     return parser
 
 
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
         else:
             cfg = RunConfig()
         overrides = {key: getattr(args, key) for key in
-                     ("out", "n", "s", "mu", "a", "b", "tol", "workers")
+                     ("out", "n", "s", "mu", "a", "b", "tol")
                      if getattr(args, key) is not None}
         if overrides:
             cfg = replace(cfg, **overrides)

@@ -56,12 +56,20 @@ class OptimResult:
     degenerate_projection: bool = False
 
 
+def _cost(f: GridFunction, u: GridFunction, mu: float, grid: Grid) -> float:
+    """J = 1/2 <u, f>_h + mu/2 ||f||_h^2 for a control f and its state u."""
+    return 0.5 * inner_product_h(u, f, grid) + 0.5 * mu * inner_product_h(f, f, grid)
+
+
+def _step(op: Operator, mu: float) -> float:
+    """1 / (1/lambda_min(A) + mu), the reciprocal of the gradient's Lipschitz constant."""
+    return 1.0 / (1.0 / op.bottom_pair.value + mu)
+
+
 def reduced_cost(op: Operator, f: GridFunction, mu: float) -> float:
     """J(f) = 1/2 <u_f, f>_h + mu/2 ||f||_h^2."""
     f = np.asarray(f, dtype=float)
-    u = op.factor.solve(f)
-    g = op.grid
-    return 0.5 * inner_product_h(u, f, g) + 0.5 * mu * inner_product_h(f, f, g)
+    return _cost(f, op.factor.solve(f), mu, op.grid)
 
 
 def reduced_gradient(op: Operator, f: GridFunction, mu: float) -> GridFunction:
@@ -139,13 +147,9 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
             degenerate = True
         f = project_annulus(f0, cfg.a, cfg.b, grid)
 
-    step = 1.0 / (1.0 / op.bottom_pair.value + mu)
-
-    def cost(fv, uv):
-        return 0.5 * inner_product_h(uv, fv, grid) + 0.5 * mu * inner_product_h(fv, fv, grid)
-
+    step = _step(op, mu)
     u = factor.solve(f, refine=False)
-    J = cost(f, u)
+    J = _cost(f, u, mu, grid)
     pg_res = np.inf
     it = 0
     converged = False
@@ -163,7 +167,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
                 f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
                 u_new = factor.solve(f_new, refine=False)
                 dn = norm_h(f_new - f, grid)
-                J_new = cost(f_new, u_new)
+                J_new = _cost(f_new, u_new, mu, grid)
                 if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
                     break
                 used *= 0.5
@@ -180,7 +184,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
     return OptimResult(
         f_star=f,
         u_star=u,
-        J_star=cost(f, u),
+        J_star=_cost(f, u, mu, grid),
         grad_norm=pg_res,
         iters=it,
         converged=converged,
@@ -205,9 +209,9 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     pair = op.top_pair
     f = _sign_normalize(cfg.a * pair.vector)
     u = op.factor.solve(f)
-    J = 0.5 * inner_product_h(u, f, grid) + 0.5 * cfg.mu * inner_product_h(f, f, grid)
+    J = _cost(f, u, cfg.mu, grid)
     # Residual of the projected optimality condition, evaluated honestly.
-    step = 1.0 / (1.0 / op.bottom_pair.value + cfg.mu)
+    step = _step(op, cfg.mu)
     f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
     pg_res = norm_h(f - f_next, grid) / step
     return OptimResult(

@@ -25,6 +25,7 @@ first weight times h^2 tends to 1 and every far weight vanishes, so the
 operator degenerates to the classical three-point stencil.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +47,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_left) and math.isfinite(self.x_right)):
+            raise ValueError(f"need finite endpoints, got [{self.x_left}, {self.x_right}]")
         if not self.x_left < self.x_right:
             raise ValueError(f"need x_left < x_right, got [{self.x_left}, {self.x_right}]")
         if self.n < 3:

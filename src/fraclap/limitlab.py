@@ -9,7 +9,6 @@ the normalizing constant vanishes, proportionally to 1 - s.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +51,9 @@ class SweepConfig:
     grid: Grid
     s_list: list[float]
     control: ControlConfig
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "s_list", _validate_s_list(self.s_list))
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,6 @@ class SweepReport:
     u_star_classical: GridFunction = field(repr=False)
 
 
-def _sweep_task(args):
-    grid, s, control = args
-    op = assemble_fractional(grid, s)
-    result = eigen_solve_control(op, control)
-    return s, result, op.top_pair.value, poincare_constant(op)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Solve the control problem along the s ladder against the classical reference.
 
@@ -102,15 +91,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     if not ref.converged:
         raise SweepError("classical reference solve did not converge")
 
-    tasks = [(grid, s, cfg.control) for s in cfg.s_list]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(_sweep_task, tasks))
-    else:
-        raw = [_sweep_task(t) for t in tasks]
-
     rows = []
-    for s, result, lam, poin in sorted(raw, key=lambda r: r[0]):
+    for s in cfg.s_list:
+        op = assemble_fractional(grid, s)
+        result = eigen_solve_control(op, cfg.control)
         fs, us = result.f_star, result.u_star
         nf = norm_h(fs, grid) * norm_h(ref.f_star, grid)
         align = abs(inner_product_h(fs, ref.f_star, grid)) / nf if nf > 0 else 1.0
@@ -120,9 +104,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             dist_f=norm_h(fs - ref.f_star, grid),
             dist_u=norm_h(us - ref.u_star, grid),
             align=align,
-            lambda_max=lam,
+            lambda_max=op.top_pair.value,
             seminorm_sq=inner_product_h(fs, us, grid),
-            poincare_c=poin,
+            poincare_c=poincare_constant(op),
             error="" if result.converged else "eigensolver did not converge",
         ))
     return SweepReport(

@@ -60,11 +60,6 @@ def cholesky_factor(A) -> CholeskyFactor:
     return CholeskyFactor(chol=c, matrix=m)
 
 
-def cholesky_solve(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A."""
-    return cholesky_factor(A).solve(b)
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue with unit eigenvector (h-weighted norm when h is supplied).

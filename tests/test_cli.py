@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -90,7 +91,8 @@ class TestParseConfig:
             parse_config("scheme = galerkin")
 
     def test_nonfinite_values_name_line(self):
-        for text in ("mu = nan", "n = 16\na = inf", "b = inf", "tol = inf"):
+        for text in ("mu = nan", "n = 16\na = inf", "b = inf", "tol = inf",
+                     "x_left = -inf", "n = 16\nx_right = inf", "x_right = nan"):
             with pytest.raises(ConfigError) as err:
                 parse_config(text)
             assert "finite" in str(err.value) and "line" in str(err.value)
@@ -98,6 +100,11 @@ class TestParseConfig:
     def test_seed_is_not_a_key(self):
         with pytest.raises(ConfigError):
             parse_config("seed = 5")
+
+    @pytest.mark.parametrize("text", ["workers = 2", "max_iter = 1"])
+    def test_removed_keys_are_unknown(self, text):
+        with pytest.raises(ConfigError, match="line 1: unknown key"):
+            parse_config(text)
 
 
 class TestRhsPresets:
@@ -146,6 +153,16 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert out.count("\n") >= 5  # table with one line per grid size
+
+    def test_validate_reports_observed_rate(self, capsys):
+        assert dispatch(RunConfig(), "validate") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["n", "rel_l2_error", "rate"]
+        table = [line.split() for line in lines[2:6]]
+        assert len(table[0]) == 2  # no rate on the coarsest grid
+        for prev, row in zip(table, table[1:]):
+            ratio = float(prev[1]) / float(row[1])
+            assert float(row[2]) == pytest.approx(math.log2(ratio), abs=0.01)
 
     def test_validate_failure_exit_code(self, monkeypatch):
         import fraclap.cli as cli_module
@@ -241,6 +258,39 @@ class TestMain:
     def test_seed_flag_is_gone(self):
         with pytest.raises(SystemExit):
             main(["solve", "--seed", "5"])
+
+    @pytest.mark.parametrize("argv", [["solve", "--bogus"], ["solve", "--n", "abc"],
+                                      ["sweep", "--workers", "2"]])
+    def test_usage_errors_exit_config(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("fraclap: error: ") and len(err.strip().splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert "usage: fraclap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["x_right = inf", "x_right = nan", "x_left = nan"])
+    def test_nonfinite_endpoint_exits_config(self, text, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"n = 16\n{text}\n")
+        out_dir = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "finite" in err and "line 2" in err
+        assert not out_dir.exists()
+
+    def test_control_failure_leaves_no_csv(self, tmp_path, capsys):
+        code = main(["control", "--n", "32", "--tol", "1e-300", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "converged=False" in out and "control.csv" not in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_control_at_large_n(self, tmp_path, capsys):
         assert main(["control", "--n", "1024", "--out", str(tmp_path)]) == EXIT_OK

@@ -228,6 +228,13 @@ class TestEigenSolveControl:
         r = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-300))
         assert not r.converged and np.all(np.isfinite(r.f_star))
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+    def test_cost_equals_reduced_cost_of_the_optimum(self, s):
+        op = make_op(n=128, s=s)
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0)
+        r = eigen_solve_control(op, cfg)
+        assert r.J_star == pytest.approx(reduced_cost(op, r.f_star, cfg.mu), rel=1e-13)
+
     def test_gradient_is_radial_at_solution(self):
         op = make_op(n=64, s=0.5)
         r = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10))

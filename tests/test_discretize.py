@@ -31,6 +31,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(-1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("left, right", [(-1.0, math.inf), (-math.inf, 1.0),
+                                             (-1.0, math.nan), (math.nan, 1.0)])
+    def test_rejects_nonfinite_endpoints(self, left, right):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(left, right, 16)
+
 
 class TestStencilWeights:
     def test_far_weight_closed_form(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraclap.discretize import Grid, assemble_classical, assemble_fractional
-from fraclap.linalg import FactorizationError, cholesky_factor, cholesky_solve, eig_extreme
+from fraclap.linalg import FactorizationError, cholesky_factor, eig_extreme
 from oracles import CgResult, cg_solve, eig_full_jacobi
 
 
@@ -19,27 +19,27 @@ class TestCholesky:
         A = random_spd(8, 1)
         u = np.random.default_rng(2).standard_normal(8)
         b = A @ u
-        x = cholesky_solve(A, b)
+        x = cholesky_factor(A).solve(b)
         assert np.linalg.norm(x - u) <= 1e-10 * np.linalg.norm(u)
 
     def test_zero_rhs(self):
         A = random_spd(8, 3)
-        assert np.all(cholesky_solve(A, np.zeros(8)) == 0.0)
+        assert np.all(cholesky_factor(A).solve(np.zeros(8)) == 0.0)
 
     def test_scalar_reduction(self):
-        assert cholesky_solve(np.array([[4.0]]), np.array([2.0])) == pytest.approx([0.5])
+        assert cholesky_factor(np.array([[4.0]])).solve(np.array([2.0])) == pytest.approx([0.5])
 
     def test_residual_contract_on_operator(self):
         g = Grid(-1.0, 1.0, 512)
         op = assemble_fractional(g, 0.5)
         b = np.ones(512)
-        u = cholesky_solve(op, b)
+        u = cholesky_factor(op).solve(b)
         assert np.linalg.norm(op.matrix @ u - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_non_pd_names_pivot(self):
         A = np.diag([1.0, 1.0, -1.0, 1.0])
         with pytest.raises(FactorizationError) as err:
-            cholesky_solve(A, np.ones(4))
+            cholesky_factor(A).solve(np.ones(4))
         assert err.value.pivot == 3
         assert "pivot 3" in str(err.value)
 
@@ -49,7 +49,7 @@ class TestCg:
         for seed in range(50):
             A = random_spd(12, seed)
             b = np.random.default_rng(1000 + seed).standard_normal(12)
-            direct = cholesky_solve(A, b)
+            direct = cholesky_factor(A).solve(b)
             result = cg_solve(A, b, tol=1e-10)
             assert result.converged
             gap = np.linalg.norm(result.x - direct) / np.linalg.norm(direct)
@@ -186,4 +186,4 @@ def test_factor_reuse_matches_single_shot():
     rng = np.random.default_rng(29)
     for _ in range(5):
         b = rng.standard_normal(20)
-        assert np.allclose(factor.solve(b), cholesky_solve(A, b), rtol=1e-12, atol=1e-14)
+        assert np.allclose(factor.solve(b), cholesky_factor(A).solve(b), rtol=1e-12, atol=1e-14)
