@@ -295,11 +295,11 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     c = 0.1 * norm_h(f, grid)
     liminf = limitlab.liminf_check(grid, f, c, s_list, control)
     rows = [(r.clause, r.index, r.s, r.F_s, r.F_limit, r.margin)
-            for r in recovery.recovery_rows + liminf.liminf_rows]
+            for r in recovery.rows + liminf.rows]
     write_csv(os.path.join(cfg.out, "gamma.csv"),
               ["clause", "index", "s", "F_s", "F", "margin"], rows)
-    print(f"gamma checks: recovery={'pass' if recovery.verdicts['recovery'] else 'fail'} "
-          f"liminf={'pass' if liminf.verdicts['liminf'] else 'fail'} -> gamma.csv")
+    print(f"gamma checks: recovery={'pass' if recovery.ok else 'fail'} "
+          f"liminf={'pass' if liminf.ok else 'fail'} -> gamma.csv")
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from . import linalg
 from .specfun import frac_constant
@@ -137,26 +138,16 @@ def assemble_fractional(grid: Grid, s: float) -> Operator:
     negated weights indexed by node distance.
     """
     sw = stencil_weights(s, grid.h, grid.n)
-    n = grid.n
-    diag = 2.0 * (sw.w.sum() + sw.tail)
-    # First row/column of the Toeplitz matrix: [diag, -w_1, ..., -w_{n-1}].
-    col = np.empty(n)
-    col[0] = diag
-    col[1:] = -sw.w[: n - 1]
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    matrix = col[idx]
-    return Operator(kind="fractional", s=float(s), matrix=matrix, grid=grid)
+    # First column of the Toeplitz matrix: [diag, -w_1, ..., -w_{n-1}].
+    col = np.concatenate(([2.0 * (sw.w.sum() + sw.tail)], -sw.w[: grid.n - 1]))
+    return Operator(kind="fractional", s=float(s), matrix=toeplitz(col), grid=grid)
 
 
 def assemble_classical(grid: Grid) -> Operator:
     """Three-point (-1, 2, -1)/h^2 Laplacian in the dense operator container."""
-    n, h = grid.n, grid.h
-    matrix = np.zeros((n, n))
-    np.fill_diagonal(matrix, 2.0 / h**2)
-    off = np.arange(n - 1)
-    matrix[off, off + 1] = -1.0 / h**2
-    matrix[off + 1, off] = -1.0 / h**2
-    return Operator(kind="classical", s=1.0, matrix=matrix, grid=grid)
+    col = np.zeros(grid.n)
+    col[:2] = 2.0 / grid.h**2, -1.0 / grid.h**2
+    return Operator(kind="classical", s=1.0, matrix=toeplitz(col), grid=grid)
 
 
 def inner_product_h(v: GridFunction, w: GridFunction, grid: Grid) -> float:

@@ -187,9 +187,14 @@ class GammaRow:
 
 @dataclass(frozen=True)
 class GammaCheckReport:
-    recovery_rows: list[GammaRow]
-    liminf_rows: list[GammaRow]
-    verdicts: dict
+    rows: list[GammaRow]
+    ok: bool
+
+
+# Tail tests of the two clauses: recovery margins within 2% of F(f) in
+# magnitude, liminf margins no lower than -1e-3.
+RECOVERY_TOLERANCE = 0.02
+LIMINF_TOLERANCE = 1e-3
 
 
 def _extended_cost(op, f, cfg: ControlConfig) -> float:
@@ -201,6 +206,38 @@ def _extended_cost(op, f, cfg: ControlConfig) -> float:
     return reduced_cost(op, f, cfg.mu)
 
 
+def _gamma_clause(clause: str, grid: Grid, f: GridFunction, c: float, s_list,
+                  cfg: ControlConfig, passes) -> GammaCheckReport:
+    """Margins F_{s_k}(f + c sin(k pi x)) - F(f) along the ladder.
+
+    The verdict applies passes to the last third of the rows with a
+    finite margin.  The liminf clause takes the annulus as a
+    precondition and raises where the recovery clause scores +inf.
+    """
+    s_list = _validate_s_list(s_list)
+    f = np.asarray(f, dtype=float)
+    F_ref = _extended_cost(assemble_classical(grid), f, cfg)
+    strict = clause == "liminf"
+    if strict and not math.isfinite(F_ref):
+        raise ValueError("base control must lie in the admissible annulus")
+    x = grid.nodes()
+    rows = []
+    for k, s in enumerate(s_list, start=1):
+        f_k = f + c * np.sin(k * np.pi * x)
+        F_s = _extended_cost(assemble_fractional(grid, s), f_k, cfg)
+        if strict and not math.isfinite(F_s):
+            raise ValueError(
+                f"perturbed control leaves the annulus at k={k}: ||f_k||={norm_h(f_k, grid)!r},"
+                f" bounds [{cfg.a}, {cfg.b}]"
+            )
+        margin = F_s - F_ref if math.isfinite(F_s) and math.isfinite(F_ref) else math.inf
+        rows.append(GammaRow(clause=clause, index=k, s=s, F_s=F_s,
+                             F_limit=F_ref, margin=margin))
+    finite = [r for r in rows if math.isfinite(r.margin)]
+    tail = finite[-max(1, len(finite) // 3):]
+    return GammaCheckReport(rows=rows, ok=bool(tail) and all(passes(r) for r in tail))
+
+
 def recovery_sequence_check(grid: Grid, f: GridFunction, s_list,
                             cfg: ControlConfig) -> GammaCheckReport:
     """Constant-sequence recovery: F_s(f) approaches the classical F(f).
@@ -208,51 +245,20 @@ def recovery_sequence_check(grid: Grid, f: GridFunction, s_list,
     A control outside the annulus carries the extended value infinity in
     every row, which is itself the correct limit behavior.
     """
-    s_list = _validate_s_list(s_list)
-    f = np.asarray(f, dtype=float)
-    F_ref = _extended_cost(assemble_classical(grid), f, cfg)
-    rows = []
-    for k, s in enumerate(s_list, start=1):
-        F_s = _extended_cost(assemble_fractional(grid, s), f, cfg)
-        margin = F_s - F_ref if math.isfinite(F_s) and math.isfinite(F_ref) else math.inf
-        rows.append(GammaRow(clause="recovery", index=k, s=s, F_s=F_s,
-                             F_limit=F_ref, margin=margin))
-    finite = [r for r in rows if math.isfinite(r.margin)]
-    tail = finite[-max(1, len(finite) // 3):]
-    ok = bool(finite) and all(abs(r.margin) <= 0.02 * abs(r.F_limit) for r in tail)
-    return GammaCheckReport(recovery_rows=rows, liminf_rows=[],
-                            verdicts={"recovery": ok})
+    return _gamma_clause(
+        "recovery", grid, f, 0.0, s_list, cfg,
+        lambda r: abs(r.margin) <= RECOVERY_TOLERANCE * abs(r.F_limit))
 
 
 def liminf_check(grid: Grid, f: GridFunction, oscillation_amplitude: float,
-                 s_list, cfg: ControlConfig, tolerance: float = 1e-3) -> GammaCheckReport:
+                 s_list, cfg: ControlConfig) -> GammaCheckReport:
     """Lower-bound margins along a weakly vanishing oscillatory family.
 
     Pairs f_k = f + c * sin(k pi x) with s_k from the ladder and reports
     the signed margins F_k(f_k) - F(f); the verdict passes when the tail
-    (last third) stays above -tolerance.  Oscillations that leave the
-    annulus are a configuration error.
+    (last third) stays above -LIMINF_TOLERANCE.  Oscillations that leave
+    the annulus are a configuration error.
     """
-    s_list = _validate_s_list(s_list)
-    f = np.asarray(f, dtype=float)
-    c = float(oscillation_amplitude)
-    F_ref = _extended_cost(assemble_classical(grid), f, cfg)
-    if not math.isfinite(F_ref):
-        raise ValueError("base control must lie in the admissible annulus")
-    x = grid.nodes()
-    rows = []
-    for k, s in enumerate(s_list, start=1):
-        f_k = f + c * np.sin(k * np.pi * x)
-        nrm = norm_h(f_k, grid)
-        if nrm < cfg.a - 1e-12 or nrm > cfg.b + 1e-12:
-            raise ValueError(
-                f"perturbed control leaves the annulus at k={k}: ||f_k||={nrm:.6g},"
-                f" bounds [{cfg.a}, {cfg.b}]"
-            )
-        F_k = reduced_cost(assemble_fractional(grid, s), f_k, cfg.mu)
-        rows.append(GammaRow(clause="liminf", index=k, s=s, F_s=F_k,
-                             F_limit=F_ref, margin=F_k - F_ref))
-    tail = rows[-max(1, len(rows) // 3):]
-    ok = all(r.margin >= -tolerance for r in tail)
-    return GammaCheckReport(recovery_rows=[], liminf_rows=rows,
-                            verdicts={"liminf": ok})
+    return _gamma_clause(
+        "liminf", grid, f, float(oscillation_amplitude), s_list, cfg,
+        lambda r: r.margin >= -LIMINF_TOLERANCE)

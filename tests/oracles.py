@@ -1,13 +1,21 @@
-"""Independent reference solvers for the tests.
+"""Independent references for the tests.
 
 Pure-Python cyclic Jacobi and conjugate gradients share no code with the
 LAPACK routes in fraclap.linalg, so agreement between the two is evidence
-for both.
+for both.  The unit-load state is the closed form the forward solver is
+measured against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def unit_rhs_exact_state(x, s):
+    """Closed-form state for a unit load on (-1, 1): c_s (1 - x^2)^s."""
+    c = math.sqrt(math.pi) * 4.0 ** (-s) / (math.gamma(s + 0.5) * math.gamma(s + 1.0))
+    return c * (1.0 - x**2) ** s
 
 
 def _as_matrix(A) -> np.ndarray:

@@ -1,8 +1,6 @@
 """Acceptance suite: one test per release criterion, each at its stated
 tolerance, printing one pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
-import math
-
 import numpy as np
 
 from fraclap.cli import main
@@ -32,17 +30,12 @@ from fraclap.limitlab import (
     run_sweep,
 )
 from fraclap.linalg import cholesky_factor
-from oracles import eig_full_jacobi
+from oracles import eig_full_jacobi, unit_rhs_exact_state
 
 
 def report(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def unit_rhs_exact_state(x, s):
-    c = math.sqrt(math.pi) * 4.0 ** (-s) / (math.gamma(s + 0.5) * math.gamma(s + 1.0))
-    return c * (1.0 - x**2) ** s
 
 
 def test_criterion_1_analytic_forward_validation():
@@ -216,12 +209,12 @@ def test_criterion_8_gamma_convergence_clauses():
     f *= (control.a + control.b) / 2.0 / norm_h(f, grid)
 
     recovery = recovery_sequence_check(grid, f, default_s_ladder(10), control)
-    late = [r for r in recovery.recovery_rows if r.s >= 0.99]
+    late = [r for r in recovery.rows if r.s >= 0.99]
     recovery_ok = all(abs(r.margin) <= 0.02 * r.F_limit for r in late)
 
     c = 0.1 * norm_h(f, grid)
     liminf = liminf_check(grid, f, c, default_s_ladder(12), control)
-    tail = liminf.liminf_rows[-4:]
+    tail = liminf.rows[-4:]
     liminf_ok = all(r.margin >= -1e-3 for r in tail)
 
     ok = recovery_ok and liminf_ok

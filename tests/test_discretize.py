@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,47 @@ class TestClassicalOperator:
         # Second differences of a quadratic are exact; the boundary rows see the
         # true (zero) boundary values, so the residual is pure round-off.
         assert np.allclose(op.matrix @ u, 2.0, atol=1e-10)
+
+
+def _hand_built_toeplitz(col):
+    """Symmetric Toeplitz matrix entry by entry: a[i, j] = col[|i - j|]."""
+    n = len(col)
+    a = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            a[i, j] = col[abs(i - j)]
+    return a
+
+
+class TestToeplitzAssembly:
+    @pytest.mark.parametrize("n", [3, 17, 64])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+    def test_fractional_is_bitwise_the_toeplitz_of_its_weights(self, s, n):
+        grid = Grid(-1.0, 1.0, n)
+        sw = stencil_weights(s, grid.h, n)
+        col = [2.0 * (sw.w.sum() + sw.tail)] + [-w for w in sw.w[: n - 1]]
+        matrix = assemble_fractional(grid, s).matrix
+        assert matrix.tobytes() == _hand_built_toeplitz(col).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 17, 64])
+    @pytest.mark.parametrize("left, right", [(-1.0, 1.0), (0.0, 3.7)])
+    def test_classical_is_bitwise_the_three_point_toeplitz(self, left, right, n):
+        grid = Grid(left, right, n)
+        col = [2.0 / grid.h**2, -1.0 / grid.h**2] + [0.0] * (n - 2)
+        matrix = assemble_classical(grid).matrix
+        assert matrix.tobytes() == _hand_built_toeplitz(col).tobytes()
+
+    def test_fractional_assembly_allocates_only_the_matrix(self):
+        # An n-by-n index array on top of the matrix would double the peak.
+        grid = Grid(-1.0, 1.0, 1024)
+        assemble_fractional(grid, 0.5)
+        tracemalloc.start()
+        try:
+            op = assemble_fractional(grid, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * op.matrix.nbytes
 
 
 class TestInnerProduct:

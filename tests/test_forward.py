@@ -13,12 +13,7 @@ from fraclap.discretize import (
     quadratic_form,
 )
 from fraclap.forward import maximum_principle_check, poincare_constant, solve_poisson
-
-
-def unit_rhs_exact_state(x, s):
-    """Closed-form state for a unit load on (-1, 1): c_s (1 - x^2)^s."""
-    c = math.sqrt(math.pi) * 4.0 ** (-s) / (math.gamma(s + 0.5) * math.gamma(s + 1.0))
-    return c * (1.0 - x**2) ** s
+from oracles import unit_rhs_exact_state
 
 
 class TestSolvePoisson:

@@ -1,5 +1,7 @@
 import math
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,8 +140,8 @@ class TestRecovery:
         f = np.ones(n)
         f *= 1.5 / norm_h(f, grid)
         report = recovery_sequence_check(grid, f, default_s_ladder(10), CONTROL)
-        assert report.verdicts["recovery"]
-        by_s = {r.s: r for r in report.recovery_rows}
+        assert report.ok
+        by_s = {r.s: r for r in report.rows}
         for s, row in by_s.items():
             if s >= 0.99:
                 assert abs(row.margin) <= 0.02 * row.F_limit
@@ -150,15 +152,15 @@ class TestRecovery:
         f = np.ones(n)
         f *= 3.0 / norm_h(f, grid)  # above the upper bound
         report = recovery_sequence_check(grid, f, [0.5, 0.9], CONTROL)
-        assert all(math.isinf(r.F_s) for r in report.recovery_rows)
-        assert all(math.isinf(r.F_limit) for r in report.recovery_rows)
+        assert all(math.isinf(r.F_s) for r in report.rows)
+        assert all(math.isinf(r.F_limit) for r in report.rows)
 
     def test_classical_optimum_gaps_decrease(self):
         n = 128
         grid = Grid(-1.0, 1.0, n)
         ref = eigen_solve_control(assemble_classical(grid), CONTROL)
         report = recovery_sequence_check(grid, ref.f_star, [0.9, 0.99, 0.999], CONTROL)
-        margins = [abs(r.margin) for r in report.recovery_rows]
+        margins = [abs(r.margin) for r in report.rows]
         assert all(m1 > m2 for m1, m2 in zip(margins, margins[1:]))
 
 
@@ -171,12 +173,12 @@ class TestLiminf:
         ladder = default_s_ladder(6)
         rec = recovery_sequence_check(grid, f, ladder, CONTROL)
         lim = liminf_check(grid, f, 0.0, ladder, CONTROL)
-        for r1, r2 in zip(rec.recovery_rows, lim.liminf_rows):
+        for r1, r2 in zip(rec.rows, lim.rows):
             assert r2.margin == pytest.approx(r1.margin, rel=1e-12, abs=1e-14)
         # With the control fixed the margins are nonnegative up to a small
         # transient at the coarse end of the ladder.
-        assert all(r.margin >= -0.02 * r.F_limit for r in lim.liminf_rows)
-        assert all(r.margin >= 0.0 for r in lim.liminf_rows[-2:])
+        assert all(r.margin >= -0.02 * r.F_limit for r in lim.rows)
+        assert all(r.margin >= 0.0 for r in lim.rows[-2:])
 
     def test_oscillatory_family_tail_margins(self):
         n = 256
@@ -185,8 +187,8 @@ class TestLiminf:
         f *= 1.5 / norm_h(f, grid)
         c = 0.1 * norm_h(f, grid)
         report = liminf_check(grid, f, c, default_s_ladder(12), CONTROL)
-        assert report.verdicts["liminf"]
-        tail = report.liminf_rows[-4:]
+        assert report.ok
+        tail = report.rows[-4:]
         assert all(r.margin >= -1e-3 for r in tail)
 
     def test_oscillation_leaving_annulus_is_rejected(self):
@@ -195,6 +197,30 @@ class TestLiminf:
         f = np.ones(n)
         f *= 1.9 / norm_h(f, grid)  # close to the upper bound
         with pytest.raises(ValueError):
+            liminf_check(grid, f, 1.0, default_s_ladder(6), CONTROL)
+
+    def test_control_within_the_annulus_slack_matches_recovery(self):
+        # ||f|| = b + 1.5e-12 lies inside the slack 1e-12 * max(1, b) that
+        # both clauses use, so the liminf rows at c = 0 are the recovery rows.
+        n = 64
+        grid = Grid(-1.0, 1.0, n)
+        f = np.ones(n)
+        f *= (CONTROL.b + 1.5e-12) / norm_h(f, grid)
+        assert norm_h(f, grid) > CONTROL.b + 1e-12
+        ladder = default_s_ladder(6)
+        rec = recovery_sequence_check(grid, f, ladder, CONTROL)
+        lim = liminf_check(grid, f, 0.0, ladder, CONTROL)
+        assert all(math.isfinite(r.F_s) for r in rec.rows)
+        assert [replace(r, clause="recovery") for r in lim.rows] == rec.rows
+
+    def test_rejection_names_the_step_and_the_exact_norm(self):
+        n = 64
+        grid = Grid(-1.0, 1.0, n)
+        f = np.ones(n)
+        f *= 1.9 / norm_h(f, grid)
+        f_1 = f + 1.0 * np.sin(np.pi * grid.nodes())
+        expected = f"at k=1: ||f_k||={norm_h(f_1, grid)!r},"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             liminf_check(grid, f, 1.0, default_s_ladder(6), CONTROL)
 
     def test_base_control_must_be_admissible(self):
