@@ -15,12 +15,11 @@ from .discretize import (
 )
 from .forward import ForwardSolution, solve_poisson
 from .limitlab import SweepConfig, SweepReport, default_s_ladder, run_sweep
-from .specfun import FracConstant, frac_constant, gamma
+from .specfun import frac_constant, gamma
 
 __all__ = [
     "ControlConfig",
     "ForwardSolution",
-    "FracConstant",
     "Grid",
     "Operator",
     "OptimResult",

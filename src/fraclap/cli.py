@@ -23,9 +23,6 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
 RHS_PRESETS = ("one", "sine", "hat")
-SCHEMES = ("monotone",)
-
-SUBCOMMANDS = ("validate", "solve", "control", "sweep", "gamma")
 
 
 class ConfigError(Exception):
@@ -43,7 +40,6 @@ class RunConfig:
     a: float = 1.0
     b: float = 2.0
     tol: float = 1e-10
-    scheme: str = "monotone"
     rhs: str = "one"
     out: str = "."
 
@@ -91,7 +87,6 @@ _KEY_PARSERS = {
     "a": _parse_float,
     "b": _parse_float,
     "tol": _parse_float,
-    "scheme": lambda key, value, lineno: value,
     "rhs": lambda key, value, lineno: value,
     "out": lambda key, value, lineno: value,
 }
@@ -155,8 +150,6 @@ def _validate(cfg: RunConfig, lines=None):
         _fail("b" if "b" in lines else "a", lines, f"a > b ({cfg.a} > {cfg.b})")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         _fail("tol", lines, f"tol must be positive and finite, got {cfg.tol}")
-    if cfg.scheme not in SCHEMES:
-        _fail("scheme", lines, f"unknown scheme '{cfg.scheme}' (available: {', '.join(SCHEMES)})")
     if cfg.rhs not in RHS_PRESETS:
         _fail("rhs", lines, f"unknown rhs preset '{cfg.rhs}' (available: {', '.join(RHS_PRESETS)})")
 
@@ -241,7 +234,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     sol = solve_poisson(assemble_fractional(grid, s), f)
     x = grid.nodes()
     write_csv(os.path.join(cfg.out, "solution.csv"), ["x", "u", "f"],
-              zip(x, sol.u, sol.f))
+              zip(x, sol.u, f))
     print(f"solved s={s} n={grid.n}: seminorm_sq={sol.seminorm_sq:.12g} "
           f"l2_norm_u={sol.l2_norm_u:.12g} -> solution.csv")
     return EXIT_OK
@@ -303,24 +296,33 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+HANDLERS = {
+    "validate": _cmd_validate,
+    "solve": _cmd_solve,
+    "control": _cmd_control,
+    "sweep": _cmd_sweep,
+    "gamma": _cmd_gamma,
+}
+
+# Command-line flags that override the config key of the same name.
+OVERRIDES = {"out": str, "n": int, "s": float, "mu": float, "a": float, "b": float,
+             "tol": float}
+
+
 def dispatch(cfg: RunConfig, subcommand: str) -> int:
     """Run one subcommand; exit codes: 0 ok, 1 config, 2 numerical, 3 check failed."""
-    handlers = {
-        "validate": _cmd_validate,
-        "solve": _cmd_solve,
-        "control": _cmd_control,
-        "sweep": _cmd_sweep,
-        "gamma": _cmd_gamma,
-    }
-    if subcommand not in handlers:
+    if subcommand not in HANDLERS:
         print(f"unknown subcommand '{subcommand}'", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return handlers[subcommand](cfg)
+        return HANDLERS[subcommand](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FactorizationError, FloatingPointError, limitlab.SweepError) as exc:
+    except MemoryError:
+        print(f"out of memory: n={cfg.n} is too large for the dense solver", file=sys.stderr)
+        return EXIT_CONFIG
+    except (FactorizationError, limitlab.SweepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -338,15 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional-Laplacian forward solves, norm-constrained "
                     "optimal control, and classical-limit sweeps on an interval.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=HANDLERS)
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--out", metavar="DIR", help="output directory for CSV files")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--s", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--tol", type=float)
+    for key, kind in OVERRIDES.items():
+        parser.add_argument(f"--{key}", type=kind, help=f"override config key '{key}'")
     return parser
 
 
@@ -358,8 +355,7 @@ def main(argv=None) -> int:
                 cfg = parse_config(handle.read())
         else:
             cfg = RunConfig()
-        overrides = {key: getattr(args, key) for key in
-                     ("out", "n", "s", "mu", "a", "b", "tol")
+        overrides = {key: getattr(args, key) for key in OVERRIDES
                      if getattr(args, key) is not None}
         if overrides:
             cfg = replace(cfg, **overrides)

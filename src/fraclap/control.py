@@ -53,7 +53,6 @@ class OptimResult:
     iters: int
     converged: bool
     active_bound: str  # "none" | "lower" | "upper"
-    degenerate_projection: bool = False
 
 
 def _cost(f: GridFunction, u: GridFunction, mu: float, grid: Grid) -> float:
@@ -127,10 +126,11 @@ def _active_bound(nrm: float, a: float, b: float, tol: float) -> str:
     return "none"
 
 
-def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) -> OptimResult:
+def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     """Projected gradient descent on the reduced cost over the annulus.
 
-    Stops when the projected-gradient residual ||f - P(f - step g)||_h / step
+    Starts from the constant control projected onto the annulus and stops
+    when the projected-gradient residual ||f - P(f - step g)||_h / step
     drops below cfg.tol.  Non-convergence is reported, never raised.  The
     fixed step is 1 / (1/lambda_min(A) + mu), the reciprocal of the
     gradient's Lipschitz constant.
@@ -138,15 +138,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
     grid = op.grid
     mu = cfg.mu
     factor = op.factor
-    degenerate = False
-    if f0 is None:
-        f = project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
-    else:
-        f0 = np.asarray(f0, dtype=float)
-        if norm_h(f0, grid) == 0.0 and cfg.a > 0.0:
-            degenerate = True
-        f = project_annulus(f0, cfg.a, cfg.b, grid)
-
+    f = project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
     step = _step(op, mu)
     u = factor.solve(f, refine=False)
     J = _cost(f, u, mu, grid)
@@ -189,7 +181,6 @@ def pgd_solve(op: Operator, cfg: ControlConfig, f0: GridFunction | None = None) 
         iters=it,
         converged=converged,
         active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
-        degenerate_projection=degenerate,
     )
 
 

@@ -68,8 +68,6 @@ class Grid:
 class StencilWeights:
     """Quadrature weights w_1..w_K plus the closed-form remainder beyond K."""
 
-    s: float
-    h: float
     w: np.ndarray
     tail: float
 
@@ -120,14 +118,14 @@ def stencil_weights(s: float, h: float, K: int) -> StencilWeights:
         raise ValueError(f"spacing must be positive, got h={h}")
     if K < 2:
         raise ValueError(f"need K >= 2 weights, got K={K}")
-    C = frac_constant(1, s).value
+    C = frac_constant(1, s)
     scale = C * h ** (-2.0 * s)
     k = np.arange(2, K + 1, dtype=float)
     w = np.empty(K)
     w[0] = scale / (2.0 - 2.0 * s) + (scale / (2.0 * s)) * (1.0 - 1.5 ** (-2.0 * s))
     w[1:] = (scale / (2.0 * s)) * ((k - 0.5) ** (-2.0 * s) - (k + 0.5) ** (-2.0 * s))
     tail = (scale / (2.0 * s)) * (K + 0.5) ** (-2.0 * s)
-    return StencilWeights(s=float(s), h=float(h), w=w, tail=float(tail))
+    return StencilWeights(w=w, tail=float(tail))
 
 
 def assemble_fractional(grid: Grid, s: float) -> Operator:

@@ -11,13 +11,10 @@ from .discretize import GridFunction, Operator, inner_product_h, norm_h
 class ForwardSolution:
     """State u solving A u = f, with the energy <f, u>_h of the pair.
 
-    s is the operator order; 1.0 denotes the classical Laplacian.  The
-    energy equals the weighted seminorm squared of the state, which is how
-    the reduced control cost evaluates it.
+    The energy equals the weighted seminorm squared of the state, which is
+    how the reduced control cost evaluates it.
     """
 
-    s: float
-    f: GridFunction
     u: GridFunction
     seminorm_sq: float
     l2_norm_u: float
@@ -32,8 +29,6 @@ def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
         raise ValueError("right-hand side must be finite")
     u = op.factor.solve(f)
     return ForwardSolution(
-        s=op.s,
-        f=f,
         u=u,
         seminorm_sq=inner_product_h(f, u, op.grid),
         l2_norm_u=norm_h(u, op.grid),

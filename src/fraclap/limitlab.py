@@ -73,9 +73,7 @@ class SweepRow:
 class SweepReport:
     rows: list[SweepRow]
     J_star_classical: float
-    lambda_max_classical: float
     f_star_classical: GridFunction = field(repr=False)
-    u_star_classical: GridFunction = field(repr=False)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
@@ -86,8 +84,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     compares against it.
     """
     grid = cfg.grid
-    ref_op = assemble_classical(grid)
-    ref = eigen_solve_control(ref_op, cfg.control)
+    ref = eigen_solve_control(assemble_classical(grid), cfg.control)
     if not ref.converged:
         raise SweepError("classical reference solve did not converge")
 
@@ -112,9 +109,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     return SweepReport(
         rows=rows,
         J_star_classical=ref.J_star,
-        lambda_max_classical=ref_op.top_pair.value,
         f_star_classical=ref.f_star,
-        u_star_classical=ref.u_star,
     )
 
 

@@ -6,7 +6,7 @@ restricted to the two eigenvalues at one end of the spectrum.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -71,7 +71,6 @@ class EigenPair:
 
     value: float
     vector: np.ndarray
-    converged: bool
     residual: float
     gap: float
 
@@ -80,11 +79,11 @@ class EigenPair:
         return math.isfinite(self.value) and self.residual <= tol * abs(self.value)
 
 
-def eig_extreme(A, which: str = "largest", tol: float = 1e-9, h: float = 1.0) -> EigenPair:
+def eig_extreme(A, which: str = "largest", h: float = 1.0) -> EigenPair:
     """Extreme eigenpair of a symmetric matrix by LAPACK's MRRR driver (dsyevr).
 
     One call returns the extreme pair and its inward neighbour, which gives
-    the relative gap.  converged reports EigenPair.meets(tol).
+    the relative gap.  Callers judge the pair with EigenPair.meets(tol).
     """
     if which not in ("largest", "smallest"):
         raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
@@ -97,6 +96,4 @@ def eig_extreme(A, which: str = "largest", tol: float = 1e-9, h: float = 1.0) ->
     v = vectors[:, k]
     residual = float(np.linalg.norm(m @ v - lam * v))
     gap = float(values[-1] - values[0]) / abs(lam) if n > 1 and lam != 0.0 else math.inf
-    pair = EigenPair(value=lam, vector=v / np.sqrt(h * float(v @ v)), converged=False,
-                     residual=residual, gap=gap)
-    return replace(pair, converged=pair.meets(tol))
+    return EigenPair(value=lam, vector=v / np.sqrt(h * float(v @ v)), residual=residual, gap=gap)

@@ -1,7 +1,5 @@
 """Gamma function and the normalizing constant of the fractional Laplacian."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Lanczos coefficients, g = 7, 9 terms (double precision).
@@ -19,19 +17,6 @@ _LANCZOS_COEF = (
 )
 
 _SQRT_TWO_PI = 2.5066282746310002
-
-
-@dataclass(frozen=True)
-class FracConstant:
-    """Normalizing constant of the integral fractional Laplacian.
-
-    value = s * 2^(2s) * Gamma((N + 2s)/2) / (pi^(N/2) * Gamma(1 - s)),
-    which vanishes as s -> 1- (pole of Gamma(1 - s)) and as s -> 0+.
-    """
-
-    dim: int
-    order: float
-    value: float
 
 
 def gamma(x: float) -> float:
@@ -54,12 +39,15 @@ def gamma(x: float) -> float:
     return _SQRT_TWO_PI * t ** (z + 0.5) * np.exp(-t) * acc
 
 
-def frac_constant(N: int, s: float) -> FracConstant:
-    """Normalizing constant C(N, s) of the fractional Laplacian of order s."""
+def frac_constant(N: int, s: float) -> float:
+    """Normalizing constant C(N, s) of the integral fractional Laplacian of order s.
+
+    C(N, s) = s * 2^(2s) * Gamma((N + 2s)/2) / (pi^(N/2) * Gamma(1 - s)),
+    which vanishes as s -> 1- (pole of Gamma(1 - s)) and as s -> 0+.
+    """
     if N < 1 or int(N) != N:
         raise ValueError(f"dimension must be a positive integer, got {N}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"order s must lie in (0, 1), got {s}")
     N = int(N)
-    value = s * 4.0**s * gamma((N + 2.0 * s) / 2.0) / (np.pi ** (N / 2.0) * gamma(1.0 - s))
-    return FracConstant(dim=N, order=float(s), value=float(value))
+    return float(s * 4.0**s * gamma((N + 2.0 * s) / 2.0) / (np.pi ** (N / 2.0) * gamma(1.0 - s)))

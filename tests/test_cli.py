@@ -1,9 +1,11 @@
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import fraclap.cli
 import fraclap.limitlab
 from fraclap.cli import (
     EXIT_CHECK_FAILED,
@@ -86,10 +88,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("rhs = gaussian")
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ConfigError):
-            parse_config("scheme = galerkin")
-
     def test_nonfinite_values_name_line(self):
         for text in ("mu = nan", "n = 16\na = inf", "b = inf", "tol = inf",
                      "x_left = -inf", "n = 16\nx_right = inf", "x_right = nan"):
@@ -101,10 +99,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("seed = 5")
 
-    @pytest.mark.parametrize("text", ["workers = 2", "max_iter = 1"])
+    @pytest.mark.parametrize("text", ["workers = 2", "max_iter = 1", "scheme = monotone"])
     def test_removed_keys_are_unknown(self, text):
         with pytest.raises(ConfigError, match="line 1: unknown key"):
             parse_config(text)
+
+    def test_keys_and_flags_match_run_config_fields(self):
+        assert set(fraclap.cli._KEY_PARSERS) == {f.name for f in fields(RunConfig)}
+        assert set(fraclap.cli.OVERRIDES) <= set(fraclap.cli._KEY_PARSERS)
 
 
 class TestRhsPresets:
@@ -253,6 +255,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exits_config_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def no_memory(grid, s):
+            raise MemoryError
+
+        # Stands in for the dense assembly at a size the machine cannot hold.
+        monkeypatch.setattr(fraclap.cli, "assemble_fractional", no_memory)
+        code = main(["solve", "--n", "200000", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert "n=200000" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_is_gone(self):

@@ -77,10 +77,10 @@ class TestCg:
 class TestEigExtreme:
     def test_diagonal_matrix(self):
         A = np.diag([1.0, 2.0, 3.0])
-        top = eig_extreme(A, "largest", tol=1e-12)
+        top = eig_extreme(A, "largest")
         assert top.value == pytest.approx(3.0, rel=1e-10)
         assert abs(top.vector[2]) == pytest.approx(1.0, rel=1e-8)
-        bottom = eig_extreme(A, "smallest", tol=1e-12)
+        bottom = eig_extreme(A, "smallest")
         assert bottom.value == pytest.approx(1.0, rel=1e-10)
         assert abs(bottom.vector[0]) == pytest.approx(1.0, rel=1e-8)
 
@@ -88,8 +88,8 @@ class TestEigExtreme:
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(op, "smallest", tol=1e-10, h=g.h)
-        assert pair.converged
+        pair = eig_extreme(op, "smallest", h=g.h)
+        assert pair.meets(1e-10)
         # First Dirichlet eigenvalue of the second derivative on a length-2
         # interval is (pi/2)^2; the discrete value sits within 0.5% at this n.
         assert pair.value == pytest.approx(math.pi**2 / 4.0, rel=0.005)
@@ -98,15 +98,15 @@ class TestEigExtreme:
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(op, "largest", tol=1e-9, h=g.h)
-        assert pair.converged
+        pair = eig_extreme(op, "largest", h=g.h)
+        assert pair.meets(1e-9)
         expected = 4.0 / g.h**2 * math.sin(n * math.pi / (2 * (n + 1))) ** 2
         assert pair.value == pytest.approx(expected, rel=0.005)
 
     def test_eigenvector_h_normalized_with_small_residual(self):
         g = Grid(-1.0, 1.0, 64)
         op = assemble_fractional(g, 0.5)
-        pair = eig_extreme(op, "largest", tol=1e-9, h=g.h)
+        pair = eig_extreme(op, "largest", h=g.h)
         assert g.h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
         res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
         assert res <= 1e-9 * abs(pair.value) * np.linalg.norm(pair.vector)
@@ -119,11 +119,11 @@ class TestEigExtreme:
         g = Grid(-1.0, 1.0, 1024)
         op = assemble_fractional(g, 0.5)
         lam = np.linalg.eigvalsh(op.matrix)
-        top = eig_extreme(op, "largest", tol=1e-9, h=g.h)
-        bottom = eig_extreme(op, "smallest", tol=1e-9, h=g.h)
+        top = eig_extreme(op, "largest", h=g.h)
+        bottom = eig_extreme(op, "smallest", h=g.h)
         for pair, value, gap in ((top, lam[-1], (lam[-1] - lam[-2]) / lam[-1]),
                                  (bottom, lam[0], (lam[1] - lam[0]) / lam[0])):
-            assert pair.converged
+            assert pair.meets(1e-9)
             assert pair.value == pytest.approx(value, rel=1e-10)
             assert pair.gap == pytest.approx(gap, rel=1e-6)
             res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
@@ -131,11 +131,10 @@ class TestEigExtreme:
 
     def test_converged_means_residual_within_tol(self):
         A = random_spd(30, 7)
-        pair = eig_extreme(A, "largest", tol=1e-9)
-        assert pair.converged and 0.0 < pair.residual <= 1e-9 * pair.value
-        strict = eig_extreme(A, "largest", tol=0.5 * pair.residual / pair.value)
-        assert not strict.converged
-        assert not eig_extreme(A, "largest", tol=float("nan")).converged
+        pair = eig_extreme(A, "largest")
+        assert pair.meets(1e-9) and 0.0 < pair.residual <= 1e-9 * pair.value
+        assert not pair.meets(0.5 * pair.residual / pair.value)
+        assert not pair.meets(float("nan"))
 
 
 class TestJacobi:
@@ -165,8 +164,8 @@ class TestJacobi:
         g = Grid(-1.0, 1.0, 48)
         op = assemble_fractional(g, 0.6)
         pairs = eig_full_jacobi(op, h=g.h)
-        top = eig_extreme(op, "largest", tol=1e-10, h=g.h)
-        bottom = eig_extreme(op, "smallest", tol=1e-10, h=g.h)
+        top = eig_extreme(op, "largest", h=g.h)
+        bottom = eig_extreme(op, "smallest", h=g.h)
         assert top.value == pytest.approx(pairs[-1].value, rel=1e-8)
         assert bottom.value == pytest.approx(pairs[0].value, rel=1e-8)
 

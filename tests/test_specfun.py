@@ -54,30 +54,26 @@ def test_recurrence_property(x):
 def test_constant_dimension_one_half_order():
     # s 2^(2s) Gamma((1+2s)/2) / (sqrt(pi) Gamma(1-s)) at s = 1/2 collapses
     # to 1/pi after substituting Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).
-    c = frac_constant(1, 0.5)
-    assert c.value == pytest.approx(1.0 / math.pi, rel=1e-13)
-    assert c.dim == 1 and c.order == 0.5
+    assert frac_constant(1, 0.5) == pytest.approx(1.0 / math.pi, rel=1e-13)
 
 
 def test_constant_dimension_two_half_order():
     # 0.5 * 2 * Gamma(1.5) / (pi * Gamma(0.5)) = 1 / (2 pi) exactly.
-    c = frac_constant(2, 0.5)
-    assert c.value == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
+    assert frac_constant(2, 0.5) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
 
 
 def test_limit_factor_two_near_one():
     # Gamma(1-s) ~ 1/(1-s) near s = 1, so value/(1-s) -> 2 in dimension 1.
-    c = frac_constant(1, 0.999)
-    assert c.value / (1.0 - 0.999) == pytest.approx(2.0, rel=0.01)
+    assert frac_constant(1, 0.999) / (1.0 - 0.999) == pytest.approx(2.0, rel=0.01)
 
 
 def test_vanishes_at_both_endpoints():
     ladder = 1.0 - np.logspace(-1, -8, 8)  # s -> 1-
-    values = [frac_constant(1, float(s)).value for s in ladder]
+    values = [frac_constant(1, float(s)) for s in ladder]
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     assert values[-1] < 1e-6
     ladder = np.logspace(-1, -8, 8)  # s -> 0+
-    values = [frac_constant(1, float(s)).value for s in ladder]
+    values = [frac_constant(1, float(s)) for s in ladder]
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     assert values[-1] < 1e-6
 
@@ -97,4 +93,4 @@ def test_constant_rejects_bad_dimension():
        st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=200)
 def test_constant_positive(N, s):
-    assert frac_constant(N, s).value > 0.0
+    assert frac_constant(N, s) > 0.0
