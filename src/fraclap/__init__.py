@@ -14,7 +14,7 @@ from .discretize import (
     stencil_weights,
 )
 from .forward import ForwardSolution, solve_poisson
-from .limitlab import SweepConfig, SweepReport, default_s_ladder, run_sweep
+from .limitlab import SweepReport, default_s_ladder, run_sweep
 from .specfun import frac_constant, gamma
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Operator",
     "OptimResult",
     "StencilWeights",
-    "SweepConfig",
     "SweepReport",
     "assemble_classical",
     "assemble_fractional",

@@ -5,7 +5,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import limitlab
 from .control import ControlConfig, eigen_solve_control
 from .discretize import Grid, assemble_fractional, norm_h
 from .forward import solve_poisson
-from .limitlab import SweepConfig, default_s_ladder
+from .limitlab import default_s_ladder
 from .linalg import FactorizationError
 from .specfun import gamma
 
@@ -56,47 +56,35 @@ class RunConfig:
         return [self.s] if self.s is not None else list(self.s_list)
 
 
-def _parse_float(key, value, lineno):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: malformed number for key '{key}': {value!r}")
-
-
-def _parse_int(key, value, lineno):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: malformed integer for key '{key}': {value!r}")
-
-
-def _parse_s_list(key, value, lineno):
+def _float_list(value: str) -> list[float]:
     items = [p.strip() for p in value.split(",") if p.strip()]
     if not items:
-        raise ConfigError(f"line {lineno}: empty list for key '{key}'")
-    return [_parse_float(key, p, lineno) for p in items]
+        raise ValueError("empty list")
+    return [float(p) for p in items]
 
 
 _KEY_PARSERS = {
-    "x_left": _parse_float,
-    "x_right": _parse_float,
-    "n": _parse_int,
-    "s": _parse_float,
-    "s_list": _parse_s_list,
-    "mu": _parse_float,
-    "a": _parse_float,
-    "b": _parse_float,
-    "tol": _parse_float,
-    "rhs": lambda key, value, lineno: value,
-    "out": lambda key, value, lineno: value,
+    "x_left": float,
+    "x_right": float,
+    "n": int,
+    "s": float,
+    "s_list": _float_list,
+    "mu": float,
+    "a": float,
+    "b": float,
+    "tol": float,
+    "rhs": str,
+    "out": str,
 }
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse "key = value" lines with '#' comments into a validated RunConfig.
 
-    Unknown keys, malformed numbers and constraint violations raise a
-    ConfigError naming the key and line number.
+    overrides maps keys to already parsed values that take precedence
+    over the file's; the merged config is validated once.  Unknown keys,
+    malformed values and constraint violations raise a ConfigError
+    naming the key, and the line number where the value came from the file.
     """
     values = {}
     lines = {}
@@ -108,11 +96,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        values[key] = _KEY_PARSERS[key](key, value, lineno)
+        try:
+            values[key] = _KEY_PARSERS[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: malformed value for key '{key}': {exc}")
         lines[key] = lineno
+    for key, value in (overrides or {}).items():
+        values[key] = value
+        lines.pop(key, None)
     cfg = RunConfig(**values)
     _validate(cfg, lines)
     return cfg
@@ -123,8 +116,7 @@ def _fail(key, lines, message):
     raise ConfigError(f"{where}{message}")
 
 
-def _validate(cfg: RunConfig, lines=None):
-    lines = lines or {}
+def _validate(cfg: RunConfig, lines):
     for key in ("x_left", "x_right"):
         if not math.isfinite(getattr(cfg, key)):
             _fail(key, lines, f"{key} must be finite, got {getattr(cfg, key)}")
@@ -257,9 +249,7 @@ def _cmd_control(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    sweep_cfg = SweepConfig(grid=cfg.grid(), s_list=cfg.sweep_s_list(),
-                            control=cfg.control())
-    report = limitlab.run_sweep(sweep_cfg)
+    report = limitlab.run_sweep(cfg.grid(), cfg.sweep_s_list(), cfg.control())
     if any(row.error for row in report.rows):
         for row in report.rows:
             if row.error:
@@ -305,8 +295,7 @@ HANDLERS = {
 }
 
 # Command-line flags that override the config key of the same name.
-OVERRIDES = {"out": str, "n": int, "s": float, "mu": float, "a": float, "b": float,
-             "tol": float}
+OVERRIDES = ("out", "n", "s", "mu", "a", "b", "tol")
 
 
 def dispatch(cfg: RunConfig, subcommand: str) -> int:
@@ -321,6 +310,9 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
         return EXIT_CONFIG
     except MemoryError:
         print(f"out of memory: n={cfg.n} is too large for the dense solver", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FactorizationError, limitlab.SweepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -342,25 +334,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("subcommand", choices=HANDLERS)
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    for key, kind in OVERRIDES.items():
-        parser.add_argument(f"--{key}", type=kind, help=f"override config key '{key}'")
+    for key in OVERRIDES:
+        parser.add_argument(f"--{key}", type=_KEY_PARSERS[key],
+                            help=f"override config key '{key}'")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key) for key in OVERRIDES
+                 if getattr(args, key) is not None}
     try:
+        text = ""
         if args.config is not None:
-            with open(args.config) as handle:
-                cfg = parse_config(handle.read())
-        else:
-            cfg = RunConfig()
-        overrides = {key: getattr(args, key) for key in OVERRIDES
-                     if getattr(args, key) is not None}
-        if overrides:
-            cfg = replace(cfg, **overrides)
-            _validate(cfg)
-    except OSError as exc:
+            with open(args.config, encoding="utf-8") as handle:
+                text = handle.read()
+        cfg = parse_config(text, overrides)
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:

@@ -145,25 +145,22 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     pg_res = np.inf
     it = 0
     converged = False
+    fixed = cfg.step_rule == "fixed"
     while it < cfg.max_iter:
         it += 1
         grad = u + mu * f
-        if cfg.step_rule == "fixed":
-            used = step
-            f_new = project_annulus(f - step * grad, cfg.a, cfg.b, grid)
+        used = step if fixed else 4.0 * step
+        while True:
+            f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
             u_new = factor.solve(f_new, refine=False)
             dn = norm_h(f_new - f, grid)
-        else:
-            used = 4.0 * step
-            while True:
-                f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
-                u_new = factor.solve(f_new, refine=False)
-                dn = norm_h(f_new - f, grid)
-                J_new = _cost(f_new, u_new, mu, grid)
-                if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
-                    break
-                used *= 0.5
-            J = J_new
+            if fixed:
+                break
+            J_new = _cost(f_new, u_new, mu, grid)
+            if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
+                J = J_new
+                break
+            used *= 0.5
         pg_res = dn / used
         f, u = f_new, u_new
         if pg_res <= cfg.tol:

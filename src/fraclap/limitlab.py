@@ -47,16 +47,6 @@ def _validate_s_list(s_list):
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    grid: Grid
-    s_list: list[float]
-    control: ControlConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_list", _validate_s_list(self.s_list))
-
-
-@dataclass(frozen=True)
 class SweepRow:
     s: float
     J_star: float
@@ -76,22 +66,22 @@ class SweepReport:
     f_star_classical: GridFunction = field(repr=False)
 
 
-def run_sweep(cfg: SweepConfig) -> SweepReport:
+def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     """Solve the control problem along the s ladder against the classical reference.
 
     Per-s failures are recorded in their row and the sweep continues; a
     failing classical reference aborts the whole sweep since every row
     compares against it.
     """
-    grid = cfg.grid
-    ref = eigen_solve_control(assemble_classical(grid), cfg.control)
+    s_list = _validate_s_list(s_list)
+    ref = eigen_solve_control(assemble_classical(grid), control)
     if not ref.converged:
         raise SweepError("classical reference solve did not converge")
 
     rows = []
-    for s in cfg.s_list:
+    for s in s_list:
         op = assemble_fractional(grid, s)
-        result = eigen_solve_control(op, cfg.control)
+        result = eigen_solve_control(op, control)
         fs, us = result.f_star, result.u_star
         nf = norm_h(fs, grid) * norm_h(ref.f_star, grid)
         align = abs(inner_product_h(fs, ref.f_star, grid)) / nf if nf > 0 else 1.0

@@ -23,7 +23,6 @@ from fraclap.discretize import (
 )
 from fraclap.forward import poincare_constant, solve_poisson
 from fraclap.limitlab import (
-    SweepConfig,
     default_s_ladder,
     liminf_check,
     recovery_sequence_check,
@@ -82,9 +81,8 @@ def test_criterion_3_seminorm_limit():
 
 def test_criterion_4_control_ladder():
     control = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10)
-    cfg = SweepConfig(grid=Grid(-1.0, 1.0, 256), s_list=default_s_ladder(10),
-                      control=control)
-    rep = run_sweep(cfg)
+    grid = Grid(-1.0, 1.0, 256)
+    rep = run_sweep(grid, default_s_ladder(10), control)
     J1 = rep.J_star_classical
     gaps = [abs(r.J_star - J1) for r in rep.rows]
     tail_decreasing = gaps[-3] > gaps[-2] > gaps[-1]
@@ -94,7 +92,7 @@ def test_criterion_4_control_ladder():
     dist_u = [r.dist_u for r in rep.rows]
     dist_u_decreasing = dist_u[-3] > dist_u[-2] > dist_u[-1]
     dist_f = [r.dist_f for r in rep.rows]
-    f1_norm = norm_h(rep.f_star_classical, cfg.grid)
+    f1_norm = norm_h(rep.f_star_classical, grid)
     dist_f_ok = (dist_f[-3] > dist_f[-2] > dist_f[-1]
                  and all(r.dist_f <= 0.05 * f1_norm for r in late))
     ok = tail_decreasing and rel_ok and align_ok and dist_u_decreasing and dist_f_ok

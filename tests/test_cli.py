@@ -104,6 +104,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1: unknown key"):
             parse_config(text)
 
+    def test_empty_s_list_names_line_and_key(self):
+        with pytest.raises(ConfigError, match="^line 1: malformed value for key 's_list': "):
+            parse_config("s_list = ,")
+
+    def test_overrides_win_and_drop_the_line_number(self):
+        assert parse_config("a = 3", {"b": 5.0}) == RunConfig(a=3.0, b=5.0)
+        with pytest.raises(ConfigError) as err:
+            parse_config("a = 3\nb = 2.5", {"a": 4.0})
+        assert str(err.value) == "line 2: a > b (4.0 > 2.5)"
+
     def test_keys_and_flags_match_run_config_fields(self):
         assert set(fraclap.cli._KEY_PARSERS) == {f.name for f in fields(RunConfig)}
         assert set(fraclap.cli.OVERRIDES) <= set(fraclap.cli._KEY_PARSERS)
@@ -204,7 +214,7 @@ class TestDispatch:
         assert svals == default_s_ladder(10)
 
     def test_sweep_numerical_failure_leaves_no_csv(self, tmp_path, monkeypatch):
-        def boom(cfg):
+        def boom(*args):
             raise fraclap.limitlab.SweepError("reference failed")
 
         monkeypatch.setattr(fraclap.limitlab, "run_sweep", boom)
@@ -313,6 +323,65 @@ class TestMain:
         assert "converged=True" in out and "residual=" in out and "gap=" in out
         _, rows = read_csv(tmp_path / "control.csv")
         assert len(rows) == 1024
+
+    def test_flag_is_merged_before_validation(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("a = 3\n")
+        out_dir = tmp_path / "out"
+        code = main(["control", "--config", str(cfg_path), "--b", "5", "--n", "32",
+                     "--out", str(out_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out_dir / "control.csv")
+        assert len(rows) == 32
+
+    def test_flag_replaces_an_invalid_file_value(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n = 2\n")
+        code = main(["solve", "--config", str(cfg_path), "--n", "16",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        _, rows = read_csv(tmp_path / "out" / "solution.csv")
+        assert len(rows) == 16
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("a = 3\n", [], "configuration error: line 1: a > b (3.0 > 2.0)"),
+        (None, ["--a", "3"], "configuration error: a > b (3.0 > 2.0)"),
+        ("n = 1e3\n", [], "configuration error: line 1: malformed value for key 'n': "),
+    ])
+    def test_invalid_merged_config_exits_config(self, text, argv, message, tmp_path, capsys):
+        if text is not None:
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(text)
+            argv = argv + ["--config", str(cfg_path)]
+        out_dir = tmp_path / "out"
+        assert main(["control", *argv, "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_undecodable_config_exits_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"\xff\xfe n = 3\n")
+        out_dir = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("subpath", ["taken", "taken/sub"])
+    def test_unwritable_out_exits_config(self, subpath, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        code = main(["solve", "--n", "16", "--out", str(tmp_path / subpath)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith("cannot write output: ")
+        assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a directory\n"
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -10,7 +10,6 @@ import fraclap.linalg
 from fraclap.control import ControlConfig, eigen_solve_control
 from fraclap.discretize import Grid, assemble_classical, norm_h
 from fraclap.limitlab import (
-    SweepConfig,
     SweepError,
     bbm_limit_check,
     default_s_ladder,
@@ -30,9 +29,7 @@ def test_default_ladder_is_geometric():
 
 class TestRunSweep:
     def test_distances_and_costs_decrease_along_ladder(self):
-        cfg = SweepConfig(grid=Grid(-1.0, 1.0, 256), s_list=[0.5, 0.7, 0.9, 0.99],
-                          control=CONTROL)
-        report = run_sweep(cfg)
+        report = run_sweep(Grid(-1.0, 1.0, 256), [0.5, 0.7, 0.9, 0.99], CONTROL)
         assert [r.s for r in report.rows] == [0.5, 0.7, 0.9, 0.99]
         gaps = [abs(r.J_star - report.J_star_classical) for r in report.rows]
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
@@ -41,8 +38,7 @@ class TestRunSweep:
         assert all(r.error == "" for r in report.rows)
 
     def test_singleton_ladder(self):
-        cfg = SweepConfig(grid=Grid(-1.0, 1.0, 256), s_list=[0.99], control=CONTROL)
-        report = run_sweep(cfg)
+        report = run_sweep(Grid(-1.0, 1.0, 256), [0.99], CONTROL)
         assert len(report.rows) == 1
         assert report.rows[0].align >= 0.999
 
@@ -54,9 +50,8 @@ class TestRunSweep:
             return type(result)(**{**result.__dict__, "converged": False})
 
         monkeypatch.setattr(module, "eigen_solve_control", bad_reference)
-        cfg = SweepConfig(grid=Grid(-1.0, 1.0, 32), s_list=[0.5], control=CONTROL)
         with pytest.raises(SweepError):
-            run_sweep(cfg)
+            run_sweep(Grid(-1.0, 1.0, 32), [0.5], CONTROL)
 
     def test_one_factorization_and_two_eigen_solves_per_operator(self, monkeypatch):
         calls = {"cholesky_factor": [], "eig_extreme": []}
@@ -71,8 +66,7 @@ class TestRunSweep:
 
         for name in calls:
             monkeypatch.setattr(fraclap.linalg, name, counting(name))
-        run_sweep(SweepConfig(grid=Grid(-1.0, 1.0, 32), s_list=default_s_ladder(10),
-                              control=CONTROL))
+        run_sweep(Grid(-1.0, 1.0, 32), default_s_ladder(10), CONTROL)
         factors = Counter(map(id, calls["cholesky_factor"]))
         eigs = Counter(map(id, calls["eig_extreme"]))
         assert len(factors) == 11 and set(eigs) == set(factors)
@@ -81,7 +75,7 @@ class TestRunSweep:
 
     def test_rejects_unsorted_ladder(self):
         with pytest.raises(ValueError):
-            SweepConfig(grid=Grid(-1.0, 1.0, 16), s_list=[0.9, 0.5], control=CONTROL)
+            run_sweep(Grid(-1.0, 1.0, 16), [0.9, 0.5], CONTROL)
 
 
 class TestStateConvergence:
