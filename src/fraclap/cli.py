@@ -14,7 +14,7 @@ from .control import ControlConfig, eigen_solve_control
 from .discretize import Grid, assemble_fractional, norm_h
 from .forward import solve_poisson
 from .limitlab import default_s_ladder
-from .linalg import FactorizationError
+from .linalg import FactorizationError, SolveError
 from .specfun import gamma
 
 EXIT_OK = 0
@@ -237,11 +237,13 @@ def _cmd_control(cfg: RunConfig) -> int:
     s = cfg.single_s()
     op = assemble_fractional(grid, s)
     result = eigen_solve_control(op, cfg.control())
+    with np.errstate(over="ignore"):
+        norm_f = norm_h(result.f_star, grid)  # inf when a overflows; converged is then False
     if result.converged:
         write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
                   zip(grid.nodes(), result.f_star, result.u_star))
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
-          f"norm_f={norm_h(result.f_star, grid):.12g} active={result.active_bound} "
+          f"norm_f={norm_f:.12g} active={result.active_bound} "
           f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
           f"gap={op.top_pair.gap:.3e} converged={result.converged}"
           + (" -> control.csv" if result.converged else ""))
@@ -309,12 +311,12 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:
-        print(f"out of memory: n={cfg.n} is too large for the dense solver", file=sys.stderr)
+        print(f"out of memory: n={cfg.n} is too large for this machine", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FactorizationError, limitlab.SweepError) as exc:
+    except (FactorizationError, SolveError, limitlab.SweepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -68,7 +68,7 @@ def _step(op: Operator, mu: float) -> float:
 def reduced_cost(op: Operator, f: GridFunction, mu: float) -> float:
     """J(f) = 1/2 <u_f, f>_h + mu/2 ||f||_h^2."""
     f = np.asarray(f, dtype=float)
-    return _cost(f, op.factor.solve(f), mu, op.grid)
+    return _cost(f, op.solve(f), mu, op.grid)
 
 
 def reduced_gradient(op: Operator, f: GridFunction, mu: float) -> GridFunction:
@@ -78,7 +78,7 @@ def reduced_gradient(op: Operator, f: GridFunction, mu: float) -> GridFunction:
     exists; the state itself is the derivative of the energy term.
     """
     f = np.asarray(f, dtype=float)
-    u = op.factor.solve(f)
+    u = op.solve(f)
     return u + mu * f
 
 
@@ -187,7 +187,8 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     J(t f) = t^2 J(f) grows in t, so for a > 0 the lower bound is active
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
-    converged reports whether that eigenpair meets cfg.tol.
+    converged reports whether that eigenpair meets cfg.tol and the cost
+    and the projected-gradient residual are finite.
     """
     grid = op.grid
     if cfg.a == 0.0:
@@ -195,19 +196,23 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
                            converged=True, active_bound="none")
     pair = op.top_pair
-    f = _sign_normalize(cfg.a * pair.vector)
-    u = op.factor.solve(f)
-    J = _cost(f, u, cfg.mu, grid)
-    # Residual of the projected optimality condition, evaluated honestly.
-    step = _step(op, cfg.mu)
-    f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
-    pg_res = norm_h(f - f_next, grid) / step
+    # A huge a can overflow the cost to inf; the finiteness test below
+    # reports that as not converged, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _sign_normalize(cfg.a * pair.vector)
+        u = op.solve(f)
+        J = _cost(f, u, cfg.mu, grid)
+        # Residual of the projected optimality condition, evaluated honestly.
+        step = _step(op, cfg.mu)
+        f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
+        pg_res = norm_h(f - f_next, grid) / step
+        active = _active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol)
     return OptimResult(
         f_star=f,
         u_star=u,
         J_star=J,
         grad_norm=pg_res,
         iters=0,
-        converged=pair.meets(cfg.tol),
-        active_bound=_active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol),
+        converged=pair.meets(cfg.tol) and math.isfinite(J) and math.isfinite(pg_res),
+        active_bound=active,
     )

@@ -1,8 +1,10 @@
-"""Dense symmetric solvers and eigensolvers.
+"""Symmetric solvers and eigensolvers.
 
 Direct solves go through LAPACK's Cholesky (dpotrf/dpotrs) with one step of
-iterative refinement; extreme eigenpairs come from LAPACK's dsyevr
-restricted to the two eigenvalues at one end of the spectrum.
+iterative refinement, or, for one-shot solves on a large symmetric Toeplitz
+matrix, through Levinson recursion on its first column with one FFT
+refinement step; extreme eigenpairs come from LAPACK's dsyevr restricted to
+the two eigenvalues at one end of the spectrum.
 """
 
 import math
@@ -19,6 +21,15 @@ class FactorizationError(Exception):
     def __init__(self, pivot: int):
         self.pivot = int(pivot)
         super().__init__(f"matrix is not positive definite: pivot {self.pivot} failed")
+
+
+class SolveError(Exception):
+    """A Toeplitz solve failed: singular leading minor, non-finite result or large backward error."""
+
+
+# Largest normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf)
+# that toeplitz_solve accepts.
+BACKWARD_ERROR_TOL = 1e-12
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -58,6 +69,33 @@ def cholesky_factor(A) -> CholeskyFactor:
     if info < 0:
         raise ValueError(f"illegal argument {-info} to dpotrf")
     return CholeskyFactor(chol=c, matrix=m)
+
+
+def toeplitz_solve(col, b) -> np.ndarray:
+    """Solve A x = b for the symmetric Toeplitz matrix A with first column col.
+
+    Levinson recursion (O(n^2) time, O(n) memory) followed by one step of
+    iterative refinement whose residual is an FFT product.  The result must
+    be finite with a normwise backward error at most BACKWARD_ERROR_TOL,
+    taking ||A||_inf <= |c_0| + 2 sum |c_k|; otherwise SolveError.
+    """
+    col = np.asarray(col, dtype=float)
+    b = np.asarray(b, dtype=float)
+    try:
+        x = scipy.linalg.solve_toeplitz(col, b, check_finite=False)
+        r = b - scipy.linalg.matmul_toeplitz(col, x)
+        x = x + scipy.linalg.solve_toeplitz(col, r, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"Levinson recursion failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SolveError("Toeplitz solve returned non-finite values")
+    r_norm = float(np.abs(b - scipy.linalg.matmul_toeplitz(col, x)).max(initial=0.0))
+    a_norm = abs(float(col[0])) + 2.0 * float(np.abs(col[1:]).sum())
+    bound = BACKWARD_ERROR_TOL * a_norm * float(np.abs(x).max(initial=0.0))
+    if not r_norm <= bound:
+        raise SolveError(f"Toeplitz solve residual {r_norm:.3e} exceeds "
+                         f"{BACKWARD_ERROR_TOL:g} * ||A|| * ||x|| = {bound:.3e}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fraclap.cli
 import fraclap.limitlab
+import fraclap.linalg
 from fraclap.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -20,7 +22,7 @@ from fraclap.cli import (
     rhs_preset,
     write_csv,
 )
-from fraclap.discretize import Grid
+from fraclap.discretize import DENSE_SOLVE_MAX_N, Grid
 from fraclap.limitlab import default_s_ladder
 
 
@@ -271,7 +273,7 @@ class TestMain:
         def no_memory(grid, s):
             raise MemoryError
 
-        # Stands in for the dense assembly at a size the machine cannot hold.
+        # Stands in for an allocation the machine cannot grant.
         monkeypatch.setattr(fraclap.cli, "assemble_fractional", no_memory)
         code = main(["solve", "--n", "200000", "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -388,3 +390,72 @@ class TestMain:
         assert main(["solve", "--n", "64", "--s", "0.5", "--out", str(out1)]) == EXIT_OK
         assert main(["solve", "--n", "64", "--s", "0.5", "--out", str(out2)]) == EXIT_OK
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    original = fraclap.linalg.cholesky_factor
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(fraclap.linalg, "cholesky_factor", counted)
+    return calls
+
+
+class TestAboveTheDenseCrossover:
+    N = 1024
+
+    def test_solve_needs_no_matrix_and_no_factorization(self, tmp_path, monkeypatch):
+        assert self.N > DENSE_SOLVE_MAX_N
+        factorizations = _count_factorizations(monkeypatch)
+        ops = []
+        original = fraclap.cli.assemble_fractional
+
+        def kept(grid, s):
+            ops.append(original(grid, s))
+            return ops[-1]
+
+        monkeypatch.setattr(fraclap.cli, "assemble_fractional", kept)
+        assert main(["solve", "--n", str(self.N), "--out", str(tmp_path)]) == EXIT_OK
+        assert factorizations == []
+        assert len(ops) == 1 and "matrix" not in ops[0].__dict__
+        _, rows = read_csv(tmp_path / "solution.csv")
+        assert len(rows) == self.N
+
+    def test_gamma_makes_no_factorization(self, tmp_path, monkeypatch, capsys):
+        factorizations = _count_factorizations(monkeypatch)
+        assert main(["gamma", "--n", str(self.N), "--out", str(tmp_path)]) == EXIT_OK
+        assert factorizations == []
+        assert "recovery=pass liminf=pass" in capsys.readouterr().out
+
+    def test_failed_toeplitz_solve_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
+                            lambda col, b, check_finite=True: np.full(len(b), np.nan))
+        code = main(["solve", "--n", str(self.N), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.err.startswith("numerical failure: ")
+        assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOverflowIsNotConverged:
+    def test_control_exits_numerical_without_csv_or_warning(self, tmp_path, capsys):
+        code = main(["control", "--a", "1e200", "--b", "1e200", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "J_star=inf" in captured.out and "converged=False" in captured.out
+        assert "control.csv" not in captured.out
+        assert captured.err == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_exits_numerical_without_csv_or_warning(self, tmp_path, capsys):
+        code = main(["sweep", "--n", "64", "--a", "1e200", "--b", "1e200",
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.err.startswith("numerical failure: ")
+        assert "Warning" not in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []

@@ -239,3 +239,15 @@ class TestEigenSolveControl:
         op = make_op(n=64, s=0.5)
         r = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10))
         assert r.grad_norm <= 1e-8
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_overflowing_cost_is_not_converged(self, n):
+        # a = 1e200 squares past the double range: J_star is inf, not a converged answer.
+        r = eigen_solve_control(make_op(n=n), ControlConfig(mu=0.1, a=1e200, b=1e200))
+        assert r.J_star == math.inf
+        assert not r.converged
+
+    def test_large_but_finite_cost_still_converges(self):
+        r = eigen_solve_control(make_op(n=64), ControlConfig(mu=0.1, a=1e100, b=1e100))
+        assert math.isfinite(r.J_star) and math.isfinite(r.grad_norm)
+        assert r.converged

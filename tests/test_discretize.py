@@ -124,6 +124,18 @@ class TestFractionalOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 0.0
 
+    def test_column_is_read_only(self):
+        for op in (assemble_fractional(Grid(-1.0, 1.0, 8), 0.5),
+                   assemble_classical(Grid(-1.0, 1.0, 8))):
+            with pytest.raises(ValueError):
+                op.col[0] = 0.0
+
+    def test_matrix_is_built_on_first_use_from_the_column(self):
+        op = assemble_fractional(Grid(-1.0, 1.0, 64), 0.5)
+        assert "matrix" not in op.__dict__
+        assert op.matrix is op.matrix
+        assert np.array_equal(op.matrix[:, 0], op.col)
+
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.integers(min_value=3, max_value=24))
     @settings(max_examples=100, deadline=None)
@@ -199,6 +211,20 @@ class TestToeplitzAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * op.matrix.nbytes
+
+    def test_fractional_assembly_is_linear_in_memory(self):
+        # The operator holds its first column; the n-by-n matrix waits for a dense path.
+        n = 1024
+        grid = Grid(-1.0, 1.0, n)
+        assemble_fractional(grid, 0.5)
+        tracemalloc.start()
+        try:
+            op = assemble_fractional(grid, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n
+        assert "matrix" not in op.__dict__
 
 
 class TestInnerProduct:

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fraclap.discretize import Grid, assemble_classical, assemble_fractional
-from fraclap.linalg import FactorizationError, cholesky_factor, eig_extreme
+from fraclap.discretize import DENSE_SOLVE_MAX_N, Grid, assemble_classical, assemble_fractional
+from fraclap.linalg import (
+    FactorizationError,
+    SolveError,
+    cholesky_factor,
+    eig_extreme,
+    toeplitz_solve,
+)
 from oracles import CgResult, cg_solve, eig_full_jacobi
 
 
@@ -186,3 +193,65 @@ def test_factor_reuse_matches_single_shot():
     for _ in range(5):
         b = rng.standard_normal(20)
         assert np.allclose(factor.solve(b), cholesky_factor(A).solve(b), rtol=1e-12, atol=1e-14)
+
+
+def _toeplitz_operator(s, n=1024):
+    grid = Grid(-1.0, 1.0, n)
+    return assemble_classical(grid) if s is None else assemble_fractional(grid, s)
+
+
+class TestToeplitzSolve:
+    # n = 1024 is above the crossover, so op.solve takes the Levinson path.
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.99, None])
+    def test_matches_cholesky_above_the_crossover(self, s):
+        op = _toeplitz_operator(s)
+        assert op.n > DENSE_SOLVE_MAX_N
+        b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
+        x = op.solve(b)
+        assert "matrix" not in op.__dict__
+        dense = op.factor.solve(b)
+        assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.99, None])
+    def test_backward_error_is_round_off(self, s):
+        op = _toeplitz_operator(s)
+        b = np.ones(op.n)
+        x = toeplitz_solve(op.col, b)
+        residual = np.abs(b - op.matrix @ x).max()
+        assert residual <= 1e-13 * np.abs(op.matrix).sum(axis=1).max() * np.abs(x).max()
+
+    def test_zero_right_hand_side(self):
+        op = _toeplitz_operator(0.5)
+        assert np.all(toeplitz_solve(op.col, np.zeros(op.n)) == 0.0)
+
+    def test_at_or_below_the_crossover_uses_the_factor(self):
+        op = _toeplitz_operator(0.5, DENSE_SOLVE_MAX_N)
+        b = np.ones(op.n)
+        assert op.solve(b).tobytes() == op.factor.solve(b).tobytes()
+
+    def test_singular_leading_minor(self):
+        # [[1, 1], [1, 1]] leads an indefinite matrix (eigenvalues 1, 1 +- sqrt 2 at n = 3).
+        col = np.zeros(16)
+        col[:2] = 1.0
+        with pytest.raises(SolveError, match="Levinson"):
+            toeplitz_solve(col, np.ones(16))
+
+    def test_non_finite_result(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
+                            lambda col, b, check_finite=True: np.full(len(b), np.nan))
+        op = _toeplitz_operator(0.5)
+        with pytest.raises(SolveError, match="non-finite"):
+            op.solve(np.ones(op.n))
+
+    def test_large_backward_error(self, monkeypatch):
+        original = scipy.linalg.solve_toeplitz
+
+        # Each Levinson answer 0.1 % too large: one refinement step leaves a
+        # relative error of 1e-6, far above round-off.
+        def perturbed(col, b, check_finite=True):
+            return original(col, b, check_finite=check_finite) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", perturbed)
+        op = _toeplitz_operator(0.5)
+        with pytest.raises(SolveError, match="residual"):
+            op.solve(np.ones(op.n))
