@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .discretize import Grid, GridFunction, Operator, inner_product_h, norm_h
+from .linalg import FactorizationError
 
 
 @dataclass(frozen=True)
@@ -134,50 +136,63 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     drops below cfg.tol.  Non-convergence is reported, never raised.  The
     fixed step is 1 / (1/lambda_min(A) + mu), the reciprocal of the
     gradient's Lipschitz constant.
+
+    The iteration runs on the coefficients c = Q^T f in the orthonormal
+    eigenbasis A = Q diag(lam) Q^T, taken once by a full eigendecomposition.
+    There the gradient u + mu f is q c with q = 1/lam + mu, and Q keeps
+    h-norms, so each step costs O(n) and no solve.  An operator that is not
+    positive definite (lambda_min <= 0 or a non-finite eigenvalue) raises
+    FactorizationError.
     """
     grid = op.grid
-    mu = cfg.mu
-    factor = op.factor
-    f = project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
-    step = _step(op, mu)
-    u = factor.solve(f, refine=False)
-    J = _cost(f, u, mu, grid)
+    lam, Q = scipy.linalg.eigh(op.matrix)
+    if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
+        raise FactorizationError(0, f"eigenvalues span [{lam[0]:.3e}, {lam[-1]:.3e}]")
+    q = 1.0 / lam + cfg.mu
+
+    def project(c):
+        p = project_annulus(c, cfg.a, cfg.b, grid)
+        # The zero vector projects to the constant direction, given in nodal values.
+        return Q.T @ p if cfg.a > 0.0 and np.count_nonzero(c) == 0 else p
+
+    c = Q.T @ project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
+    step = _step(op, cfg.mu)
+    grad = q * c
+    J = 0.5 * inner_product_h(grad, c, grid)
     pg_res = np.inf
     it = 0
     converged = False
     fixed = cfg.step_rule == "fixed"
     while it < cfg.max_iter:
         it += 1
-        grad = u + mu * f
         used = step if fixed else 4.0 * step
         while True:
-            f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
-            u_new = factor.solve(f_new, refine=False)
-            dn = norm_h(f_new - f, grid)
+            c_new = project(c - used * grad)
+            grad_new = q * c_new
+            dn = norm_h(c_new - c, grid)
             if fixed:
                 break
-            J_new = _cost(f_new, u_new, mu, grid)
+            J_new = 0.5 * inner_product_h(grad_new, c_new, grid)
             if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
                 J = J_new
                 break
             used *= 0.5
         pg_res = dn / used
-        f, u = f_new, u_new
+        c, grad = c_new, grad_new
         if pg_res <= cfg.tol:
             converged = True
             break
 
-    f = _sign_normalize(f)
-    u = factor.solve(f)
-    nrm = norm_h(f, grid)
+    f = _sign_normalize(Q @ c)
+    u = op.solve(f)
     return OptimResult(
         f_star=f,
         u_star=u,
-        J_star=_cost(f, u, mu, grid),
+        J_star=_cost(f, u, cfg.mu, grid),
         grad_norm=pg_res,
         iters=it,
         converged=converged,
-        active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
+        active_bound=_active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol),
     )
 
 
@@ -196,17 +211,21 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
                            converged=True, active_bound="none")
     pair = op.top_pair
-    # A huge a can overflow the cost to inf; the finiteness test below
-    # reports that as not converged, so numpy need not warn about it.
+    # A huge a can overflow the norm or the cost to inf; the finiteness test
+    # below reports that as not converged, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         f = _sign_normalize(cfg.a * pair.vector)
-        u = op.solve(f)
-        J = _cost(f, u, cfg.mu, grid)
-        # Residual of the projected optimality condition, evaluated honestly.
-        step = _step(op, cfg.mu)
-        f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
-        pg_res = norm_h(f - f_next, grid) / step
-        active = _active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol)
+        nrm = norm_h(f, grid)
+        if math.isfinite(nrm):
+            u = op.solve(f)
+            J = _cost(f, u, cfg.mu, grid)
+            # Residual of the projected optimality condition, evaluated honestly.
+            step = _step(op, cfg.mu)
+            f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
+            pg_res = norm_h(f - f_next, grid) / step
+        else:  # ||f||_h^2 overflowed, so J >= mu/2 ||f||_h^2 is inf: skip the solve.
+            u, J, pg_res = np.full(grid.n, math.nan), math.inf, math.inf
+        active = _active_bound(nrm, cfg.a, cfg.b, cfg.tol)
     return OptimResult(
         f_star=f,
         u_star=u,

@@ -16,11 +16,16 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class FactorizationError(Exception):
-    """Cholesky breakdown; carries the failing pivot index (1-based)."""
+    """Matrix not positive definite.
 
-    def __init__(self, pivot: int):
+    pivot is the failing Cholesky pivot (1-based), or 0 when the verdict
+    comes from the spectrum, which detail then describes.
+    """
+
+    def __init__(self, pivot: int, detail: str = ""):
         self.pivot = int(pivot)
-        super().__init__(f"matrix is not positive definite: pivot {self.pivot} failed")
+        super().__init__("matrix is not positive definite: "
+                         + (detail or f"pivot {self.pivot} failed"))
 
 
 class SolveError(Exception):
@@ -45,13 +50,11 @@ class CholeskyFactor:
     chol: np.ndarray
     matrix: np.ndarray
 
-    def solve(self, b: np.ndarray, refine: bool = True) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         x, info = dpotrs(self.chol, b, lower=1)
         if info != 0:
             raise FactorizationError(abs(info))
-        if not refine:
-            return x
         # One refinement step keeps the relative residual near round-off
         # even for badly conditioned fine-grid operators.
         r = b - self.matrix @ x

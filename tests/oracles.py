@@ -3,13 +3,26 @@
 Pure-Python cyclic Jacobi and conjugate gradients share no code with the
 LAPACK routes in fraclap.linalg, so agreement between the two is evidence
 for both.  The unit-load state is the closed form the forward solver is
-measured against.
+measured against.  Projected gradient descent in nodal values, one
+Cholesky solve per trial, checks the eigenbasis iteration of
+fraclap.control.pgd_solve.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+
+from fraclap.control import (
+    OptimResult,
+    _active_bound,
+    _cost,
+    _sign_normalize,
+    _step,
+    project_annulus,
+)
+from fraclap.discretize import norm_h
 
 
 def unit_rhs_exact_state(x, s):
@@ -119,3 +132,54 @@ def eig_full_jacobi(A, tol: float = 1e-13, max_sweeps: int = 50, h: float = 1.0)
         r = float(np.linalg.norm(m @ V[:, j] - lam * V[:, j]))
         pairs.append(JacobiPair(value=lam, vector=V[:, j] * scale, residual=r))
     return pairs
+
+
+def pgd_reference(op, cfg) -> OptimResult:
+    """Projected gradient descent on the reduced cost in nodal values.
+
+    The same start, steps, Armijo test and stopping rule as pgd_solve, but
+    every trial control gets its state from a Cholesky solve with A.
+    """
+    grid = op.grid
+    mu = cfg.mu
+    chol = scipy.linalg.cho_factor(op.matrix, lower=True)
+    f = project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
+    step = _step(op, mu)
+    u = scipy.linalg.cho_solve(chol, f, check_finite=False)
+    J = _cost(f, u, mu, grid)
+    pg_res = np.inf
+    it = 0
+    converged = False
+    fixed = cfg.step_rule == "fixed"
+    while it < cfg.max_iter:
+        it += 1
+        grad = u + mu * f
+        used = step if fixed else 4.0 * step
+        while True:
+            f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
+            u_new = scipy.linalg.cho_solve(chol, f_new, check_finite=False)
+            dn = norm_h(f_new - f, grid)
+            if fixed:
+                break
+            J_new = _cost(f_new, u_new, mu, grid)
+            if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
+                J = J_new
+                break
+            used *= 0.5
+        pg_res = dn / used
+        f, u = f_new, u_new
+        if pg_res <= cfg.tol:
+            converged = True
+            break
+
+    f = _sign_normalize(f)
+    u = op.solve(f)
+    return OptimResult(
+        f_star=f,
+        u_star=u,
+        J_star=_cost(f, u, mu, grid),
+        grad_norm=pg_res,
+        iters=it,
+        converged=converged,
+        active_bound=_active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol),
+    )

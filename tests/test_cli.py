@@ -8,7 +8,6 @@ import scipy.linalg
 
 import fraclap.cli
 import fraclap.limitlab
-import fraclap.linalg
 from fraclap.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -392,24 +391,12 @@ class TestMain:
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 
-def _count_factorizations(monkeypatch):
-    calls = []
-    original = fraclap.linalg.cholesky_factor
-
-    def counted(A):
-        calls.append(A)
-        return original(A)
-
-    monkeypatch.setattr(fraclap.linalg, "cholesky_factor", counted)
-    return calls
-
-
 class TestAboveTheDenseCrossover:
     N = 1024
 
-    def test_solve_needs_no_matrix_and_no_factorization(self, tmp_path, monkeypatch):
+    def test_solve_needs_no_matrix_and_no_factorization(self, tmp_path, monkeypatch,
+                                                         factorizations):
         assert self.N > DENSE_SOLVE_MAX_N
-        factorizations = _count_factorizations(monkeypatch)
         ops = []
         original = fraclap.cli.assemble_fractional
 
@@ -424,8 +411,7 @@ class TestAboveTheDenseCrossover:
         _, rows = read_csv(tmp_path / "solution.csv")
         assert len(rows) == self.N
 
-    def test_gamma_makes_no_factorization(self, tmp_path, monkeypatch, capsys):
-        factorizations = _count_factorizations(monkeypatch)
+    def test_gamma_makes_no_factorization(self, tmp_path, factorizations, capsys):
         assert main(["gamma", "--n", str(self.N), "--out", str(tmp_path)]) == EXIT_OK
         assert factorizations == []
         assert "recovery=pass liminf=pass" in capsys.readouterr().out
@@ -450,6 +436,20 @@ class TestOverflowIsNotConverged:
         assert "control.csv" not in captured.out
         assert captured.err == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_norm_prints_the_same_summary_at_every_n(self, tmp_path, capsys):
+        summaries = []
+        for n in (256, 1024):
+            out = tmp_path / str(n)
+            code = main(["control", "--n", str(n), "--a", "1e308", "--b", "1e308",
+                         "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == EXIT_NUMERICAL
+            assert captured.err == ""
+            assert not out.exists() or list(out.iterdir()) == []
+            summaries.append(captured.out.split(":", 1)[1].split(" residual=")[0])
+        assert summaries[0] == summaries[1]
+        assert summaries[0] == " J_star=inf norm_f=inf active=none grad_norm=inf"
 
     def test_sweep_exits_numerical_without_csv_or_warning(self, tmp_path, capsys):
         code = main(["sweep", "--n", "64", "--a", "1e200", "--b", "1e200",

@@ -12,13 +12,16 @@ from fraclap.control import (
     reduced_gradient,
 )
 from fraclap.discretize import (
+    DENSE_SOLVE_MAX_N,
     Grid,
+    Operator,
     assemble_classical,
     assemble_fractional,
     inner_product_h,
     norm_h,
 )
-from oracles import eig_full_jacobi
+from fraclap.linalg import FactorizationError
+from oracles import eig_full_jacobi, pgd_reference
 
 
 def make_op(n=64, s=0.5):
@@ -187,6 +190,50 @@ class TestPgd:
         assert np.all(np.isfinite(r.f_star))
 
 
+class TestPgdAgainstNodalOracle:
+    """The eigenbasis iteration against the same iteration in nodal values."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_fixed_step_follows_the_same_path(self, s):
+        # Both bases take the same steps, so a loose tol compares as much as a tight one.
+        op = make_op(n=64, s=s)
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-5)
+        r, ref = pgd_solve(op, cfg), pgd_reference(op, cfg)
+        assert abs(r.iters - ref.iters) <= 1
+        assert r.J_star == pytest.approx(ref.J_star, rel=1e-12, abs=0.0)
+        assert np.abs(r.f_star - ref.f_star).max() <= 1e-9
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_armijo_reaches_the_same_cost(self, s):
+        # Round-off moves the Armijo accept/reject decisions, so only the
+        # cost is compared, at the tolerance the benchmark uses.
+        op = make_op(n=64, s=s)
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, step_rule="armijo")
+        r, ref = pgd_solve(op, cfg), pgd_reference(op, cfg)
+        assert r.converged and ref.converged
+        assert r.J_star == pytest.approx(ref.J_star, rel=1e-6, abs=0.0)
+        optimum = eigen_solve_control(op, cfg).J_star
+        assert min(r.J_star, ref.J_star) >= optimum - 1e-12
+
+
+class TestPgdStructure:
+    def test_large_n_makes_no_factorization(self, factorizations):
+        n = 1024
+        assert n > DENSE_SOLVE_MAX_N
+        op = make_op(n=n, s=0.5)
+        r = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, max_iter=200))
+        assert factorizations == []
+        assert r.iters == 200 and np.all(np.isfinite(r.f_star))
+        assert 1.0 - 1e-12 <= norm_h(r.f_star, op.grid) <= 2.0 + 1e-12
+
+    def test_indefinite_operator_raises(self):
+        col = np.zeros(8)
+        col[:2] = 1.0, 2.0  # tridiag(2, 1, 2) has negative eigenvalues
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 8))
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0))
+
+
 class TestEigenSolveControl:
     def test_zero_lower_bound(self):
         op = make_op()
@@ -246,6 +293,15 @@ class TestEigenSolveControl:
         r = eigen_solve_control(make_op(n=n), ControlConfig(mu=0.1, a=1e200, b=1e200))
         assert r.J_star == math.inf
         assert not r.converged
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_overflowing_norm_skips_the_state_solve(self, n):
+        # 1e308 * v is finite but its h-norm is not; at n = 1024 a Levinson
+        # solve on it used to overflow and raise SolveError.
+        r = eigen_solve_control(make_op(n=n), ControlConfig(mu=0.1, a=1e308, b=1e308))
+        assert np.all(np.isfinite(r.f_star))
+        assert r.J_star == math.inf and r.grad_norm == math.inf
+        assert r.active_bound == "none" and not r.converged
 
     def test_large_but_finite_cost_still_converges(self):
         r = eigen_solve_control(make_op(n=64), ControlConfig(mu=0.1, a=1e100, b=1e100))
