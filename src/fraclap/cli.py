@@ -14,7 +14,7 @@ from .control import ControlConfig, eigen_solve_control
 from .discretize import Grid, assemble_fractional, norm_h
 from .forward import solve_poisson
 from .limitlab import default_s_ladder
-from .linalg import FactorizationError, SolveError
+from .linalg import SolveError
 from .specfun import gamma
 
 EXIT_OK = 0
@@ -316,7 +316,9 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FactorizationError, SolveError, limitlab.SweepError) as exc:
+    # ArithmeticError: Python float overflow or division by zero, e.g. from
+    # a grid spacing so small that h^(-2s) overflows.
+    except (SolveError, limitlab.SweepError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

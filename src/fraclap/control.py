@@ -147,7 +147,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     grid = op.grid
     lam, Q = scipy.linalg.eigh(op.matrix)
     if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
-        raise FactorizationError(0, f"eigenvalues span [{lam[0]:.3e}, {lam[-1]:.3e}]")
+        raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
+                                 f"[{lam[0]:.3e}, {lam[-1]:.3e}]")
     q = 1.0 / lam + cfg.mu
 
     def project(c):

@@ -72,22 +72,14 @@ class StencilWeights:
     tail: float
 
 
-# Largest n whose one-shot solves factor the dense matrix.  It keeps the
-# bytes of every default output (validate solves up to n = 512); Levinson
-# on the first column is already faster at n = 256 and needs no n-by-n
-# matrix (n = 1024, best of 30 on 2 vCPUs: 2.2 ms against 20 ms for
-# assembly, dpotrf and dpotrs).
-DENSE_SOLVE_MAX_N = 512
-
-
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Symmetric Toeplitz operator on the interior nodes of a grid.
 
     kind is "fractional" (order s in (0,1)) or "classical" (s stored as 1.0).
     The first column col defines the operator and is frozen read-only;
-    rebuild rather than mutate.  The dense matrix, its Cholesky factor and
-    the extreme eigenpairs are computed on first use and kept for the
+    rebuild rather than mutate.  Solves run on col alone; the dense matrix
+    and the extreme eigenpairs are computed on first use and kept for the
     operator's lifetime.
     """
 
@@ -110,15 +102,12 @@ class Operator:
         m.flags.writeable = False
         return m
 
-    @cached_property
-    def factor(self) -> linalg.CholeskyFactor:
-        """Cholesky factor of the matrix, for repeated solves."""
-        return linalg.cholesky_factor(self)
-
     def solve(self, b: GridFunction) -> np.ndarray:
-        """One solve A x = b: the Cholesky factor up to DENSE_SOLVE_MAX_N, Levinson above."""
-        if self.n <= DENSE_SOLVE_MAX_N:
-            return self.factor.solve(b)
+        """One solve A x = b by Levinson on col, checked by linalg.toeplitz_solve.
+
+        Positive definiteness is not checked: a hand-built operator that is
+        indefinite but has nonsingular leading minors gets its solve.
+        """
         return linalg.toeplitz_solve(self.col, b)
 
     @cached_property

@@ -1,10 +1,9 @@
 """Symmetric solvers and eigensolvers.
 
-Direct solves go through LAPACK's Cholesky (dpotrf/dpotrs) with one step of
-iterative refinement, or, for one-shot solves on a large symmetric Toeplitz
-matrix, through Levinson recursion on its first column with one FFT
-refinement step; extreme eigenpairs come from LAPACK's dsyevr restricted to
-the two eigenvalues at one end of the spectrum.
+A solve runs Levinson recursion on the first column of a symmetric Toeplitz
+matrix with one FFT refinement step, at every n; extreme eigenpairs come
+from LAPACK's dsyevr restricted to the two eigenvalues at one end of the
+spectrum.
 """
 
 import math
@@ -12,20 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class FactorizationError(Exception):
-    """Matrix not positive definite.
-
-    pivot is the failing Cholesky pivot (1-based), or 0 when the verdict
-    comes from the spectrum, which detail then describes.
-    """
-
-    def __init__(self, pivot: int, detail: str = ""):
-        self.pivot = int(pivot)
-        super().__init__("matrix is not positive definite: "
-                         + (detail or f"pivot {self.pivot} failed"))
+    """Matrix not positive definite, judged from its spectrum."""
 
 
 class SolveError(Exception):
@@ -37,41 +26,11 @@ class SolveError(Exception):
 BACKWARD_ERROR_TOL = 1e-12
 
 
-def _as_matrix(A) -> np.ndarray:
-    """Accept an assembled operator or a bare symmetric ndarray."""
-    m = getattr(A, "matrix", A)
-    return np.asarray(m, dtype=float)
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular Cholesky factor kept around for repeated solves."""
-
-    chol: np.ndarray
-    matrix: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        x, info = dpotrs(self.chol, b, lower=1)
-        if info != 0:
-            raise FactorizationError(abs(info))
-        # One refinement step keeps the relative residual near round-off
-        # even for badly conditioned fine-grid operators.
-        r = b - self.matrix @ x
-        dx, info = dpotrs(self.chol, r, lower=1)
-        if info != 0:
-            raise FactorizationError(abs(info))
-        return x + dx
-
-
-def cholesky_factor(A) -> CholeskyFactor:
-    m = _as_matrix(A)
-    c, info = dpotrf(m, lower=1)
-    if info > 0:
-        raise FactorizationError(info)
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotrf")
-    return CholeskyFactor(chol=c, matrix=m)
+def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the symmetric Toeplitz A with first column col, via its 2n circulant embedding."""
+    n = len(col)
+    circ = np.concatenate((col, [0.0], col[:0:-1]))
+    return np.fft.irfft(np.fft.rfft(circ) * np.fft.rfft(x, 2 * n), 2 * n)[:n]
 
 
 def toeplitz_solve(col, b) -> np.ndarray:
@@ -86,13 +45,13 @@ def toeplitz_solve(col, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     try:
         x = scipy.linalg.solve_toeplitz(col, b, check_finite=False)
-        r = b - scipy.linalg.matmul_toeplitz(col, x)
+        r = b - _toeplitz_matvec(col, x)
         x = x + scipy.linalg.solve_toeplitz(col, r, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"Levinson recursion failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SolveError("Toeplitz solve returned non-finite values")
-    r_norm = float(np.abs(b - scipy.linalg.matmul_toeplitz(col, x)).max(initial=0.0))
+    r_norm = float(np.abs(b - _toeplitz_matvec(col, x)).max(initial=0.0))
     a_norm = abs(float(col[0])) + 2.0 * float(np.abs(col[1:]).sum())
     bound = BACKWARD_ERROR_TOL * a_norm * float(np.abs(x).max(initial=0.0))
     if not r_norm <= bound:
@@ -128,7 +87,7 @@ def eig_extreme(A, which: str = "largest", h: float = 1.0) -> EigenPair:
     """
     if which not in ("largest", "smallest"):
         raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
-    m = _as_matrix(A)
+    m = np.asarray(getattr(A, "matrix", A), dtype=float)  # an operator or a bare ndarray
     n = m.shape[0]
     lo, hi = (max(n - 2, 0), n - 1) if which == "largest" else (0, min(1, n - 1))
     values, vectors = scipy.linalg.eigh(m, subset_by_index=[lo, hi], driver="evr")

@@ -1,17 +1,17 @@
 import pytest
 
-import fraclap.linalg
+import fraclap.discretize
 
 
 @pytest.fixture
-def factorizations(monkeypatch):
-    """Every argument passed to linalg.cholesky_factor while the test runs."""
+def dense_matrices(monkeypatch):
+    """Every first column passed to discretize.toeplitz, one per dense matrix built."""
     calls = []
-    original = fraclap.linalg.cholesky_factor
+    original = fraclap.discretize.toeplitz
 
-    def counted(A):
-        calls.append(A)
-        return original(A)
+    def counted(col):
+        calls.append(col)
+        return original(col)
 
-    monkeypatch.setattr(fraclap.linalg, "cholesky_factor", counted)
+    monkeypatch.setattr(fraclap.discretize, "toeplitz", counted)
     return calls

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +23,7 @@ from fraclap.cli import (
     rhs_preset,
     write_csv,
 )
-from fraclap.discretize import DENSE_SOLVE_MAX_N, Grid
+from fraclap.discretize import Grid
 from fraclap.limitlab import default_s_ladder
 
 
@@ -311,6 +313,19 @@ class TestMain:
         assert "finite" in err and "line 2" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", ["solve", "control", "sweep", "gamma"])
+    def test_underflowing_spacing_exits_numerical(self, subcommand, tmp_path, capsys):
+        # h ~ 6e-202: h^(-2s) overflows and h^2 underflows to 0 in Python floats.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e-200\nn = 16\ns = 0.9\n")
+        out_dir = tmp_path / "out"
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_control_failure_leaves_no_csv(self, tmp_path, capsys):
         code = main(["control", "--n", "32", "--tol", "1e-300", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
@@ -391,35 +406,38 @@ class TestMain:
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 
-class TestAboveTheDenseCrossover:
-    N = 1024
-
-    def test_solve_needs_no_matrix_and_no_factorization(self, tmp_path, monkeypatch,
-                                                         factorizations):
-        assert self.N > DENSE_SOLVE_MAX_N
-        ops = []
-        original = fraclap.cli.assemble_fractional
-
-        def kept(grid, s):
-            ops.append(original(grid, s))
-            return ops[-1]
-
-        monkeypatch.setattr(fraclap.cli, "assemble_fractional", kept)
-        assert main(["solve", "--n", str(self.N), "--out", str(tmp_path)]) == EXIT_OK
-        assert factorizations == []
-        assert len(ops) == 1 and "matrix" not in ops[0].__dict__
+class TestSolvesNeedNoDenseMatrix:
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_solve_builds_no_dense_matrix(self, n, tmp_path, dense_matrices):
+        assert main(["solve", "--n", str(n), "--out", str(tmp_path)]) == EXIT_OK
+        assert dense_matrices == []
         _, rows = read_csv(tmp_path / "solution.csv")
-        assert len(rows) == self.N
+        assert len(rows) == n
 
-    def test_gamma_makes_no_factorization(self, tmp_path, factorizations, capsys):
-        assert main(["gamma", "--n", str(self.N), "--out", str(tmp_path)]) == EXIT_OK
-        assert factorizations == []
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_gamma_builds_no_dense_matrix(self, n, tmp_path, dense_matrices, capsys):
+        assert main(["gamma", "--n", str(n), "--out", str(tmp_path)]) == EXIT_OK
+        assert dense_matrices == []
         assert "recovery=pass liminf=pass" in capsys.readouterr().out
+
+    def test_solves_do_not_import_scipy_fft(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from fraclap.cli import main\n"
+            f"assert main(['control', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert main(['solve', '--n', '1024', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'scipy.fft' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(fraclap.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_failed_toeplitz_solve_exits_numerical(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
                             lambda col, b, check_finite=True: np.full(len(b), np.nan))
-        code = main(["solve", "--n", str(self.N), "--out", str(tmp_path)])
+        code = main(["solve", "--n", "1024", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert captured.err.startswith("numerical failure: ")

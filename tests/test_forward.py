@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import fraclap.linalg
 from fraclap.discretize import (
     Grid,
     assemble_classical,
@@ -96,19 +95,11 @@ class TestMaximumPrinciple:
         u = solve_poisson(op, f).u
         assert np.all(u > 0.0)  # the inverse of the operator is positive
 
-    def test_shares_one_factorization_with_solve_poisson(self, monkeypatch):
-        calls = []
-        original = fraclap.linalg.cholesky_factor
-
-        def counted(A):
-            calls.append(A)
-            return original(A)
-
-        monkeypatch.setattr(fraclap.linalg, "cholesky_factor", counted)
+    def test_builds_no_dense_matrix_with_solve_poisson(self, dense_matrices):
         op = assemble_fractional(Grid(-1.0, 1.0, 64), 0.5)
         solve_poisson(op, np.ones(64))
         assert maximum_principle_check(op, np.ones(64)) is True
-        assert len(calls) == 1
+        assert dense_matrices == []
 
     def test_mixed_signs_skipped(self):
         g = Grid(-1.0, 1.0, 16)

@@ -53,25 +53,21 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep(Grid(-1.0, 1.0, 32), [0.5], CONTROL)
 
-    def test_one_factorization_and_two_eigen_solves_per_operator(self, monkeypatch):
-        calls = {"cholesky_factor": [], "eig_extreme": []}
+    def test_one_dense_matrix_and_two_eigen_solves_per_operator(self, monkeypatch,
+                                                                dense_matrices):
+        eigs = []
+        original = fraclap.linalg.eig_extreme
 
-        def counting(name):
-            original = getattr(fraclap.linalg, name)
+        def counted(A, *args, **kwargs):
+            eigs.append(A)  # holding A keeps each id unique
+            return original(A, *args, **kwargs)
 
-            def counted(A, *args, **kwargs):
-                calls[name].append(A)  # holding A keeps each id unique
-                return original(A, *args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(fraclap.linalg, name, counting(name))
+        monkeypatch.setattr(fraclap.linalg, "eig_extreme", counted)
         run_sweep(Grid(-1.0, 1.0, 32), default_s_ladder(10), CONTROL)
-        factors = Counter(map(id, calls["cholesky_factor"]))
-        eigs = Counter(map(id, calls["eig_extreme"]))
-        assert len(factors) == 11 and set(eigs) == set(factors)
-        assert set(factors.values()) == {1}
-        assert max(eigs.values()) <= 2
+        per_operator = Counter(map(id, eigs))
+        assert len({id(col) for col in dense_matrices}) == len(dense_matrices) == 11
+        assert len(per_operator) == 11
+        assert max(per_operator.values()) <= 2
 
     def test_rejects_unsorted_ladder(self):
         with pytest.raises(ValueError):
