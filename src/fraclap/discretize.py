@@ -129,8 +129,10 @@ def stencil_weights(s: float, h: float, K: int) -> StencilWeights:
         raise ValueError(f"spacing must be positive, got h={h}")
     if K < 2:
         raise ValueError(f"need K >= 2 weights, got K={K}")
-    C = frac_constant(1, s)
-    scale = C * h ** (-2.0 * s)
+    try:  # a Python float power raises on overflow, with no word on its inputs
+        scale = frac_constant(1, s) * h ** (-2.0 * s)
+    except OverflowError:
+        raise OverflowError(f"h^(-2s) overflows at grid spacing h={h:.3e}, s={s}") from None
     k = np.arange(2, K + 1, dtype=float)
     w = np.empty(K)
     w[0] = scale / (2.0 - 2.0 * s) + (scale / (2.0 * s)) * (1.0 - 1.5 ** (-2.0 * s))
@@ -154,8 +156,11 @@ def assemble_fractional(grid: Grid, s: float) -> Operator:
 
 def assemble_classical(grid: Grid) -> Operator:
     """Three-point (-1, 2, -1)/h^2 Laplacian as a Toeplitz operator."""
+    h2 = grid.h**2
+    if not (h2 > 0.0 and math.isfinite(2.0 / h2)):
+        raise OverflowError(f"1/h^2 overflows at grid spacing h={grid.h:.3e}")
     col = np.zeros(grid.n)
-    col[:2] = 2.0 / grid.h**2, -1.0 / grid.h**2
+    col[:2] = 2.0 / h2, -1.0 / h2
     return Operator(kind="classical", s=1.0, col=col, grid=grid)
 
 

@@ -5,7 +5,9 @@ LAPACK routes in fraclap.linalg, so agreement between the two is evidence
 for both.  The unit-load state is the closed form the forward solver is
 measured against.  Projected gradient descent in nodal values, one
 Cholesky solve per trial, checks the eigenbasis iteration of
-fraclap.control.pgd_solve.
+fraclap.control.pgd_solve; the same eigenbasis iteration written with the
+checked helpers of fraclap.control and fraclap.discretize pins down its
+decisions exactly.
 """
 
 import math
@@ -22,7 +24,8 @@ from fraclap.control import (
     _step,
     project_annulus,
 )
-from fraclap.discretize import norm_h
+from fraclap.discretize import inner_product_h, norm_h
+from fraclap.linalg import FactorizationError
 
 
 def unit_rhs_exact_state(x, s):
@@ -178,6 +181,66 @@ def pgd_reference(op, cfg) -> OptimResult:
         f_star=f,
         u_star=u,
         J_star=_cost(f, u, mu, grid),
+        grad_norm=pg_res,
+        iters=it,
+        converged=converged,
+        active_bound=_active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol),
+    )
+
+
+def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
+    """pgd_solve's eigenbasis iteration, every trial through the checked helpers.
+
+    Each trial projects with project_annulus and measures with norm_h and
+    inner_product_h; pgd_solve inlines their arithmetic, so the two must
+    agree bit for bit.
+    """
+    grid = op.grid
+    lam, Q = scipy.linalg.eigh(op.matrix)
+    if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
+        raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
+                                 f"[{lam[0]:.3e}, {lam[-1]:.3e}]")
+    q = 1.0 / lam + cfg.mu
+
+    def project(c):
+        p = project_annulus(c, cfg.a, cfg.b, grid)
+        # The zero vector projects to the constant direction, given in nodal values.
+        return Q.T @ p if cfg.a > 0.0 and np.count_nonzero(c) == 0 else p
+
+    c = Q.T @ project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
+    step = _step(op, cfg.mu)
+    grad = q * c
+    J = 0.5 * inner_product_h(grad, c, grid)
+    pg_res = np.inf
+    it = 0
+    converged = False
+    fixed = cfg.step_rule == "fixed"
+    while it < cfg.max_iter:
+        it += 1
+        used = step if fixed else 4.0 * step
+        while True:
+            c_new = project(c - used * grad)
+            grad_new = q * c_new
+            dn = norm_h(c_new - c, grid)
+            if fixed:
+                break
+            J_new = 0.5 * inner_product_h(grad_new, c_new, grid)
+            if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
+                J = J_new
+                break
+            used *= 0.5
+        pg_res = dn / used
+        c, grad = c_new, grad_new
+        if pg_res <= cfg.tol:
+            converged = True
+            break
+
+    f = _sign_normalize(Q @ c)
+    u = op.solve(f)
+    return OptimResult(
+        f_star=f,
+        u_star=u,
+        J_star=_cost(f, u, cfg.mu, grid),
         grad_norm=pg_res,
         iters=it,
         converged=converged,

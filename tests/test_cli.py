@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -322,9 +323,27 @@ class TestMain:
         code = main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
-        assert err.startswith("numerical failure: ") and "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+        # The message names what overflowed and the spacing it overflowed at.
+        named = ("h^(-2s)", ", s=0.9") if subcommand in ("solve", "control") else ("1/h^2", "")
+        assert err == (f"numerical failure: {named[0]} overflows at grid spacing "
+                       f"h=5.882e-202{named[1]}\n")
         assert not out_dir.exists()
+
+    def test_control_on_a_tiny_spacing_is_finite_or_fails_cleanly(self, tmp_path, capsys):
+        # Entries near 1e201 at s = 0.5: the eigen residual's squares overflow, its norm need not.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e-200\nn = 16\n")
+        code = main(["control", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
+        if code == EXIT_NUMERICAL:
+            assert len(err.strip().splitlines()) == 1 and not (tmp_path / "out").exists()
+            return
+        assert err == "" and "converged=True" in out
+        numbers = re.findall(r"=(-?inf|nan|[-+0-9.e]+)", out)
+        assert len(numbers) >= 6 and all(math.isfinite(float(x)) for x in numbers)
+        _, rows = read_csv(tmp_path / "out" / "control.csv")
+        assert len(rows) == 16 and all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_control_failure_leaves_no_csv(self, tmp_path, capsys):
         code = main(["control", "--n", "32", "--tol", "1e-300", "--out", str(tmp_path)])

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import fraclap.control
 from fraclap.control import (
     ControlConfig,
     eigen_solve_control,
@@ -20,7 +22,7 @@ from fraclap.discretize import (
     norm_h,
 )
 from fraclap.linalg import FactorizationError
-from oracles import eig_full_jacobi, pgd_reference
+from oracles import eig_full_jacobi, pgd_eigenbasis_reference, pgd_reference
 
 
 def make_op(n=64, s=0.5):
@@ -213,6 +215,55 @@ class TestPgdAgainstNodalOracle:
         assert r.J_star == pytest.approx(ref.J_star, rel=1e-6, abs=0.0)
         optimum = eigen_solve_control(op, cfg).J_star
         assert min(r.J_star, ref.J_star) >= optimum - 1e-12
+
+
+class TestPgdMatchesHelperLoop:
+    """The inlined trial loop against the same loop through the checked helpers, bit for bit."""
+
+    @staticmethod
+    def assert_same(op, cfg):
+        r, ref = pgd_solve(op, cfg), pgd_eigenbasis_reference(op, cfg)
+        assert (r.iters, r.converged, r.active_bound) == (ref.iters, ref.converged, ref.active_bound)
+        assert r.grad_norm == ref.grad_norm and r.J_star == ref.J_star
+        assert np.array_equal(r.f_star, ref.f_star) and np.array_equal(r.u_star, ref.u_star)
+        return r
+
+    @pytest.mark.parametrize("rule", ["fixed", "armijo"])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_orders(self, s, rule):
+        self.assert_same(make_op(n=64, s=s), ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-5,
+                                                           step_rule=rule))
+
+    @pytest.mark.parametrize("rule", ["fixed", "armijo"])
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.0, 1.0), (1.5, 1.5), (1e-170, 1e-170)])
+    def test_bounds(self, a, b, rule):
+        # (0.5, 1): the start is clamped from above; 1e-170: every h-norm underflows to 0.
+        self.assert_same(make_op(n=64, s=0.5), ControlConfig(mu=0.1, a=a, b=b, tol=1e-5,
+                                                             step_rule=rule))
+
+    def test_benchmark_run(self):
+        r = self.assert_same(make_op(n=128, s=0.25),
+                             ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, step_rule="armijo"))
+        assert r.converged and r.iters > 20_000  # 24 859 with numpy 2.4 and OpenBLAS 0.3.31
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("rule", ["fixed", "armijo"])
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_exactly_zero_trial(self, a, rule, rotate, monkeypatch):
+        # On the identity with mu = 1, step * q = 1: the trial c - step q c is exactly 0.
+        col = np.zeros(16)
+        col[0] = 1.0
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 16))
+        if rotate:  # any orthonormal basis diagonalizes the identity; this one makes Q^T visible
+            op.bottom_pair  # the step's eigen solve runs before eigh is replaced
+            rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
+            monkeypatch.setattr(scipy.linalg, "eigh", lambda m: (np.ones(16), rot))
+        calls = []
+        original = fraclap.control.project_annulus
+        monkeypatch.setattr(fraclap.control, "project_annulus",
+                            lambda *args: calls.append(args[0]) or original(*args))
+        self.assert_same(op, ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5, step_rule=rule))
+        assert any(not np.any(v) for v in calls[1:])  # the inlined loop took the zero branch
 
 
 class TestPgdStructure:

@@ -78,6 +78,10 @@ class TestStencilWeights:
         with pytest.raises(ValueError):
             stencil_weights(*bad)
 
+    def test_overflowing_scale_names_the_spacing(self):
+        with pytest.raises(OverflowError, match=r"h=1\.000e-200, s=0\.9"):
+            stencil_weights(0.9, 1e-200, 4)
+
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=1e-3, max_value=10.0),
            st.integers(min_value=2, max_value=64))
@@ -154,6 +158,11 @@ class TestClassicalOperator:
         assert op.matrix[1, 1] == pytest.approx(8.0)
         assert op.matrix[0, 1] == pytest.approx(-4.0)
         assert op.matrix[0, 2] == 0.0
+
+    @pytest.mark.parametrize("right", [1e-200, 1.7e-154])  # h^2 underflows to 0; 2/h^2 overflows
+    def test_overflowing_entries_name_the_spacing(self, right):
+        with pytest.raises(OverflowError, match=r"1/h\^2 overflows at grid spacing h="):
+            assemble_classical(Grid(0.0, right, 16))
 
     def test_largest_eigenvalue_formula(self):
         n = 64

@@ -100,6 +100,12 @@ class TestEigExtreme:
             res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
             assert res <= 1e-9 * pair.value * np.linalg.norm(pair.vector)
 
+    def test_residual_near_the_top_of_the_double_range_is_finite(self):
+        # The residual's squared entries overflow, its norm does not; no warning either.
+        A = 1e300 * random_spd(30, 7)
+        pair = eig_extreme(A, "largest")
+        assert math.isfinite(pair.residual) and pair.meets(1e-9)
+
     def test_converged_means_residual_within_tol(self):
         A = random_spd(30, 7)
         pair = eig_extreme(A, "largest")
