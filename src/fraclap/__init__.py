@@ -15,7 +15,7 @@ from .discretize import (
 )
 from .forward import ForwardSolution, solve_poisson
 from .limitlab import SweepReport, default_s_ladder, run_sweep
-from .specfun import frac_constant, gamma
+from .specfun import frac_constant
 
 __all__ = [
     "ControlConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "default_s_ladder",
     "eigen_solve_control",
     "frac_constant",
-    "gamma",
     "inner_product_h",
     "norm_h",
     "pgd_solve",

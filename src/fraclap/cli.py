@@ -15,7 +15,6 @@ from .discretize import Grid, assemble_fractional, norm_h
 from .forward import solve_poisson
 from .limitlab import default_s_ladder
 from .linalg import SolveError
-from .specfun import gamma
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -188,7 +187,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def exact_unit_ball_solution(x: np.ndarray, s: float) -> np.ndarray:
     """Closed-form state for a unit right-hand side on (-1, 1): c (1-x^2)^s."""
-    c = math.sqrt(math.pi) * 4.0 ** (-s) / (gamma(s + 0.5) * gamma(s + 1.0))
+    c = math.sqrt(math.pi) * 4.0 ** (-s) / (math.gamma(s + 0.5) * math.gamma(s + 1.0))
     return c * np.maximum(1.0 - x**2, 0.0) ** s
 
 

@@ -130,7 +130,7 @@ def stencil_weights(s: float, h: float, K: int) -> StencilWeights:
     if K < 2:
         raise ValueError(f"need K >= 2 weights, got K={K}")
     try:  # a Python float power raises on overflow, with no word on its inputs
-        scale = frac_constant(1, s) * h ** (-2.0 * s)
+        scale = frac_constant(s) * h ** (-2.0 * s)
     except OverflowError:
         raise OverflowError(f"h^(-2s) overflows at grid spacing h={h:.3e}, s={s}") from None
     k = np.arange(2, K + 1, dtype=float)
@@ -179,8 +179,8 @@ def norm_h(v: GridFunction, grid: Grid) -> float:
 
 
 def quadratic_form(op: Operator, v: GridFunction) -> float:
-    """Energy <A v, v>_h of the operator; the weighted seminorm of a free function."""
+    """Energy <A v, v>_h, A v one FFT product on col; the weighted seminorm of a free function."""
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"expected a vector of shape ({op.n},), got {v.shape}")
-    return op.grid.h * float(v @ (op.matrix @ v))
+    return op.grid.h * float(v @ linalg._toeplitz_matvec(op.col, v))

@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
 from fraclap.discretize import (
     Grid,
@@ -295,6 +296,45 @@ class TestQuadraticForm:
         op = assemble_classical(Grid(-1.0, 1.0, 8))
         with pytest.raises(ValueError):
             quadratic_form(op, np.ones(9))
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.999, None])
+    @pytest.mark.parametrize("shape", ["smooth", "random"])
+    def test_one_toeplitz_product_matches_the_dense_energy(self, s, shape):
+        g = Grid(-1.0, 1.0, 1024)
+        op = assemble_classical(g) if s is None else assemble_fractional(g, s)
+        x = g.nodes()
+        if shape == "smooth":
+            v = (1.0 - x**2) * np.cos(3.0 * x)
+        else:
+            v = np.random.default_rng(5).standard_normal(g.n)
+        energy = quadratic_form(op, v)
+        assert "matrix" not in op.__dict__
+        assert energy == pytest.approx(g.h * float(v @ (toeplitz(op.col) @ v)), rel=1e-10)
+
+
+class TestSpectrum:
+    def test_bottom_eigenvalue_approaches_the_continuum_at_half_order(self):
+        # First Dirichlet eigenvalue of the half Laplacian on (-1, 1): Kulczycki,
+        # Kwasnicki, Malecki & Stos, Proc. London Math. Soc. 101 (2010).  The
+        # error must halve with each doubling of n: a monotone first-order decrease.
+        lam1 = 1.1577738836977
+        errors = [abs(assemble_fractional(Grid(-1.0, 1.0, n), 0.5).bottom_pair.value - lam1) / lam1
+                  for n in (128, 256, 512, 1024, 2048)]
+        ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+        assert all(1.9 <= r <= 2.1 for r in ratios), (errors, ratios)
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=3, max_value=64),
+           st.floats(min_value=0.05, max_value=0.95),
+           st.floats(min_value=-3.0, max_value=3.0))
+    def test_eigenvalues_scale_as_the_half_length_to_the_minus_2s(self, n, s, log_r):
+        r = 10.0**log_r
+        unit = assemble_fractional(Grid(-1.0, 1.0, n), s)
+        scaled = assemble_fractional(Grid(-r, r, n), s)
+        for pair in ("bottom_pair", "top_pair"):
+            expected = getattr(unit, pair).value * r ** (-2.0 * s)
+            assert getattr(scaled, pair).value == pytest.approx(expected, rel=1e-12)
 
 
 def test_norm_h_matches_inner_product():
