@@ -19,6 +19,7 @@ from fraclap.cli import (
     ConfigError,
     RunConfig,
     dispatch,
+    exact_unit_ball_solution,
     main,
     parse_config,
     rhs_preset,
@@ -160,6 +161,20 @@ class TestWriteCsv:
             write_csv(path, ["v"], rows())
         assert not os.path.exists(path)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestExactUnitBallSolution:
+    @pytest.mark.parametrize("s, c", [
+        # c = sqrt(pi) 4^(-s) / (Gamma(s + 1/2) Gamma(s + 1)), with Gamma(1/4) Gamma(3/4)
+        # = pi sqrt(2) at the quarter orders and Gamma(3/2) = sqrt(pi)/2 at s = 1/2.
+        (0.25, 2.0 / math.sqrt(math.pi)),
+        (0.5, 1.0),
+        (0.75, 4.0 / (3.0 * math.sqrt(math.pi))),
+    ])
+    def test_closed_forms_without_gamma(self, s, c):
+        x = np.linspace(-1.0, 1.0, 41)
+        expected = c * (1.0 - x**2) ** s
+        np.testing.assert_allclose(exact_unit_ball_solution(x, s), expected, rtol=1e-13, atol=0.0)
 
 
 class TestDispatch:

@@ -311,6 +311,16 @@ class TestQuadraticForm:
         assert "matrix" not in op.__dict__
         assert energy == pytest.approx(g.h * float(v @ (toeplitz(op.col) @ v)), rel=1e-10)
 
+    @pytest.mark.parametrize("s", [0.5, None])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_smallest_grids_match_the_dense_energy(self, s, n):
+        # The circulant embedding has length 2n; the fewest nodes exercise its padding.
+        g = Grid(-1.0, 1.0, n)
+        op = assemble_classical(g) if s is None else assemble_fractional(g, s)
+        v = np.random.default_rng(n).standard_normal(n)
+        assert quadratic_form(op, v) == pytest.approx(g.h * float(v @ (toeplitz(op.col) @ v)),
+                                                      rel=1e-12)
+
 
 class TestSpectrum:
     def test_bottom_eigenvalue_approaches_the_continuum_at_half_order(self):
