@@ -122,6 +122,9 @@ def _validate(cfg: RunConfig, lines):
     if not cfg.x_left < cfg.x_right:
         _fail("x_right", lines, f"domain endpoints must satisfy x_left < x_right, "
                                 f"got [{cfg.x_left}, {cfg.x_right}]")
+    if not math.isfinite(cfg.x_right - cfg.x_left):
+        _fail("x_right", lines, f"domain length x_right - x_left overflows, "
+                                f"got [{cfg.x_left}, {cfg.x_right}]")
     if cfg.n < 3:
         _fail("n", lines, f"n must be at least 3, got {cfg.n}")
     if cfg.s is not None and not 0.0 < cfg.s < 1.0:

@@ -26,6 +26,7 @@ operator degenerates to the classical three-point stencil.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +53,8 @@ class Grid:
             raise ValueError(f"need finite endpoints, got [{self.x_left}, {self.x_right}]")
         if not self.x_left < self.x_right:
             raise ValueError(f"need x_left < x_right, got [{self.x_left}, {self.x_right}]")
+        if not math.isfinite(self.x_right - self.x_left):
+            raise ValueError(f"domain length overflows, got [{self.x_left}, {self.x_right}]")
         if self.n < 3:
             raise ValueError(f"need at least 3 interior nodes, got n={self.n}")
 
@@ -133,6 +136,8 @@ def stencil_weights(s: float, h: float, K: int) -> StencilWeights:
         scale = frac_constant(s) * h ** (-2.0 * s)
     except OverflowError:
         raise OverflowError(f"h^(-2s) overflows at grid spacing h={h:.3e}, s={s}") from None
+    if not scale >= sys.float_info.min:  # subnormal or 0 on a huge spacing
+        raise OverflowError(f"C h^(-2s) underflows at grid spacing h={h:.3e}, s={s}")
     k = np.arange(2, K + 1, dtype=float)
     w = np.empty(K)
     w[0] = scale / (2.0 - 2.0 * s) + (scale / (2.0 * s)) * (1.0 - 1.5 ** (-2.0 * s))
@@ -156,9 +161,14 @@ def assemble_fractional(grid: Grid, s: float) -> Operator:
 
 def assemble_classical(grid: Grid) -> Operator:
     """Three-point (-1, 2, -1)/h^2 Laplacian as a Toeplitz operator."""
-    h2 = grid.h**2
-    if not (h2 > 0.0 and math.isfinite(2.0 / h2)):
+    try:  # a Python float power raises on overflow, with no word on its inputs
+        h2 = grid.h**2
+    except OverflowError:
+        h2 = math.inf
+    if not (h2 >= sys.float_info.min and math.isfinite(2.0 / h2)):
         raise OverflowError(f"1/h^2 overflows at grid spacing h={grid.h:.3e}")
+    if not 1.0 / h2 >= sys.float_info.min:
+        raise OverflowError(f"1/h^2 underflows at grid spacing h={grid.h:.3e}")
     col = np.zeros(grid.n)
     col[:2] = 2.0 / h2, -1.0 / h2
     return Operator(kind="classical", s=1.0, col=col, grid=grid)

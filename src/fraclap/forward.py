@@ -1,5 +1,6 @@
 """Forward Poisson solves, seminorm evaluation, Poincare constant."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +22,25 @@ class ForwardSolution:
 
 
 def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
-    """Solve the (fractional or classical) Poisson problem on the grid."""
+    """Solve the (fractional or classical) Poisson problem on the grid.
+
+    An energy or norm that overflows raises OverflowError naming the spacing.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ValueError(f"expected right-hand side of shape ({op.n},), got {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("right-hand side must be finite")
     u = op.solve(f)
-    return ForwardSolution(
-        u=u,
-        seminorm_sq=inner_product_h(f, u, op.grid),
-        l2_norm_u=norm_h(u, op.grid),
-    )
+    # A wide domain can overflow the energy or the norm to inf; the test
+    # below reports that, so numpy need not warn about it.
+    with np.errstate(over="ignore"):
+        seminorm_sq = inner_product_h(f, u, op.grid)
+        l2_norm_u = norm_h(u, op.grid)
+    if not (math.isfinite(seminorm_sq) and math.isfinite(l2_norm_u)):
+        raise OverflowError(f"state norms overflow at grid spacing h={op.grid.h:.3e}: "
+                            f"seminorm_sq={seminorm_sq:.3e}, l2_norm_u={l2_norm_u:.3e}")
+    return ForwardSolution(u=u, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
 
 
 def maximum_principle_check(op: Operator, f: GridFunction):

@@ -9,7 +9,7 @@ the normalizing constant vanishes, proportionally to 1 - s.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,9 +69,10 @@ class SweepReport:
 def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     """Solve the control problem along the s ladder against the classical reference.
 
-    Per-s failures are recorded in their row and the sweep continues; a
-    failing classical reference aborts the whole sweep since every row
-    compares against it.
+    Per-s solver failures are recorded in their row and the sweep
+    continues; a failing classical reference aborts the whole sweep since
+    every row compares against it, and a converged row with a value that
+    overflows raises OverflowError naming the spacing.
     """
     s_list = _validate_s_list(s_list)
     ref = eigen_solve_control(assemble_classical(grid), control)
@@ -83,19 +84,31 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
         op = assemble_fractional(grid, s)
         result = eigen_solve_control(op, control)
         fs, us = result.f_star, result.u_star
-        nf = norm_h(fs, grid) * norm_h(ref.f_star, grid)
-        align = abs(inner_product_h(fs, ref.f_star, grid)) / nf if nf > 0 else 1.0
-        rows.append(SweepRow(
+        # A wide domain can overflow a norm to inf; the test below reports
+        # that, so numpy need not warn about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            nf = norm_h(fs, grid) * norm_h(ref.f_star, grid)
+            align = abs(inner_product_h(fs, ref.f_star, grid)) / nf if nf > 0 else 1.0
+            dist_f = norm_h(fs - ref.f_star, grid)
+            dist_u = norm_h(us - ref.u_star, grid)
+            seminorm_sq = inner_product_h(fs, us, grid)
+        row = SweepRow(
             s=s,
             J_star=result.J_star,
-            dist_f=norm_h(fs - ref.f_star, grid),
-            dist_u=norm_h(us - ref.u_star, grid),
+            dist_f=dist_f,
+            dist_u=dist_u,
             align=align,
             lambda_max=op.top_pair.value,
-            seminorm_sq=inner_product_h(fs, us, grid),
+            seminorm_sq=seminorm_sq,
             poincare_c=poincare_constant(op),
             error="" if result.converged else "eigensolver did not converge",
-        ))
+        )
+        overflowed = [fld.name for fld in fields(row) if fld.name not in ("s", "error")
+                      and not math.isfinite(getattr(row, fld.name))]
+        if overflowed and not row.error:
+            raise OverflowError(f"non-finite {' and '.join(overflowed)} at s={s}, grid "
+                                f"spacing h={grid.h:.3e}")
+        rows.append(row)
     return SweepReport(
         rows=rows,
         J_star_classical=ref.J_star,

@@ -1,9 +1,9 @@
 """Symmetric solvers and eigensolvers.
 
-A solve runs Levinson recursion on the first column of a symmetric Toeplitz
-matrix with one FFT refinement step, at every n; extreme eigenpairs come
-from LAPACK's dsyevr restricted to the two eigenvalues at one end of the
-spectrum.
+A solve runs Levinson recursion once on the first column of a symmetric
+Toeplitz matrix, at every n, and checks its backward error with an FFT
+product; extreme eigenpairs come from LAPACK's dsyevr restricted to the two
+eigenvalues at one end of the spectrum.
 """
 
 import math
@@ -36,17 +36,15 @@ def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
 def toeplitz_solve(col, b) -> np.ndarray:
     """Solve A x = b for the symmetric Toeplitz matrix A with first column col.
 
-    Levinson recursion (O(n^2) time, O(n) memory) followed by one step of
-    iterative refinement whose residual is an FFT product.  The result must
-    be finite with a normwise backward error at most BACKWARD_ERROR_TOL,
-    taking ||A||_inf <= |c_0| + 2 sum |c_k|; otherwise SolveError.
+    One pass of Levinson recursion (O(n^2) time, O(n) memory).  The result
+    must be finite with a normwise backward error at most BACKWARD_ERROR_TOL,
+    taking ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from an FFT
+    product; otherwise SolveError.
     """
     col = np.asarray(col, dtype=float)
     b = np.asarray(b, dtype=float)
     try:
         x = scipy.linalg.solve_toeplitz(col, b, check_finite=False)
-        r = b - _toeplitz_matvec(col, x)
-        x = x + scipy.linalg.solve_toeplitz(col, r, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"Levinson recursion failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

@@ -360,6 +360,32 @@ class TestMain:
         _, rows = read_csv(tmp_path / "out" / "control.csv")
         assert len(rows) == 16 and all(math.isfinite(float(x)) for row in rows for x in row)
 
+    @pytest.mark.parametrize("subcommand, left, right, s, code, named", [
+        ("sweep", 0.0, 1e160, None, EXIT_NUMERICAL, "1/h^2 underflows at grid spacing h="),
+        ("gamma", 0.0, 1e160, None, EXIT_NUMERICAL, "1/h^2 underflows at grid spacing h="),
+        ("solve", 0.0, 1e174, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
+        ("solve", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
+        ("control", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
+        ("solve", 0.0, 1e160, None, EXIT_NUMERICAL, "state norms overflow at grid spacing h="),
+        ("solve", 0.0, 1e150, None, EXIT_NUMERICAL, "overflow at grid spacing h=5.882e+148: "
+                                                    "seminorm_sq=3.696e+299, l2_norm_u=inf"),
+        ("sweep", 0.0, 1e150, None, EXIT_NUMERICAL, "non-finite dist_u at s=0.5, grid spacing h="),
+        ("solve", -1e308, 1e308, None, EXIT_CONFIG, "line 2: domain length"),
+        ("control", -1e308, 1e308, None, EXIT_CONFIG, "line 2: domain length"),
+    ])
+    def test_huge_spacing_fails_with_one_line(self, subcommand, left, right, s, code, named,
+                                              tmp_path, capsys):
+        # Where h^2 overflows, h^(-2s) or 1/h^2 underflows, or a reported norm
+        # overflows: one line naming h (or the endpoints' line), no CSV, no warning.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"x_left = {left!r}\nx_right = {right!r}\nn = 16\n"
+                            + ("" if s is None else f"s = {s}\n"))
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)]) == code
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and named in err
+        assert out == "" and not out_dir.exists()
+
     def test_control_failure_leaves_no_csv(self, tmp_path, capsys):
         code = main(["control", "--n", "32", "--tol", "1e-300", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
+from scipy.linalg import eigh, toeplitz
 
 from fraclap.discretize import (
     Grid,
@@ -38,6 +39,10 @@ class TestGrid:
     def test_rejects_nonfinite_endpoints(self, left, right):
         with pytest.raises(ValueError, match="finite"):
             Grid(left, right, 16)
+
+    def test_rejects_an_overflowing_length(self):
+        with pytest.raises(ValueError, match=r"length overflows, got \[-1e\+308, 1e\+308\]"):
+            Grid(-1e308, 1e308, 16)
 
 
 class TestStencilWeights:
@@ -82,6 +87,13 @@ class TestStencilWeights:
     def test_overflowing_scale_names_the_spacing(self):
         with pytest.raises(OverflowError, match=r"h=1\.000e-200, s=0\.9"):
             stencil_weights(0.9, 1e-200, 4)
+
+    @pytest.mark.parametrize("h, named", [(1e180, "h=1.000e+180"), (math.inf, "h=inf")])
+    def test_underflowing_scale_names_the_spacing(self, h, named):
+        # (1e180)^(-1.8) = 1e-324 is below the smallest normal double; inf^(-1.8) is 0.
+        with pytest.raises(OverflowError, match=re.escape(f"C h^(-2s) underflows at grid "
+                                                          f"spacing {named}, s=0.9")):
+            stencil_weights(0.9, h, 4)
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=1e-3, max_value=10.0),
@@ -163,6 +175,11 @@ class TestClassicalOperator:
     @pytest.mark.parametrize("right", [1e-200, 1.7e-154])  # h^2 underflows to 0; 2/h^2 overflows
     def test_overflowing_entries_name_the_spacing(self, right):
         with pytest.raises(OverflowError, match=r"1/h\^2 overflows at grid spacing h="):
+            assemble_classical(Grid(0.0, right, 16))
+
+    @pytest.mark.parametrize("right", [1e160, 1.5e155])  # h^2 overflows; 1/h^2 is subnormal
+    def test_underflowing_entries_name_the_spacing(self, right):
+        with pytest.raises(OverflowError, match=r"1/h\^2 underflows at grid spacing h="):
             assemble_classical(Grid(0.0, right, 16))
 
     def test_largest_eigenvalue_formula(self):
@@ -331,6 +348,21 @@ class TestSpectrum:
         errors = [abs(assemble_fractional(Grid(-1.0, 1.0, n), 0.5).bottom_pair.value - lam1) / lam1
                   for n in (128, 256, 512, 1024, 2048)]
         ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+        assert all(1.9 <= r <= 2.1 for r in ratios), (errors, ratios)
+
+    def test_second_eigenvalue_approaches_the_continuum_at_half_order(self):
+        # Second Dirichlet eigenvalue of the half Laplacian on (-1, 1): Kwasnicki,
+        # J. Funct. Anal. 262 (2012).  The operator keeps only its extreme pairs,
+        # so lambda_2 comes from a dense LAPACK solve.  The error must halve with
+        # each doubling of n.
+        lam2 = 2.7547542
+        errors = []
+        for n in (128, 256, 512, 1024, 2048):
+            col = assemble_fractional(Grid(-1.0, 1.0, n), 0.5).col
+            value = eigh(toeplitz(col), subset_by_index=[1, 1], eigvals_only=True)[0]
+            errors.append(abs(value - lam2) / lam2)
+        ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+        assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:])), errors
         assert all(1.9 <= r <= 2.1 for r in ratios), (errors, ratios)
 
     @seed(20261018)

@@ -69,6 +69,14 @@ class TestRunSweep:
         assert len(per_operator) == 11
         assert max(per_operator.values()) <= 2
 
+    def test_overflowing_distance_names_the_spacing(self):
+        # Every order converges on (0, 1e150), but the classical state's
+        # h-norm passes the double range, and so does each dist_u.
+        g = Grid(0.0, 1e150, 16)
+        with pytest.raises(OverflowError, match=re.escape(f"non-finite dist_u at s=0.5, grid "
+                                                          f"spacing h={g.h:.3e}")):
+            run_sweep(g, [0.5, 0.9], CONTROL)
+
     def test_rejects_unsorted_ladder(self):
         with pytest.raises(ValueError):
             run_sweep(Grid(-1.0, 1.0, 16), [0.9, 0.5], CONTROL)
