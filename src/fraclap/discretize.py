@@ -106,10 +106,13 @@ class Operator:
         return m
 
     def solve(self, b: GridFunction) -> np.ndarray:
-        """One solve A x = b by Levinson on col, checked by linalg.toeplitz_solve.
+        """One solve A x = b on col by linalg.toeplitz_solve, Levinson or CG by n.
 
-        Positive definiteness is not checked: a hand-built operator that is
-        indefinite but has nonsingular leading minors gets its solve.
+        Levinson runs below linalg.PCG_MIN_N, preconditioned conjugate
+        gradients from there up.  Positive definiteness is not checked:
+        below PCG_MIN_N, a hand-built operator that is indefinite but has
+        nonsingular leading minors gets its solve; from PCG_MIN_N up, a CG
+        breakdown on it (p^T A p <= 0) raises SolveError (exit 2).
         """
         return linalg.toeplitz_solve(self.col, b)
 

@@ -11,6 +11,7 @@ import scipy.linalg
 
 import fraclap.cli
 import fraclap.limitlab
+import fraclap.linalg
 from fraclap.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -494,10 +495,14 @@ class TestSolvesNeedNoDenseMatrix:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
-    def test_failed_toeplitz_solve_exits_numerical(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
-                            lambda col, b, check_finite=True: np.full(len(b), np.nan))
-        code = main(["solve", "--n", "1024", "--out", str(tmp_path)])
+    # One size on each side of PCG_MIN_N, with the solver toeplitz_solve calls there.
+    @pytest.mark.parametrize("n, module, name",
+                             [(fraclap.linalg.PCG_MIN_N - 1, scipy.linalg, "solve_toeplitz"),
+                              (1024, fraclap.linalg, "_pcg")])
+    def test_failed_toeplitz_solve_exits_numerical(self, n, module, name, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(module, name, lambda col, b, **kwargs: np.full(len(b), np.nan))
+        code = main(["solve", "--n", str(n), "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert captured.err.startswith("numerical failure: ")

@@ -1,12 +1,15 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from fraclap.discretize import Grid, assemble_classical, assemble_fractional
-from fraclap.linalg import SolveError, eig_extreme, toeplitz_solve
-from oracles import CgResult, cg_solve, eig_full_jacobi
+from fraclap import linalg
+from fraclap.linalg import PCG_MIN_N, SolveError, eig_extreme, toeplitz_solve
+from oracles import CgResult, cg_solve, eig_full_jacobi, refined_toeplitz_solve
 
 
 def random_spd(n, seed):
@@ -161,6 +164,26 @@ def _toeplitz_operator(s, n=1024):
     return assemble_classical(grid) if s is None else assemble_fractional(grid, s)
 
 
+# One size on each side of PCG_MIN_N, with the module and name of the
+# function that toeplitz_solve calls there.
+SOLVERS = {"levinson": (PCG_MIN_N - 1, scipy.linalg, "solve_toeplitz"),
+           "pcg": (1024, linalg, "_pcg")}
+
+
+def _wrap_solver(monkeypatch, path, wrap):
+    """Replace the solver of one path by wrap(original); return that path's n."""
+    n, module, name = SOLVERS[path]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return n
+
+
+def _counted(calls, path, original):
+    def call(col, b, **kwargs):
+        calls.append((path, len(b)))
+        return original(col, b, **kwargs)
+    return call
+
+
 # Orders from near 0 to near 1, and None for the classical operator.
 ORDERS = [1e-6, 0.1, 0.5, 0.9, 0.99, 0.999999, None]
 SIZES = [3, 4, 16, 64, 256, 512, 1024]
@@ -186,23 +209,21 @@ class TestToeplitzSolve:
         residual = np.abs(b - op.matrix @ x).max()
         assert residual <= 1e-13 * np.abs(op.matrix).sum(axis=1).max() * np.abs(x).max()
 
-    def test_one_levinson_pass_per_solve(self, monkeypatch):
-        original = scipy.linalg.solve_toeplitz
+    @pytest.mark.parametrize("path", SOLVERS)
+    def test_one_solver_call_per_solve(self, path, monkeypatch):
         calls = []
-
-        def counted(col, b, check_finite=True):
-            calls.append(len(b))
-            return original(col, b, check_finite=check_finite)
-
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", counted)
-        op = _toeplitz_operator(0.5)
+        for name in SOLVERS:
+            _wrap_solver(monkeypatch, name, functools.partial(_counted, calls, name))
+        n = SOLVERS[path][0]
+        op = _toeplitz_operator(0.5, n)
         op.solve(np.ones(op.n))
-        assert calls == [op.n]
+        assert calls == [(path, n)]
 
     @pytest.mark.parametrize("s", [0.9, 0.99])
     def test_forward_error_near_the_classical_limit(self, s):
-        # Levinson alone leaves 5.0e-13 and 2.1e-12 here; a refinement step
-        # whose residual is an FFT product raises them to 1.1e-11 and 2.4e-11.
+        # CG on the split product leaves 2.2e-13 and 5.7e-13 here, Levinson
+        # alone 5.0e-13 and 2.1e-12; a refinement step or a CG whose residual
+        # is a plain FFT product leaves about 1.1e-11 and 2.4e-11.
         op = _toeplitz_operator(s, 1024)
         b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
         dense = scipy.linalg.solve(scipy.linalg.toeplitz(op.col), b, assume_a="pos")
@@ -219,22 +240,65 @@ class TestToeplitzSolve:
         with pytest.raises(SolveError, match="Levinson"):
             toeplitz_solve(col, np.ones(16))
 
-    def test_non_finite_result(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
-                            lambda col, b, check_finite=True: np.full(len(b), np.nan))
-        op = _toeplitz_operator(0.5)
+    @pytest.mark.parametrize("path", SOLVERS)
+    def test_non_finite_result(self, path, monkeypatch):
+        n = _wrap_solver(monkeypatch, path,
+                         lambda original: lambda col, b, **kwargs: np.full(len(b), np.nan))
+        op = _toeplitz_operator(0.5, n)
         with pytest.raises(SolveError, match="non-finite"):
             op.solve(np.ones(op.n))
 
-    def test_large_backward_error(self, monkeypatch):
-        original = scipy.linalg.solve_toeplitz
-
-        # Each Levinson answer 0.1 % too large: with one pass and no
-        # refinement, the relative error of 1e-3 stays far above round-off.
-        def perturbed(col, b, check_finite=True):
-            return original(col, b, check_finite=check_finite) * (1.0 + 1e-3)
-
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", perturbed)
-        op = _toeplitz_operator(0.5)
+    @pytest.mark.parametrize("path", SOLVERS)
+    def test_large_backward_error(self, path, monkeypatch):
+        # Each answer 0.1 % too large: the relative error of 1e-3 stays far
+        # above round-off.
+        n = _wrap_solver(monkeypatch, path, lambda original: lambda col, b, **kwargs:
+                         original(col, b, **kwargs) * (1.0 + 1e-3))
+        op = _toeplitz_operator(0.5, n)
         with pytest.raises(SolveError, match="residual"):
             op.solve(np.ones(op.n))
+
+    @pytest.mark.parametrize("n", [PCG_MIN_N - 1, PCG_MIN_N, 1024, 2048])
+    @pytest.mark.parametrize("s", [0.9, 0.99, 0.999999])
+    def test_forward_error_against_a_refined_dense_solve(self, s, n):
+        # Cholesky alone is 5.1e-11 from the refined answer at n = 2048,
+        # s = 0.999999, so the reference is refined with long-double residuals.
+        op = _toeplitz_operator(s, n)
+        b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
+        reference = refined_toeplitz_solve(op.col, b)
+        assert np.linalg.norm(op.solve(b) - reference) <= 5e-12 * np.linalg.norm(reference)
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(linalg, "PCG_MAX_ITER", 2)
+        op = _toeplitz_operator(0.5, PCG_MIN_N)
+        with pytest.raises(SolveError, match="2 iterations"):
+            op.solve(np.ones(op.n))
+
+    def test_indefinite_column_above_the_cutoff(self):
+        # Eigenvalues 1 + 2 cos(k pi / (n + 1)): the matrix is indefinite.
+        col = np.zeros(PCG_MIN_N)
+        col[:2] = 1.0
+        with pytest.raises(SolveError):
+            toeplitz_solve(col, np.ones(PCG_MIN_N))
+
+    @pytest.mark.parametrize("n", [PCG_MIN_N - 1, PCG_MIN_N])
+    def test_non_finite_right_hand_side(self, n):
+        b = np.ones(n)
+        b[n // 2] = np.nan
+        with pytest.raises(SolveError):
+            toeplitz_solve(_toeplitz_operator(0.5, n).col, b)
+
+    @pytest.mark.parametrize("b_exp, col_exp", [(600, 0), (0, -900), (-900, 0), (600, 600)])
+    def test_power_of_two_scaling_is_exact(self, b_exp, col_exp):
+        op = _toeplitz_operator(0.5, 1024)
+        b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
+        x = toeplitz_solve(op.col, b)
+        scaled = toeplitz_solve(np.ldexp(op.col, col_exp), np.ldexp(b, b_exp))
+        assert np.array_equal(scaled, np.ldexp(x, b_exp - col_exp))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_rejects_a_right_hand_side_of_another_shape(self, n):
+        col = _toeplitz_operator(0.5, n).col
+        for shape in [(n + 1,), (n, 1), ()]:
+            with pytest.raises(ValueError, match=re.escape(f"shape ({n},), got {shape}")):
+                toeplitz_solve(col, np.ones(shape))
