@@ -162,25 +162,47 @@ def rhs_preset(name: str, grid: Grid) -> np.ndarray:
     raise ConfigError(f"unknown rhs preset '{name}'")
 
 
-def _format(value) -> str:
-    """Shortest round-trip representation; floats use repr, ints stay exact."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+# Text of a block of one column, by its dtype kind. repr of a float from
+# tolist() is repr(float(v)), the shortest round-trip text; ints print exactly.
+_COLUMN_TEXT = {
+    "f": lambda block: map(repr, block.astype(float, copy=False).tolist()),
+    "i": lambda block: map(str, block.tolist()),
+    "u": lambda block: map(str, block.tolist()),
+    "U": lambda block: block.tolist(),
+}
+
+CSV_BLOCK_ROWS = 1024
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Atomic CSV write of equal-length columns: temp file in the target directory, then rename.
+
+    Each column becomes text a block of CSV_BLOCK_ROWS rows at a time, so the
+    temporary strings stay small: floats of any width as the repr of the
+    Python float, ints exactly, strings as given. The bytes equal those of
+    formatting each value on its own. A column count other than the header's,
+    columns of unequal length and a column of any other dtype raise before the
+    temp file exists.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"write_csv: {len(columns)} columns for a header of {len(header)}")
+    for c in columns:
+        if c.ndim != 1 or c.dtype.kind not in _COLUMN_TEXT:
+            raise TypeError(f"write_csv: cannot write a {c.ndim}-d column of dtype {c.dtype}")
+    lengths = sorted({len(c) for c in columns}) or [0]
+    if len(lengths) > 1:
+        raise ValueError(f"write_csv: columns of unequal length {lengths[0]} and {lengths[-1]}")
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=".csv", dir=directory)
     try:
         with os.fdopen(fd, "w") as out:
             out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_format(v) for v in row) + "\n")
+            for start in range(0, lengths[0], CSV_BLOCK_ROWS):
+                stop = start + CSV_BLOCK_ROWS
+                texts = [_COLUMN_TEXT[c.dtype.kind](c[start:stop]) for c in columns]
+                out.write("\n".join(map(",".join, zip(*texts))) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -227,8 +249,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     f = rhs_preset(cfg.rhs, grid)
     sol = solve_poisson(assemble_fractional(grid, s), f)
     x = grid.nodes()
-    write_csv(os.path.join(cfg.out, "solution.csv"), ["x", "u", "f"],
-              zip(x, sol.u, f))
+    write_csv(os.path.join(cfg.out, "solution.csv"), ["x", "u", "f"], (x, sol.u, f))
     print(f"solved s={s} n={grid.n}: seminorm_sq={sol.seminorm_sq:.12g} "
           f"l2_norm_u={sol.l2_norm_u:.12g} -> solution.csv")
     return EXIT_OK
@@ -243,7 +264,7 @@ def _cmd_control(cfg: RunConfig) -> int:
         norm_f = norm_h(result.f_star, grid)  # inf when a overflows; converged is then False
     if result.converged:
         write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
-                  zip(grid.nodes(), result.f_star, result.u_star))
+                  (grid.nodes(), result.f_star, result.u_star))
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
           f"norm_f={norm_f:.12g} active={result.active_bound} "
           f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
@@ -259,12 +280,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             if row.error:
                 print(f"s={row.s}: {row.error}", file=sys.stderr)
         return EXIT_NUMERICAL
+    rows = [(r.s, r.J_star, r.dist_f, r.dist_u, r.align, r.lambda_max,
+             r.seminorm_sq, r.poincare_c) for r in report.rows]
     write_csv(
         os.path.join(cfg.out, "sweep.csv"),
         ["s", "J_star", "dist_f", "dist_u", "align", "lambda_max",
          "seminorm_sq", "poincare_c"],
-        ((r.s, r.J_star, r.dist_f, r.dist_u, r.align, r.lambda_max,
-          r.seminorm_sq, r.poincare_c) for r in report.rows),
+        zip(*rows),
     )
     print(f"sweep over {len(report.rows)} orders vs classical "
           f"J_star={report.J_star_classical:.12g} -> sweep.csv")
@@ -284,7 +306,7 @@ def _cmd_gamma(cfg: RunConfig) -> int:
     rows = [(r.clause, r.index, r.s, r.F_s, r.F_limit, r.margin)
             for r in recovery.rows + liminf.rows]
     write_csv(os.path.join(cfg.out, "gamma.csv"),
-              ["clause", "index", "s", "F_s", "F", "margin"], rows)
+              ["clause", "index", "s", "F_s", "F", "margin"], zip(*rows))
     print(f"gamma checks: recovery={'pass' if recovery.ok else 'fail'} "
           f"liminf={'pass' if liminf.ok else 'fail'} -> gamma.csv")
     return EXIT_OK

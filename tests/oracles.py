@@ -8,10 +8,13 @@ forward solver is measured against.  Projected gradient descent in nodal
 values, one Cholesky solve per trial, checks the eigenbasis iteration of
 fraclap.control.pgd_solve; the same eigenbasis iteration written with the
 checked helpers of fraclap.control and fraclap.discretize pins down its
-decisions exactly.
+decisions exactly.  The row-at-a-time CSV writer, one format call per value,
+is the byte reference for the column writer fraclap.cli.write_csv.
 """
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,3 +268,29 @@ def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
         converged=converged,
         active_bound=_active_bound(norm_h(f, grid), cfg.a, cfg.b, cfg.tol),
     )
+
+
+def _format(value) -> str:
+    """Shortest round-trip representation; floats use repr, ints stay exact."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv_rows(path: str, header: list[str], rows) -> None:
+    """Atomic CSV write: temp file in the target directory, then rename."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=".csv", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as out:
+            out.write(",".join(header) + "\n")
+            for row in rows:
+                out.write(",".join(_format(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -12,6 +12,7 @@ import scipy.linalg
 import fraclap.cli
 import fraclap.limitlab
 import fraclap.linalg
+import oracles
 from fraclap.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -147,21 +148,115 @@ class TestWriteCsv:
     def test_round_trip_floats(self, tmp_path):
         path = str(tmp_path / "values.csv")
         values = [1.0 / 3.0, 1e-17, 123456.789, float(np.pi)]
-        write_csv(path, ["v"], [[v] for v in values])
+        write_csv(path, ["v"], [values])
         _, rows = read_csv(path)
         assert [float(r[0]) for r in rows] == values
 
-    def test_no_partial_file_on_failure(self, tmp_path):
+    def test_no_partial_file_on_failure(self, tmp_path, monkeypatch):
         path = str(tmp_path / "broken.csv")
+        seen = []
 
-        def rows():
-            yield [1.0]
+        def column_text(block):
+            seen.extend(p.name for p in tmp_path.iterdir())
+            yield "1.0"
             raise RuntimeError("interrupted")
 
+        monkeypatch.setitem(fraclap.cli._COLUMN_TEXT, "f", column_text)
         with pytest.raises(RuntimeError):
-            write_csv(path, ["v"], rows())
+            write_csv(path, ["v"], [np.ones(2)])
         assert not os.path.exists(path)
         assert list(tmp_path.iterdir()) == []
+        assert [name.startswith(".tmp-") for name in seen] == [True]
+
+    def test_temp_file_removed_when_rename_fails(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "renamed.csv")
+
+        def replace(src, dst):
+            assert os.path.basename(src).startswith(".tmp-") and dst == path
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(fraclap.cli.os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_csv(path, ["v"], [np.ones(3)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_column_count_must_match_header(self, tmp_path):
+        path = str(tmp_path / "short.csv")
+        with pytest.raises(ValueError, match=r"\b2 columns for a header of 3\b"):
+            write_csv(path, ["x", "u", "f"], [np.ones(4), np.ones(4)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_columns_must_have_equal_length(self, tmp_path):
+        path = str(tmp_path / "ragged.csv")
+        with pytest.raises(ValueError, match=r"unequal length 4 and 5\b"):
+            write_csv(path, ["x", "u", "f"], [np.ones(4), np.ones(5), np.ones(4)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("column", [np.ones((2, 2)), [True, False], [1.0, None]],
+                             ids=["2-d", "bool", "object"])
+    def test_unformattable_column_writes_nothing(self, tmp_path, column):
+        path = str(tmp_path / "bad.csv")
+        with pytest.raises(TypeError, match="cannot write"):
+            write_csv(path, ["v"], [column])
+        assert list(tmp_path.iterdir()) == []
+
+
+# Values whose shortest round-trip text is easy to get wrong: signed zero,
+# non-finite values, the smallest subnormal and normal, both sides of the
+# switch to exponent notation at 1e16 and 1e-4, and a repeating fraction.
+EDGE_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+               1e16, 9.999999999999999e15, 1e-4, 9.999999999999999e-05, 1.0 / 3.0]
+
+
+def _columns(kind, n):
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 307, n)
+    single = (rng.standard_normal(n) * 10.0 ** rng.integers(-45, 37, n)).astype(np.float32)
+    edge = np.resize(np.array(EDGE_FLOATS), n)
+    int_column = [int(v) for v in rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64)]
+    str_column = [("recovery", " liminf ", "")[i % 3] for i in range(n)]
+    return {
+        "edge": [edge, -edge, wide],
+        "widths": [single, edge.astype(np.float32), wide.astype(np.longdouble)],
+        "python_floats": [[float(v) for v in wide]],
+        "int": [int_column, np.arange(n, dtype=np.uint64)],
+        "str": [str_column],
+        "mixed": [str_column, int_column, edge, single, list(wide)],
+    }[kind]
+
+
+class TestWriteCsvMatchesRowWriter:
+    """write_csv's bytes equal those of the row-at-a-time reference writer."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4097])
+    @pytest.mark.parametrize("kind", ["edge", "widths", "python_floats", "int", "str", "mixed"])
+    def test_same_bytes(self, tmp_path, kind, n):
+        columns = _columns(kind, n)
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(str(tmp_path / "columns.csv"), header, columns)
+        oracles.write_csv_rows(str(tmp_path / "rows.csv"), header, zip(*columns))
+        text = (tmp_path / "columns.csv").read_bytes()
+        assert text == (tmp_path / "rows.csv").read_bytes()
+        assert text.count(b"\n") == n + 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["solve", "--n", "4096"], ["control"], ["sweep"], ["gamma"],
+    ], ids=" ".join)
+    def test_default_outputs(self, tmp_path, monkeypatch, argv):
+        calls = []
+        original = fraclap.cli.write_csv
+
+        def capture(path, header, columns):
+            columns = list(columns)
+            calls.append((path, header, columns))
+            original(path, header, columns)
+
+        monkeypatch.setattr(fraclap.cli, "write_csv", capture)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        [(path, header, columns)] = calls
+        oracles.write_csv_rows(str(tmp_path / "rows.csv"), header, zip(*columns))
+        with open(path, "rb") as written:
+            assert written.read() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestExactUnitBallSolution:
