@@ -6,9 +6,9 @@ for both.  A dense Cholesky solve refined with long-double residuals is the
 reference for Toeplitz solves.  The unit-load state is the closed form the
 forward solver is measured against.  Projected gradient descent in nodal
 values, one Cholesky solve per trial, checks the eigenbasis iteration of
-fraclap.control.pgd_solve; the same eigenbasis iteration written with the
-checked helpers of fraclap.control and fraclap.discretize pins down its
-decisions exactly.  The row-at-a-time CSV writer, one format call per value,
+fraclap.control.pgd_solve; so does the same eigenbasis iteration written
+with the checked helpers of fraclap.control and fraclap.discretize, on the
+coefficients themselves rather than their squares.  The row-at-a-time CSV writer, one format call per value,
 is the byte reference for the column writer fraclap.cli.write_csv.
 """
 
@@ -213,9 +213,10 @@ def pgd_reference(op, cfg) -> OptimResult:
 def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
     """pgd_solve's eigenbasis iteration, every trial through the checked helpers.
 
-    Each trial projects with project_annulus and measures with norm_h and
-    inner_product_h; pgd_solve inlines their arithmetic, so the two must
-    agree bit for bit.
+    Each trial forms d, its projection with project_annulus and c_new - c
+    as arrays and measures them with norm_h and inner_product_h.  pgd_solve
+    takes the same numbers as sums over the squared coefficients, which
+    round differently, so the two agree to tolerances, not bit for bit.
     """
     grid = op.grid
     lam, Q = scipy.linalg.eigh(op.matrix)

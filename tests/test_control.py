@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import fraclap.control
 from fraclap.control import (
     ControlConfig,
     eigen_solve_control,
@@ -190,6 +189,19 @@ class TestPgd:
         assert r.iters == 50
         assert np.all(np.isfinite(r.f_star))
 
+    @pytest.mark.parametrize("rule", ["fixed", "armijo"])
+    @pytest.mark.parametrize("t", [2.0**-560, 2.0**330])
+    def test_power_of_two_bounds_scale_exactly(self, t, rule):
+        # The loop decides on ratios of sums at unit scale, and a power of two
+        # scales its norms exactly, so scaling the bounds and tol by one changes
+        # no decision and scales f_star exactly.  At 2^-560 every h-norm of a
+        # trial used to underflow to 0.
+        op = make_op(n=64, s=0.5)
+        one = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=1.0, tol=1e-5, step_rule=rule))
+        r = pgd_solve(op, ControlConfig(mu=0.1, a=t, b=t, tol=1e-5 * t, step_rule=rule))
+        assert (r.iters, r.converged) == (one.iters, one.converged)
+        assert np.array_equal(r.f_star, t * one.f_star)
+
 
 class TestPgdAgainstNodalOracle:
     """The eigenbasis iteration against the same iteration in nodal values."""
@@ -218,33 +230,50 @@ class TestPgdAgainstNodalOracle:
 
 
 class TestPgdMatchesHelperLoop:
-    """The inlined trial loop against the same loop through the checked helpers, bit for bit."""
+    """The loop on squared coefficients against the eigenbasis loop through the checked helpers.
+
+    The two round differently, and the last bits of an iterate move the
+    Armijo decisions (one ulp on every eigenvalue moves the n = 128 runs by
+    up to 1.4 % in iterations), so they are held to the tolerances of
+    TestPgdAgainstNodalOracle, not to equality.  As there, the Armijo runs
+    use the benchmark's tol: at 1e-5 the stopping iterate moves J by up to
+    5e-6 relative between any two roundings, the nodal oracle's included.
+    """
+
+    TOL = {"fixed": 1e-5, "armijo": 1e-6}
 
     @staticmethod
-    def assert_same(op, cfg):
+    def assert_close(op, cfg):
         r, ref = pgd_solve(op, cfg), pgd_eigenbasis_reference(op, cfg)
-        assert (r.iters, r.converged, r.active_bound) == (ref.iters, ref.converged, ref.active_bound)
-        assert r.grad_norm == ref.grad_norm and r.J_star == ref.J_star
-        assert np.array_equal(r.f_star, ref.f_star) and np.array_equal(r.u_star, ref.u_star)
+        if cfg.step_rule == "fixed":
+            assert abs(r.iters - ref.iters) <= 1
+            assert r.J_star == pytest.approx(ref.J_star, rel=1e-12, abs=0.0)
+            assert np.abs(r.f_star - ref.f_star).max() <= 1e-9
+        else:
+            assert r.converged and ref.converged
+            assert r.J_star == pytest.approx(ref.J_star, rel=1e-6, abs=0.0)
+            optimum = eigen_solve_control(op, cfg).J_star
+            assert min(r.J_star, ref.J_star) >= optimum - 1e-12
         return r
 
     @pytest.mark.parametrize("rule", ["fixed", "armijo"])
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_orders(self, s, rule):
-        self.assert_same(make_op(n=64, s=s), ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-5,
-                                                           step_rule=rule))
+        self.assert_close(make_op(n=64, s=s), ControlConfig(mu=0.1, a=1.0, b=2.0,
+                                                            tol=self.TOL[rule], step_rule=rule))
 
     @pytest.mark.parametrize("rule", ["fixed", "armijo"])
-    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.0, 1.0), (1.5, 1.5), (1e-170, 1e-170)])
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.0, 1.0), (1.5, 1.5), (1.0, 1e200)])
     def test_bounds(self, a, b, rule):
-        # (0.5, 1): the start is clamped from above; 1e-170: every h-norm underflows to 0.
-        self.assert_same(make_op(n=64, s=0.5), ControlConfig(mu=0.1, a=a, b=b, tol=1e-5,
-                                                             step_rule=rule))
+        # (0.5, 1): the start is clamped from above; (1, 1e200): squares at the
+        # scale of b would underflow.
+        self.assert_close(make_op(n=64, s=0.5), ControlConfig(mu=0.1, a=a, b=b,
+                                                              tol=self.TOL[rule], step_rule=rule))
 
     def test_benchmark_run(self):
-        r = self.assert_same(make_op(n=128, s=0.25),
-                             ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, step_rule="armijo"))
-        assert r.converged and r.iters > 20_000  # 24 859 with numpy 2.4 and OpenBLAS 0.3.31
+        r = self.assert_close(make_op(n=128, s=0.25),
+                              ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, step_rule="armijo"))
+        assert r.converged and r.iters > 20_000  # 25 174 with numpy 2.4 and OpenBLAS 0.3.31
 
     @pytest.mark.parametrize("rotate", [False, True])
     @pytest.mark.parametrize("rule", ["fixed", "armijo"])
@@ -255,15 +284,24 @@ class TestPgdMatchesHelperLoop:
         col[0] = 1.0
         op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 16))
         if rotate:  # any orthonormal basis diagonalizes the identity; this one makes Q^T visible
-            op.bottom_pair  # the step's eigen solve runs before eigh is replaced
+            op.bottom_pair, op.top_pair  # the eigen solves run before eigh is replaced
             rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
             monkeypatch.setattr(scipy.linalg, "eigh", lambda m: (np.ones(16), rot))
-        calls = []
-        original = fraclap.control.project_annulus
-        monkeypatch.setattr(fraclap.control, "project_annulus",
-                            lambda *args: calls.append(args[0]) or original(*args))
-        self.assert_same(op, ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5, step_rule=rule))
-        assert any(not np.any(v) for v in calls[1:])  # the inlined loop took the zero branch
+        r = self.assert_close(op, ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5, step_rule=rule))
+        # The zero trial lands on 0, or restarts from the constant direction on the inner sphere.
+        assert r.converged and r.iters <= 3
+        assert np.allclose(r.f_star, a / math.sqrt(op.grid.h * 16), rtol=1e-13, atol=0.0)
+
+    def test_step_on_a_mode_other_than_the_reference_mode(self):
+        # The constant start has no component on the classical operator's odd
+        # top mode, so the iterate settles on the second mode.  There the
+        # step's sums about the top mode cancel to round-off long before
+        # tol = 1e-12, and only the elementwise sum reaches the reference.
+        op = assemble_classical(Grid(-1.0, 1.0, 8))
+        cfg = ControlConfig(mu=1e-3, a=1.0, b=2.0, tol=1e-12)
+        r = self.assert_close(op, cfg)
+        assert r.converged
+        assert r.J_star > eigen_solve_control(op, cfg).J_star + 1e-4  # not the top mode
 
 
 class TestPgdStructure:
