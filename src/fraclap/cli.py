@@ -217,13 +217,17 @@ def exact_unit_ball_solution(x: np.ndarray, s: float) -> np.ndarray:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    """Forward-solver check against the closed-form unit-ball solution."""
+    """Forward-solver check against the closed-form unit-ball solution at n//4, n//2, n and 2n."""
     if not (cfg.x_left, cfg.x_right) == (-1.0, 1.0):
         print("validate requires the domain (-1, 1) where the closed form holds",
               file=sys.stderr)
         return EXIT_CONFIG
+    if cfg.n // 4 < 3:
+        print(f"validate runs n//4, n//2, n and 2n nodes and needs n >= 12, got n={cfg.n}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     s = cfg.single_s()
-    sizes = [64, 128, 256, 512]
+    sizes = [cfg.n // 4, cfg.n // 2, cfg.n, 2 * cfg.n]
     errors = []
     print(f"validate: s={s}, f = 1, exact solution c*(1-x^2)^s")
     print(f"{'n':>6} {'rel_l2_error':>14} {'rate':>8}")

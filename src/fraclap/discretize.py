@@ -81,9 +81,10 @@ class Operator:
 
     kind is "fractional" (order s in (0,1)) or "classical" (s stored as 1.0).
     The first column col defines the operator and is frozen read-only;
-    rebuild rather than mutate.  Solves run on col alone; the dense matrix
-    and the extreme eigenpairs are computed on first use and kept for the
-    operator's lifetime.
+    rebuild rather than mutate.  Solves and the extreme eigenpairs run on
+    col alone: both pairs come from one linalg.eig_extreme pass on first
+    use and are kept for the operator's lifetime.  The dense matrix is
+    built only when a caller asks for it.
     """
 
     kind: str
@@ -117,14 +118,19 @@ class Operator:
         return linalg.toeplitz_solve(self.col, b)
 
     @cached_property
+    def extreme_pairs(self) -> linalg.ExtremePairs:
+        """Smallest and largest eigenpair from one linalg.eig_extreme pass on col."""
+        return linalg.eig_extreme(self.col, h=self.grid.h)
+
+    @property
     def bottom_pair(self) -> linalg.EigenPair:
         """Smallest eigenpair, vector of unit h-norm: lambda_min and its mode."""
-        return linalg.eig_extreme(self, which="smallest", h=self.grid.h)
+        return self.extreme_pairs.bottom
 
-    @cached_property
+    @property
     def top_pair(self) -> linalg.EigenPair:
         """Largest eigenpair, vector of unit h-norm: lambda_max and its mode."""
-        return linalg.eig_extreme(self, which="largest", h=self.grid.h)
+        return self.extreme_pairs.top
 
 
 def stencil_weights(s: float, h: float, K: int) -> StencilWeights:

@@ -4,8 +4,16 @@ A solve on the first column of a symmetric Toeplitz matrix runs Levinson
 recursion once below n = PCG_MIN_N, and Strang-preconditioned conjugate
 gradients from there up, where O(n log n) iterations beat O(n^2) Levinson.
 Either answer is checked by its backward error through an FFT product.
-Extreme eigenpairs come from LAPACK's dsyevr restricted to the two
-eigenvalues at one end of the spectrum.
+
+The smallest and the largest eigenpair come from one pass on the same
+first column.  A symmetric Toeplitz matrix is centrosymmetric, so its
+eigenvectors split into even and odd ones, each the eigenvectors of a
+symmetric half matrix of order about n/2 (Cantoni & Butler, Linear
+Algebra Appl. 13, 1976).  Each half is reduced to tridiagonal form once
+(LAPACK dsytrd), the two pairs at each end of that tridiagonal come from
+dstemr and are mapped back by dormqr, and the four ends on each side are
+merged.  No n x n matrix is formed; the two reductions cost a quarter of
+the flops of one reduction of the full matrix.
 """
 
 import math
@@ -138,6 +146,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
     return x
 
 
+
+
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalue with unit eigenvector (h-weighted norm when h is supplied).
@@ -157,22 +167,117 @@ class EigenPair:
         return math.isfinite(self.value) and self.residual <= tol * abs(self.value)
 
 
-def eig_extreme(A, which: str = "largest", h: float = 1.0) -> EigenPair:
-    """Extreme eigenpair of a symmetric matrix by LAPACK's MRRR driver (dsyevr).
+@dataclass(frozen=True)
+class ExtremePairs:
+    """The smallest and the largest eigenpair of one symmetric Toeplitz matrix."""
 
-    One call returns the extreme pair and its inward neighbour, which gives
-    the relative gap.  Callers judge the pair with EigenPair.meets(tol).
+    bottom: EigenPair
+    top: EigenPair
+
+
+def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
+    """The even (parity 1) or odd (parity -1) half of the symmetric Toeplitz matrix T of col.
+
+    T commutes with the exchange matrix J, so each eigenvector can be taken
+    even or odd.  With m = n // 2, A the leading m x m block of T and
+    H[i, j] = col[n - 1 - i - j], the vector [x; parity J x] (n even) or
+    [x; 0; -J x] (n odd, odd parity) is an eigenvector of T exactly when x
+    is one of A + parity H.  For odd n the even vectors are
+    [x; sqrt(2) eta; J x], [x; eta] an eigenvector of A + H bordered by
+    sqrt(2) u, u[i] = col[m - i], and col[0].  In every case the lifted
+    vector is sqrt(2) times as long as the half's, and so is its residual.
     """
-    if which not in ("largest", "smallest"):
-        raise ValueError(f"which must be 'largest' or 'smallest', got {which!r}")
-    m = np.asarray(getattr(A, "matrix", A), dtype=float)  # an operator or a bare ndarray
-    n = m.shape[0]
-    lo, hi = (max(n - 2, 0), n - 1) if which == "largest" else (0, min(1, n - 1))
-    values, vectors = scipy.linalg.eigh(m, subset_by_index=[lo, hi], driver="evr")
-    k = -1 if which == "largest" else 0
-    lam = float(values[k])
-    v = vectors[:, k]
+    n = len(col)
+    m = n // 2
+    k = m + 1 if n % 2 and parity > 0 else m
+    M = np.empty((k, k))
+    # Strided views, no copies: A[i, j] = mirrored[m - 1 - i + j], H[i, j] = reversed[i + j].
+    windows = np.lib.stride_tricks.sliding_window_view
+    mirrored = np.concatenate((col[m - 1:0:-1], col[:m]))
+    combine = np.add if parity > 0 else np.subtract
+    combine(windows(mirrored, m)[::-1], windows(col[::-1][:2 * m - 1], m), out=M[:m, :m])
+    if k > m:
+        M[m, :m] = M[:m, m] = math.sqrt(2.0) * col[m:0:-1]
+        M[m, m] = col[0]
+    return M
+
+
+def _half_ends(M: np.ndarray):
+    """Eigenvalues, unit eigenvectors and residual norms at both ends of symmetric M.
+
+    Two pairs at each end, each pair once when the order is below 5.  M is
+    reduced to tridiagonal form once by LAPACK dsytrd (blocked, with the
+    queried workspace), dstemr takes the end pairs of the tridiagonal, and
+    dormqr maps their vectors back through the stored reflectors.
+    """
+    k = M.shape[0]
+    if k == 1:
+        values, vectors = M[0].copy(), np.ones((1, 1))
+    else:
+        lwork, _ = scipy.linalg.lapack.dsytrd_lwork(k, lower=1)
+        c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
+        _check_lapack("dsytrd", info)
+        ends = [_tridiagonal_pairs(d, e, il, iu)
+                for il, iu in ([(1, k)] if k <= 4 else [(1, 2), (k - 1, k)])]
+        values = np.concatenate([w for w, _ in ends])
+        vectors = np.concatenate([z for _, z in ends], axis=1)
+        # Q = H(1) ... H(k-1) acts on rows 1..k-1; dormqr's minimal workspace runs it unblocked.
+        q_z, _, info = scipy.linalg.lapack.dormqr("L", "N", c[1:, :k - 1], tau, vectors[1:],
+                                                   lwork=vectors.shape[1])
+        _check_lapack("dormqr", info)
+        vectors[1:] = q_z
     # BLAS dnrm2 scales as it sums, so a residual near the top of the double range stays finite.
-    residual = float(scipy.linalg.norm(m @ v - lam * v, check_finite=False))
-    gap = float(values[-1] - values[0]) / abs(lam) if n > 1 and lam != 0.0 else math.inf
-    return EigenPair(value=lam, vector=v / np.sqrt(h * float(v @ v)), residual=residual, gap=gap)
+    residuals = [float(scipy.linalg.norm(r, check_finite=False))
+                 for r in (M @ vectors - vectors * values).T]
+    return values, vectors, residuals
+
+
+def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, il: int, iu: int):
+    """Eigenpairs il..iu (1-based, ascending) of the symmetric tridiagonal (d, e) by LAPACK dstemr."""
+    # dstemr takes e padded to the order and overwrites it, and returns its vectors in a
+    # k x k array, which the copy frees before the next call.
+    count, w, z, info = scipy.linalg.lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, il, iu)
+    _check_lapack("dstemr", info)
+    return w[:count], z[:, :count].copy()
+
+
+def _check_lapack(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info={info}")
+
+
+def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
+    """Smallest and largest eigenpair of the symmetric Toeplitz matrix with first column col.
+
+    One pass over the matrix's even and odd halves (_half_matrix), each
+    half of order about n/2 reduced once (_half_ends), and no n x n matrix.
+    The two pairs at each end of each half are merged: the extreme one gives
+    the value, the vector lifted to full length (exactly even or exactly
+    odd) and its residual, the next one inwards gives the relative gap.
+    Callers judge each pair with EigenPair.meets(tol).  A col that is not
+    finite or has fewer than 2 entries raises ValueError.
+    """
+    col = np.asarray(col, dtype=float)
+    if col.ndim != 1 or len(col) < 2:
+        raise ValueError(f"expected a first column of length at least 2, got shape {col.shape}")
+    if not np.all(np.isfinite(col)):
+        raise ValueError("first column must be finite")
+    n = len(col)
+    m = n // 2
+    candidates = []  # (value, parity, half vector, residual)
+    for parity in (1, -1):
+        values, vectors, residuals = _half_ends(_half_matrix(col, parity))
+        candidates += zip(values.tolist(), [parity] * len(values), vectors.T, residuals)
+    candidates.sort(key=lambda c: c[0])
+
+    def pair(end: int, inward: int) -> EigenPair:
+        lam, parity, z, residual = candidates[end]
+        v = np.empty(n)
+        v[:m] = z[:m]
+        v[n - m:] = parity * v[m - 1::-1]
+        if n % 2:
+            v[m] = math.sqrt(2.0) * z[m] if parity > 0 else 0.0
+        gap = abs(candidates[inward][0] - lam) / abs(lam) if lam != 0.0 else math.inf
+        return EigenPair(value=lam, vector=v / math.sqrt(h * float(v @ v)), residual=residual, gap=gap)
+
+    return ExtremePairs(bottom=pair(0, 1), top=pair(-1, -2))

@@ -291,6 +291,22 @@ class TestDispatch:
             ratio = float(prev[1]) / float(row[1])
             assert float(row[2]) == pytest.approx(math.log2(ratio), abs=0.01)
 
+    def test_validate_runs_a_quarter_half_one_and_two_times_n(self, capsys):
+        # The default n = 256 gives the table 64, 128, 256, 512; n = 2400 runs only the CG path.
+        for n, sizes in ((256, [64, 128, 256, 512]), (2400, [600, 1200, 2400, 4800])):
+            assert dispatch(RunConfig(n=n), "validate") == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert [int(line.split()[0]) for line in lines[2:6]] == sizes
+            assert lines[-1].endswith("PASS")
+
+    @pytest.mark.parametrize("n", [3, 11])
+    def test_validate_refuses_a_quarter_below_three_nodes(self, n, capsys):
+        assert main(["validate", "--n", str(n)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert f"n={n}" in captured.err
+
     def test_validate_failure_exit_code(self, monkeypatch):
         import fraclap.cli as cli_module
 
@@ -575,6 +591,19 @@ class TestSolvesNeedNoDenseMatrix:
         assert main(["gamma", "--n", str(n), "--out", str(tmp_path)]) == EXIT_OK
         assert dense_matrices == []
         assert "recovery=pass liminf=pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_control_builds_no_dense_matrix(self, n, tmp_path, dense_matrices, capsys):
+        assert main(["control", "--n", str(n), "--out", str(tmp_path)]) == EXIT_OK
+        assert dense_matrices == []
+        assert "converged=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_sweep_builds_no_dense_matrix(self, n, tmp_path, dense_matrices):
+        assert main(["sweep", "--n", str(n), "--out", str(tmp_path)]) == EXIT_OK
+        assert dense_matrices == []
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == len(default_s_ladder())
 
     def test_solves_do_not_import_scipy_fft(self, tmp_path):
         script = (

@@ -95,7 +95,7 @@ class TestReducedGradient:
         op = make_op(n=32, s=0.5)
         g = op.grid
         from fraclap.linalg import eig_extreme
-        lam_min = eig_extreme(op, "smallest", h=g.h).value
+        lam_min = eig_extreme(op.col, h=g.h).bottom.value
         mu = 1e4 / lam_min  # 1e4 times the norm of the solution operator
         rng = np.random.default_rng(3)
         f = rng.standard_normal(32)

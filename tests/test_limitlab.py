@@ -53,21 +53,20 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep(Grid(-1.0, 1.0, 32), [0.5], CONTROL)
 
-    def test_one_dense_matrix_and_two_eigen_solves_per_operator(self, monkeypatch,
+    def test_no_dense_matrix_and_one_spectral_pass_per_operator(self, monkeypatch,
                                                                 dense_matrices):
         eigs = []
         original = fraclap.linalg.eig_extreme
 
-        def counted(A, *args, **kwargs):
-            eigs.append(A)  # holding A keeps each id unique
-            return original(A, *args, **kwargs)
+        def counted(col, *args, **kwargs):
+            eigs.append(col)  # holding col keeps each id unique
+            return original(col, *args, **kwargs)
 
         monkeypatch.setattr(fraclap.linalg, "eig_extreme", counted)
         run_sweep(Grid(-1.0, 1.0, 32), default_s_ladder(10), CONTROL)
         per_operator = Counter(map(id, eigs))
-        assert len({id(col) for col in dense_matrices}) == len(dense_matrices) == 11
-        assert len(per_operator) == 11
-        assert max(per_operator.values()) <= 2
+        assert dense_matrices == []
+        assert len(per_operator) == len(eigs) == 11
 
     def test_overflowing_distance_names_the_spacing(self):
         # Every order converges on (0, 1e150), but the classical state's

@@ -48,21 +48,46 @@ class TestCg:
             cg_solve(random_spd(4, 0), np.ones(4), tol=0.0)
 
 
+def random_spd_toeplitz(n, seed):
+    """First column of a random symmetric Toeplitz matrix, positive definite by diagonal dominance."""
+    col = np.random.default_rng(seed).standard_normal(n)
+    col[0] = 1.0 + 2.0 * np.abs(col[1:]).sum()
+    return col
+
+
+def _assemble(n, s):
+    """The operator of order s on (-1, 1), classical when s is None."""
+    g = Grid(-1.0, 1.0, n)
+    return assemble_classical(g) if s is None else assemble_fractional(g, s)
+
+
+def _same_up_to_sign(v, ref, tol):
+    """Whether v equals ref or -ref within tol times ref's largest entry."""
+    scale = tol * np.abs(ref).max()
+    return min(np.abs(v - ref).max(), np.abs(v + ref).max()) <= scale
+
+
+def _exactly_even_or_odd(v):
+    return np.array_equal(v, v[::-1]) or np.array_equal(v, -v[::-1])
+
+
 class TestEigExtreme:
-    def test_diagonal_matrix(self):
-        A = np.diag([1.0, 2.0, 3.0])
-        top = eig_extreme(A, "largest")
-        assert top.value == pytest.approx(3.0, rel=1e-10)
-        assert abs(top.vector[2]) == pytest.approx(1.0, rel=1e-8)
-        bottom = eig_extreme(A, "smallest")
-        assert bottom.value == pytest.approx(1.0, rel=1e-10)
-        assert abs(bottom.vector[0]) == pytest.approx(1.0, rel=1e-8)
+    def test_three_point_matrix_of_order_three(self):
+        # tridiag(-1, 2, -1) of order 3: eigenvalues 2 -/+ sqrt(2), vectors (1, +/-sqrt(2), 1) / 2.
+        pairs = eig_extreme([2.0, -1.0, 0.0])
+        assert pairs.bottom.value == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
+        assert pairs.top.value == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
+        assert _same_up_to_sign(pairs.bottom.vector, np.array([0.5, math.sqrt(0.5), 0.5]), 1e-14)
+        assert _same_up_to_sign(pairs.top.vector, np.array([0.5, -math.sqrt(0.5), 0.5]), 1e-14)
+        # The inward neighbour of both ends is the eigenvalue 2, of the odd vector (1, 0, -1).
+        assert pairs.bottom.gap == pytest.approx(math.sqrt(2.0) / (2.0 - math.sqrt(2.0)), rel=1e-14)
+        assert pairs.top.gap == pytest.approx(math.sqrt(2.0) / (2.0 + math.sqrt(2.0)), rel=1e-14)
 
     def test_smallest_matches_dirichlet_eigenvalue(self):
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(op, "smallest", h=g.h)
+        pair = eig_extreme(op.col, h=g.h).bottom
         assert pair.meets(1e-10)
         # First Dirichlet eigenvalue of the second derivative on a length-2
         # interval is (pi/2)^2; the discrete value sits within 0.5% at this n.
@@ -72,7 +97,7 @@ class TestEigExtreme:
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(op, "largest", h=g.h)
+        pair = eig_extreme(op.col, h=g.h).top
         assert pair.meets(1e-9)
         expected = 4.0 / g.h**2 * math.sin(n * math.pi / (2 * (n + 1))) ** 2
         assert pair.value == pytest.approx(expected, rel=0.005)
@@ -80,23 +105,23 @@ class TestEigExtreme:
     def test_eigenvector_h_normalized_with_small_residual(self):
         g = Grid(-1.0, 1.0, 64)
         op = assemble_fractional(g, 0.5)
-        pair = eig_extreme(op, "largest", h=g.h)
+        pair = eig_extreme(op.col, h=g.h).top
         assert g.h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
         res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
         assert res <= 1e-9 * abs(pair.value) * np.linalg.norm(pair.vector)
 
-    def test_rejects_unknown_which(self):
+    @pytest.mark.parametrize("col", [np.ones((2, 2)), [], [1.0], [2.0, math.nan, 0.0], [math.inf, -1.0]])
+    def test_rejects_a_column_that_is_not_finite_or_one_dimensional(self, col):
         with pytest.raises(ValueError):
-            eig_extreme(np.eye(3), "middle")
+            eig_extreme(col)
 
     def test_large_operator_matches_full_spectrum(self):
         g = Grid(-1.0, 1.0, 1024)
         op = assemble_fractional(g, 0.5)
         lam = np.linalg.eigvalsh(op.matrix)
-        top = eig_extreme(op, "largest", h=g.h)
-        bottom = eig_extreme(op, "smallest", h=g.h)
-        for pair, value, gap in ((top, lam[-1], (lam[-1] - lam[-2]) / lam[-1]),
-                                 (bottom, lam[0], (lam[1] - lam[0]) / lam[0])):
+        pairs = eig_extreme(op.col, h=g.h)
+        for pair, value, gap in ((pairs.top, lam[-1], (lam[-1] - lam[-2]) / lam[-1]),
+                                 (pairs.bottom, lam[0], (lam[1] - lam[0]) / lam[0])):
             assert pair.meets(1e-9)
             assert pair.value == pytest.approx(value, rel=1e-10)
             assert pair.gap == pytest.approx(gap, rel=1e-6)
@@ -105,16 +130,81 @@ class TestEigExtreme:
 
     def test_residual_near_the_top_of_the_double_range_is_finite(self):
         # The residual's squared entries overflow, its norm does not; no warning either.
-        A = 1e300 * random_spd(30, 7)
-        pair = eig_extreme(A, "largest")
+        col = 1e300 * random_spd_toeplitz(30, 7)
+        pair = eig_extreme(col).top
         assert math.isfinite(pair.residual) and pair.meets(1e-9)
+        assert pair.residual > 1e155 and pair.value > 1e301  # the residual's square overflows
 
     def test_converged_means_residual_within_tol(self):
-        A = random_spd(30, 7)
-        pair = eig_extreme(A, "largest")
+        pair = eig_extreme(random_spd_toeplitz(30, 7)).top
         assert pair.meets(1e-9) and 0.0 < pair.residual <= 1e-9 * pair.value
         assert not pair.meets(0.5 * pair.residual / pair.value)
         assert not pair.meets(float("nan"))
+
+
+ORDERS = [0.1, 0.5, 0.99, None]  # None: the classical operator
+
+
+class TestEigExtremeAgainstDense:
+    """Both pairs of each half split against LAPACK on the dense matrix, built here."""
+
+    @staticmethod
+    def check(col, h):
+        n = len(col)
+        dense = scipy.linalg.toeplitz(col)
+        pairs = eig_extreme(col, h=h)
+        ends = {"bottom": [0, 1], "top": [n - 2, n - 1]}
+        lam_max = max(abs(pairs.bottom.value), abs(pairs.top.value))
+        for end, pair in (("bottom", pairs.bottom), ("top", pairs.top)):
+            lam, vecs = scipy.linalg.eigh(dense, subset_by_index=ends[end])
+            k, inward = (0, 1) if end == "bottom" else (1, 0)
+            assert abs(pair.value - lam[k]) <= 1e-12 * lam_max
+            assert pair.gap == pytest.approx(abs(lam[inward] - lam[k]) / abs(lam[k]), rel=1e-6)
+            v = pair.vector / np.linalg.norm(pair.vector)
+            assert pair.residual <= 1e-9 * abs(pair.value)
+            assert np.linalg.norm(dense @ v - pair.value * v) <= 1e-9 * abs(pair.value)
+            assert _same_up_to_sign(v, vecs[:, k], 1e-9)
+            assert _exactly_even_or_odd(pair.vector)
+            assert h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_small_orders(self, n, s):
+        op = _assemble(n, s)
+        self.check(op.col, op.grid.h)
+
+    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("n", [64, 65, 1024, 1025])
+    def test_even_and_odd_orders(self, n, s):
+        op = _assemble(n, s)
+        self.check(op.col, op.grid.h)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 33])
+    def test_random_indefinite_columns(self, n):
+        self.check(np.random.default_rng(n).standard_normal(n), 1.0)
+
+    @pytest.mark.parametrize("n", [2047, 2048])
+    def test_classical_closed_form(self, n):
+        # lambda_k = (4/h^2) sin^2(k pi / (2(n+1))), v_k(i) ~ sin(k pi i / (n+1)); no dense matrix.
+        op = _assemble(n, None)
+        h = op.grid.h
+        pairs = eig_extreme(op.col, h=h)
+        i = np.arange(1, n + 1)
+
+        def value(k):
+            return 4.0 / h**2 * math.sin(k * math.pi / (2 * (n + 1))) ** 2
+
+        for pair, k, inward in ((pairs.bottom, 1, 2), (pairs.top, n, n - 1)):
+            assert abs(pair.value - value(k)) <= 1e-12 * value(n)
+            assert pair.gap == pytest.approx(abs(value(inward) - value(k)) / value(k), rel=1e-6)
+            mode = np.sin(k * math.pi * i / (n + 1))
+            v = pair.vector / np.linalg.norm(pair.vector)
+            assert _same_up_to_sign(v, mode / np.linalg.norm(mode), 1e-9)
+            padded = np.concatenate(([0.0], v, [0.0]))
+            stencil = (2.0 * v - padded[:-2] - padded[2:]) / h**2
+            assert np.linalg.norm(stencil - pair.value * v) <= 1e-9 * pair.value
+            assert pair.residual <= 1e-9 * pair.value
+            assert _exactly_even_or_odd(pair.vector)
 
 
 class TestJacobi:
@@ -144,10 +234,9 @@ class TestJacobi:
         g = Grid(-1.0, 1.0, 48)
         op = assemble_fractional(g, 0.6)
         pairs = eig_full_jacobi(op, h=g.h)
-        top = eig_extreme(op, "largest", h=g.h)
-        bottom = eig_extreme(op, "smallest", h=g.h)
-        assert top.value == pytest.approx(pairs[-1].value, rel=1e-8)
-        assert bottom.value == pytest.approx(pairs[0].value, rel=1e-8)
+        extremes = eig_extreme(op.col, h=g.h)
+        assert extremes.top.value == pytest.approx(pairs[-1].value, rel=1e-8)
+        assert extremes.bottom.value == pytest.approx(pairs[0].value, rel=1e-8)
 
     def test_agrees_with_lapack(self):
         A = random_spd(30, 17)
