@@ -11,14 +11,19 @@ eigenvector of A's largest eigenvalue, and J grows radially, so the lower
 bound is active whenever a > 0).  The annulus is nonconvex for a > 0, so
 the direct solver is authoritative and the gradient iteration serves as a
 cross-check that may stop at a non-global stationary point.
+
+The direct solver reads the top eigenpair (Operator.top_pair).  The
+gradient iteration runs on the coefficients of the operator's even half
+in its own eigenbasis (linalg.even_basis): a start that is even stays
+even.  Neither builds an n x n matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import linalg
 from .discretize import Grid, GridFunction, Operator, inner_product_h, norm_h
 from .linalg import FactorizationError
 
@@ -143,46 +148,58 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     fixed step is 1 / (1/lambda_min(A) + mu), the reciprocal of the
     gradient's Lipschitz constant; the Armijo rule tries 4 step and halves.
 
-    The iteration runs in the orthonormal eigenbasis A = Q diag(lam) Q^T,
-    taken once by a full eigendecomposition.  There the gradient is q c
-    with q = 1/lam + mu, a trial of length t is d = F c with F = 1 - t q,
-    and its projection is rho d for a scalar rho > 0.  Every number the
-    loop decides on is a weighted sum of w = c^2: ||d||^2 is sum F^2 w, the
-    trial cost 1/2 rho^2 sum q F^2 w, and the step ||rho d - c||^2 is
-    sum (rho F - 1)^2 w.  So the loop keeps w in place of c and computes
-    the sums of all tabulated trial lengths with one matrix-vector product.
-    It recovers the signs of c at the end, from the start's signs and the
-    parity of how often each F was applied.
+    The iteration runs in an orthonormal eigenbasis of A.  A is symmetric
+    Toeplitz, so its eigenvectors are even or odd, and neither the constant
+    start nor the restart direction has an odd component: the iterate stays
+    in the even half, of order k = ceil(n/2).  linalg.even_basis gives that
+    half's eigenvalues lam and its basis B once, from one tridiagonal
+    reduction; the start is B^T 1 and f_star is B c.  There the gradient is
+    q c with q = 1/lam + mu, a trial of length t is d = F c with
+    F = 1 - t q, and its projection is rho d for a scalar rho > 0.  Every
+    number the loop decides on is a weighted sum of w = c^2: ||d||^2 is
+    sum F^2 w, the trial cost 1/2 rho^2 sum q F^2 w, and the step
+    ||rho d - c||^2 is sum (rho F - 1)^2 w.  So the loop keeps w in place
+    of c and computes the sums of all tabulated trial lengths with one
+    matrix-vector product.  It recovers the signs of c at the end, from the
+    start's signs and the parity of how often each F was applied.
 
     w is kept at unit scale, and a float tau carries the h-norm:
     ||f||_h = tau sqrt(sum w).  The loop's norms then neither underflow nor
     overflow for bounds from 1e-300 to 1e300, and scaling a, b and tol by a
     power of two scales f_star exactly.  The step's sum is expanded about
-    the mode r of smallest q: F = F[r] + G with G <= 0, so each sum is
-    one-signed.  The expansion can still cancel when the iterate sits on one
-    mode other than r.  When its rounding bound exceeds 1e-8 of its value,
-    the step is summed elementwise instead.
+    the smallest q of the whole operator, q_ref = 1/lambda_max(A) + mu
+    (or the half's smallest q, if that rounds lower): F = F_ref + G with
+    G <= 0, so each sum is one-signed.  The expansion can still cancel when
+    the iterate sits on one mode other than lambda_max's, which may be odd
+    and so absent from the half.  When its rounding bound exceeds 1e-8 of
+    its value, the step is summed elementwise instead.
 
-    An Armijo iteration at n = 128 takes 4-6 us; the loop that formed d,
-    its projection and c_new - c as arrays took 12-20 us (the benchmark's
-    pgd ops, best of three, 2-vCPU VM, numpy 2.4).
+    An Armijo iteration at n = 128 takes 4-6 us of wall time and as much
+    CPU time (the benchmark's pgd ops, 2-vCPU VM, numpy 2.4, scipy 1.17).
+    A dense eigendecomposition of A in its place woke a BLAS worker thread
+    that then spun through the loop: 0.1-0.3 s of CPU over the 25 000
+    iterations at s = 0.25.
 
-    A non-positive-definite operator (lambda_min <= 0 or a non-finite
-    eigenvalue) raises FactorizationError.
+    A non-positive-definite operator (lambda_min <= 0 in the even half or
+    in op.bottom_pair, or a non-finite eigenvalue) raises
+    FactorizationError.
     """
     grid = op.grid
-    lam, Q = scipy.linalg.eigh(op.matrix)
-    if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
+    basis = linalg.even_basis(op.col)
+    lam, top = basis.values, op.top_pair.value
+    spectrum = np.append(lam, (op.bottom_pair.value, top))
+    if not (np.all(np.isfinite(spectrum)) and spectrum.min() > 0.0):
         raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
-                                 f"[{lam[0]:.3e}, {lam[-1]:.3e}]")
+                                 f"[{spectrum.min():.3e}, {spectrum.max():.3e}]")
     n, h, a, b, tol = grid.n, grid.h, cfg.a, cfg.b, cfg.tol
     if b == 0.0:  # the annulus is the origin
         return _pgd_result(op, cfg, np.zeros(n), 0.0, 1)
     q = 1.0 / lam + cfg.mu
-    r = int(np.argmin(q))
-    g = Q.T @ np.ones(n) / math.sqrt(n)  # the constant direction, unit norm
+    # The smallest q of the whole operator, which the step's sums are expanded about.
+    q_ref = min(float(q.min()), 1.0 / top + cfg.mu)
+    g = basis.coefficients(np.ones(n)) / math.sqrt(n)  # the constant direction, unit norm
     g2 = g * g
-    # The iterate is f = Q (tau / sqrt(h)) sign * sqrt(w): ||f||_h = tau sqrt(sum w).
+    # The iterate is f = B (tau / sqrt(h)) sign * sqrt(w): ||f||_h = tau sqrt(sum w).
     w, tau = g2.copy(), min(max(math.sqrt(h * n), a), b)
     step = _step(op, cfg.mu)
     fixed = cfg.step_rule == "fixed"
@@ -190,24 +207,25 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     # Trial m has length first * 2**-m.  Its rows are F^2, q F^2, G and G^2, and
     # applied[m] counts how often its F multiplied the coefficients.
-    F, F_r, F2, rows, applied = [], [], [], [], []
+    F, F_ref, F2, rows, applied = [], [], [], [], []
 
     def tabulate(m):
         while len(F) <= m:
-            Fm = 1.0 - (first * 0.5 ** len(F)) * q
-            Gm = Fm - Fm[r]
+            t = first * 0.5 ** len(F)
+            Fm, F_ref_m = 1.0 - t * q, 1.0 - t * q_ref
+            Gm = Fm - F_ref_m
             F.append(Fm)
-            F_r.append(float(Fm[r]))
+            F_ref.append(F_ref_m)
             rows.append(np.vstack([Fm * Fm, q * Fm * Fm, Gm, Gm * Gm]))
             F2.append(rows[-1][0])
             applied.append(0)
 
     tabulate(0 if fixed else _PGD_TABULATED - 1)
     tabulated = len(F)
-    dot = np.vstack([np.ones(n), q] + rows).dot  # rows 0 and 1 give sum w and 2 J / tau^2
+    dot = np.vstack([np.ones(len(q)), q] + rows).dot  # rows 0 and 1 give sum w and 2 J / tau^2
     sqrt = math.sqrt
-    # Relative rounding bound of a sum of n one-signed products of rounded rows.
-    cancel = (n + 4) * _EPS
+    # Relative rounding bound of a sum of len(q) one-signed products of rounded rows.
+    cancel = (len(q) + 4) * _EPS
 
     for it in range(1, cfg.max_iter + 1):
         sums = dot(w).tolist()
@@ -230,7 +248,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
                 nrm = tau * sqrt(s1)
                 rho = a / nrm if nrm < a else b / nrm if nrm > b else 1.0
                 # rho F - 1 = alpha + rho G: e = alpha^2 s0 + 2 alpha rho t1 + rho^2 t2.
-                alpha = rho * F_r[m] - 1.0
+                alpha = rho * F_ref[m] - 1.0
                 x = alpha * s0 + rho * t1
                 e = alpha * x + rho * (alpha * t1 + rho * t2)
                 # The terms' magnitudes, and alpha's own rounding times de/dalpha = 2x.
@@ -260,7 +278,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
             break
 
     c = _pgd_signs(g, F, applied) * np.sqrt(w)
-    return _pgd_result(op, cfg, _sign_normalize(Q @ (c * (tau / math.sqrt(h)))), pg_res, it)
+    return _pgd_result(op, cfg, _sign_normalize(basis.nodal(c * (tau / math.sqrt(h)))),
+                       pg_res, it)
 
 
 def _pgd_signs(g: np.ndarray, F: list, applied: list) -> np.ndarray:

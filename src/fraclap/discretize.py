@@ -101,7 +101,7 @@ class Operator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense read-only matrix toeplitz(col), for the paths that need one."""
+        """Dense read-only toeplitz(col), for the dense references in tests and the benchmark."""
         m = toeplitz(self.col)
         m.flags.writeable = False
         return m

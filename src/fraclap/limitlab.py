@@ -206,8 +206,11 @@ def _extended_cost(op, f, cfg: ControlConfig) -> float:
 
 def _gamma_clause(clause: str, grid: Grid, f: GridFunction, c: float, s_list,
                   cfg: ControlConfig, passes) -> GammaCheckReport:
-    """Margins F_{s_k}(f + c sin(k pi x)) - F(f) along the ladder.
+    """Margins F_{s_k}(f + (c / sqrt(R)) sin(k pi (x - mid) / R)) - F(f) along the ladder.
 
+    mid and R are the domain's centre and half-length, so the perturbation
+    vanishes at both ends and its h-norm is about c on any domain; on
+    (-1, 1) it is exactly c sin(k pi x).
     The verdict applies passes to the last third of the rows with a
     finite margin.  The liminf clause takes the annulus as a
     precondition and raises where the recovery clause scores +inf.
@@ -218,10 +221,13 @@ def _gamma_clause(clause: str, grid: Grid, f: GridFunction, c: float, s_list,
     strict = clause == "liminf"
     if strict and not math.isfinite(F_ref):
         raise ValueError("base control must lie in the admissible annulus")
-    x = grid.nodes()
+    mid = 0.5 * grid.x_left + 0.5 * grid.x_right
+    R = 0.5 * grid.x_right - 0.5 * grid.x_left
+    x = (grid.nodes() - mid) / R
+    amplitude = c / math.sqrt(R)
     rows = []
     for k, s in enumerate(s_list, start=1):
-        f_k = f + c * np.sin(k * np.pi * x)
+        f_k = f + amplitude * np.sin(k * np.pi * x)
         F_s = _extended_cost(assemble_fractional(grid, s), f_k, cfg)
         if strict and not math.isfinite(F_s):
             raise ValueError(
@@ -252,7 +258,8 @@ def liminf_check(grid: Grid, f: GridFunction, oscillation_amplitude: float,
                  s_list, cfg: ControlConfig) -> GammaCheckReport:
     """Lower-bound margins along a weakly vanishing oscillatory family.
 
-    Pairs f_k = f + c * sin(k pi x) with s_k from the ladder and reports
+    Pairs f_k = f + (c / sqrt(R)) sin(k pi (x - mid) / R), mid and R the
+    domain's centre and half-length, with s_k from the ladder and reports
     the signed margins F_k(f_k) - F(f); the verdict passes when the tail
     (last third) stays above -LIMINF_TOLERANCE.  Oscillations that leave
     the annulus are a configuration error.

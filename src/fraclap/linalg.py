@@ -13,7 +13,9 @@ Algebra Appl. 13, 1976).  Each half is reduced to tridiagonal form once
 (LAPACK dsytrd), the two pairs at each end of that tridiagonal come from
 dstemr and are mapped back by dormqr, and the four ends on each side are
 merged.  No n x n matrix is formed; the two reductions cost a quarter of
-the flops of one reduction of the full matrix.
+the flops of one reduction of the full matrix.  even_basis takes every
+pair of the even half the same way, for the gradient iteration of
+fraclap.control, and applies its basis to one vector at a time.
 """
 
 import math
@@ -202,30 +204,46 @@ def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
     return M
 
 
+def _reduce(M: np.ndarray):
+    """M = Q T Q^T by LAPACK dsytrd (blocked, with the queried workspace), M of order at least 2.
+
+    Returns the reflectors c and tau that hold Q, and T's diagonal d and
+    subdiagonal e.
+    """
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(M.shape[0], lower=1)
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
+    _check_lapack("dsytrd", info)
+    return c, d, e, tau
+
+
+def _apply_q(c: np.ndarray, tau: np.ndarray, z: np.ndarray, trans: str) -> None:
+    """Overwrite the columns of z with Q z (trans "N") or Q^T z (trans "T"), Q from _reduce."""
+    k = c.shape[0]
+    # Q = H(1) ... H(k-1) acts on rows 1..k-1; dormqr's minimal workspace runs it unblocked.
+    q_z, _, info = scipy.linalg.lapack.dormqr("L", trans, c[1:, :k - 1], tau, z[1:],
+                                               lwork=z.shape[1])
+    _check_lapack("dormqr", info)
+    z[1:] = q_z
+
+
 def _half_ends(M: np.ndarray):
     """Eigenvalues, unit eigenvectors and residual norms at both ends of symmetric M.
 
     Two pairs at each end, each pair once when the order is below 5.  M is
-    reduced to tridiagonal form once by LAPACK dsytrd (blocked, with the
-    queried workspace), dstemr takes the end pairs of the tridiagonal, and
-    dormqr maps their vectors back through the stored reflectors.
+    reduced to tridiagonal form once (_reduce), dstemr takes the end pairs
+    of the tridiagonal, and dormqr maps their vectors back through the
+    stored reflectors.
     """
     k = M.shape[0]
     if k == 1:
         values, vectors = M[0].copy(), np.ones((1, 1))
     else:
-        lwork, _ = scipy.linalg.lapack.dsytrd_lwork(k, lower=1)
-        c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
-        _check_lapack("dsytrd", info)
+        c, d, e, tau = _reduce(M)
         ends = [_tridiagonal_pairs(d, e, il, iu)
                 for il, iu in ([(1, k)] if k <= 4 else [(1, 2), (k - 1, k)])]
         values = np.concatenate([w for w, _ in ends])
         vectors = np.concatenate([z for _, z in ends], axis=1)
-        # Q = H(1) ... H(k-1) acts on rows 1..k-1; dormqr's minimal workspace runs it unblocked.
-        q_z, _, info = scipy.linalg.lapack.dormqr("L", "N", c[1:, :k - 1], tau, vectors[1:],
-                                                   lwork=vectors.shape[1])
-        _check_lapack("dormqr", info)
-        vectors[1:] = q_z
+        _apply_q(c, tau, vectors, "N")
     # BLAS dnrm2 scales as it sums, so a residual near the top of the double range stays finite.
     residuals = [float(scipy.linalg.norm(r, check_finite=False))
                  for r in (M @ vectors - vectors * values).T]
@@ -246,6 +264,32 @@ def _check_lapack(name: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info={info}")
 
 
+def _checked_col(col) -> np.ndarray:
+    """col as a float array; ValueError unless it is finite, one-dimensional and of length >= 2."""
+    col = np.asarray(col, dtype=float)
+    if col.ndim != 1 or len(col) < 2:
+        raise ValueError(f"expected a first column of length at least 2, got shape {col.shape}")
+    if not np.all(np.isfinite(col)):
+        raise ValueError("first column must be finite")
+    return col
+
+
+def _lift(z: np.ndarray, parity: int, n: int) -> np.ndarray:
+    """The vector of order n that a half's vector z stands for, sqrt(2) times as long as z.
+
+    [x; parity J x] with x = z[:m], m = n // 2; for odd n the middle entry
+    is sqrt(2) z[m] when parity is 1 and 0 when it is -1 (_half_matrix).
+    The result is exactly even or exactly odd.
+    """
+    m = n // 2
+    v = np.empty(n)
+    v[:m] = z[:m]
+    v[n - m:] = parity * v[m - 1::-1]
+    if n % 2:
+        v[m] = math.sqrt(2.0) * z[m] if parity > 0 else 0.0
+    return v
+
+
 def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     """Smallest and largest eigenpair of the symmetric Toeplitz matrix with first column col.
 
@@ -257,13 +301,8 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     Callers judge each pair with EigenPair.meets(tol).  A col that is not
     finite or has fewer than 2 entries raises ValueError.
     """
-    col = np.asarray(col, dtype=float)
-    if col.ndim != 1 or len(col) < 2:
-        raise ValueError(f"expected a first column of length at least 2, got shape {col.shape}")
-    if not np.all(np.isfinite(col)):
-        raise ValueError("first column must be finite")
+    col = _checked_col(col)
     n = len(col)
-    m = n // 2
     candidates = []  # (value, parity, half vector, residual)
     for parity in (1, -1):
         values, vectors, residuals = _half_ends(_half_matrix(col, parity))
@@ -272,12 +311,65 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
 
     def pair(end: int, inward: int) -> EigenPair:
         lam, parity, z, residual = candidates[end]
-        v = np.empty(n)
-        v[:m] = z[:m]
-        v[n - m:] = parity * v[m - 1::-1]
-        if n % 2:
-            v[m] = math.sqrt(2.0) * z[m] if parity > 0 else 0.0
+        v = _lift(z, parity, n)
         gap = abs(candidates[inward][0] - lam) / abs(lam) if lam != 0.0 else math.inf
         return EigenPair(value=lam, vector=v / math.sqrt(h * float(v @ v)), residual=residual, gap=gap)
 
     return ExtremePairs(bottom=pair(0, 1), top=pair(-1, -2))
+
+
+@dataclass(frozen=True)
+class EvenBasis:
+    """The full spectrum of the even half of a symmetric Toeplitz matrix T, and its eigenbasis.
+
+    values holds the half's k = ceil(n/2) eigenvalues in ascending order,
+    which are T's eigenvalues with even eigenvectors.  Basis vector j is
+    the unit even eigenvector B[:, j] = lift(Q Z[:, j]) / sqrt(2), where
+    Q holds the half's dsytrd reflectors (reflectors, tau) and Z the
+    tridiagonal's eigenvectors (vectors).  B is never formed:
+    coefficients and nodal apply B^T and B to one vector each.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    n: int
+
+    def coefficients(self, v) -> np.ndarray:
+        """B^T v, the coefficients of v's even part; an odd v has none."""
+        v = np.asarray(v, dtype=float)
+        m = self.n // 2
+        y = np.empty((len(self.values), 1))
+        y[:m, 0] = (v[:m] + v[::-1][:m]) / math.sqrt(2.0)
+        if self.n % 2:
+            y[m, 0] = v[m]
+        if len(y) > 1:
+            _apply_q(self.reflectors, self.tau, y, "T")
+        return self.vectors.T @ y[:, 0]
+
+    def nodal(self, c) -> np.ndarray:
+        """B c, the exactly even vector of order n with coefficients c."""
+        y = (self.vectors @ np.asarray(c, dtype=float))[:, None]
+        if len(y) > 1:
+            _apply_q(self.reflectors, self.tau, y, "N")
+        return _lift(y[:, 0], 1, self.n) / math.sqrt(2.0)
+
+
+def even_basis(col) -> EvenBasis:
+    """Every eigenvalue of the even half of toeplitz(col) with its orthonormal eigenbasis.
+
+    One dsytrd reduction of _half_matrix(col, 1), of order ceil(n/2), and
+    one dstemr call for all of its pairs; no n x n matrix.  The same
+    column checks as eig_extreme.
+    """
+    col = _checked_col(col)
+    n = len(col)
+    M = _half_matrix(col, 1)
+    k = M.shape[0]
+    if k == 1:
+        return EvenBasis(values=M[0].copy(), vectors=np.ones((1, 1)), reflectors=M,
+                         tau=np.empty(0), n=n)
+    c, d, e, tau = _reduce(M)
+    values, vectors = _tridiagonal_pairs(d, e, 1, k)
+    return EvenBasis(values=values, vectors=vectors, reflectors=c, tau=tau, n=n)

@@ -28,6 +28,7 @@ from fraclap.control import (
     _step,
     project_annulus,
 )
+from fraclap import linalg
 from fraclap.discretize import inner_product_h, norm_h
 from fraclap.linalg import FactorizationError
 
@@ -217,20 +218,41 @@ def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
     as arrays and measures them with norm_h and inner_product_h.  pgd_solve
     takes the same numbers as sums over the squared coefficients, which
     round differently, so the two agree to tolerances, not bit for bit.
+
+    The coefficients are those of the whole operator: the even half's in
+    the basis of fraclap.linalg.even_basis, which pgd_solve uses, and the
+    odd half's in the eigenbasis of its own half matrix.  The even basis
+    must be pgd_solve's: the iteration amplifies round-off, and the last
+    bits of another eigenbasis move an Armijo run further than the
+    tolerances (LAPACK dsyevr's basis of the whole matrix moves J_star by
+    3.2e-4 relative at n = 64, a = 0, b = 1).  The odd coefficients are
+    carried through every trial, so that pgd_solve's leaving them out is
+    checked, not assumed.
     """
     grid = op.grid
-    lam, Q = scipy.linalg.eigh(op.matrix)
-    if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
+    n, m = grid.n, grid.n // 2
+    basis = linalg.even_basis(op.col)
+    lam_odd, V_odd = scipy.linalg.eigh(linalg._half_matrix(op.col, -1))
+    lam = np.concatenate((basis.values, lam_odd))
+    if not (np.all(np.isfinite(lam)) and lam.min() > 0.0):
         raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
-                                 f"[{lam[0]:.3e}, {lam[-1]:.3e}]")
+                                 f"[{lam.min():.3e}, {lam.max():.3e}]")
     q = 1.0 / lam + cfg.mu
+    k = len(basis.values)
+
+    def coefficients(v):
+        odd = V_odd.T @ ((v[:m] - v[::-1][:m]) / math.sqrt(2.0))
+        return np.concatenate((basis.coefficients(v), odd))
+
+    def nodal(c):
+        return basis.nodal(c[:k]) + linalg._lift(V_odd @ c[k:], -1, n) / math.sqrt(2.0)
 
     def project(c):
         p = project_annulus(c, cfg.a, cfg.b, grid)
         # The zero vector projects to the constant direction, given in nodal values.
-        return Q.T @ p if cfg.a > 0.0 and np.count_nonzero(c) == 0 else p
+        return coefficients(p) if cfg.a > 0.0 and np.count_nonzero(c) == 0 else p
 
-    c = Q.T @ project_annulus(np.ones(grid.n), cfg.a, cfg.b, grid)
+    c = coefficients(project_annulus(np.ones(n), cfg.a, cfg.b, grid))
     step = _step(op, cfg.mu)
     grad = q * c
     J = 0.5 * inner_product_h(grad, c, grid)
@@ -258,7 +280,7 @@ def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
             converged = True
             break
 
-    f = _sign_normalize(Q @ c)
+    f = _sign_normalize(nodal(c))
     u = op.solve(f)
     return OptimResult(
         f_star=f,

@@ -498,6 +498,19 @@ class TestMain:
         assert len(err.splitlines()) == 1 and named in err
         assert out == "" and not out_dir.exists()
 
+    def test_gamma_on_a_huge_domain_completes(self, tmp_path, capsys):
+        # The oscillation is scaled to the domain's centre and half-length, so its
+        # h-norm is about c on (0, 1e150) as on (-1, 1).  On the raw nodes it was
+        # 1.1e74, outside the annulus, and the run exited 1 as a configuration error.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e150\nn = 16\n")
+        out_dir = tmp_path / "out"
+        assert main(["gamma", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out_dir / "gamma.csv")
+        assert len(rows) == 20
+        assert all(math.isfinite(float(x)) for row in rows for x in row[1:])
+
     def test_control_failure_leaves_no_csv(self, tmp_path, capsys):
         code = main(["control", "--n", "32", "--tol", "1e-300", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL

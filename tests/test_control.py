@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from fraclap.discretize import (
     inner_product_h,
     norm_h,
 )
+from fraclap import linalg
 from fraclap.linalg import FactorizationError
 from oracles import eig_full_jacobi, pgd_eigenbasis_reference, pgd_reference
 
@@ -273,7 +275,8 @@ class TestPgdMatchesHelperLoop:
     def test_benchmark_run(self):
         r = self.assert_close(make_op(n=128, s=0.25),
                               ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, step_rule="armijo"))
-        assert r.converged and r.iters > 20_000  # 25 174 with numpy 2.4 and OpenBLAS 0.3.31
+        # A long run, not an accuracy gate: the count moves with the basis's last bits.
+        assert r.converged and r.iters > 15_000  # 17 807 with numpy 2.4 and scipy 1.17
 
     @pytest.mark.parametrize("rotate", [False, True])
     @pytest.mark.parametrize("rule", ["fixed", "armijo"])
@@ -283,10 +286,11 @@ class TestPgdMatchesHelperLoop:
         col = np.zeros(16)
         col[0] = 1.0
         op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 16))
-        if rotate:  # any orthonormal basis diagonalizes the identity; this one makes Q^T visible
-            op.bottom_pair, op.top_pair  # the eigen solves run before eigh is replaced
-            rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
-            monkeypatch.setattr(scipy.linalg, "eigh", lambda m: (np.ones(16), rot))
+        if rotate:  # any orthonormal basis diagonalizes the identity; this one makes B^T visible
+            basis = linalg.even_basis(col)
+            rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
+            rotated = dataclasses.replace(basis, vectors=basis.vectors @ rot)
+            monkeypatch.setattr(linalg, "even_basis", lambda c: rotated)
         r = self.assert_close(op, ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5, step_rule=rule))
         # The zero trial lands on 0, or restarts from the constant direction on the inner sphere.
         assert r.converged and r.iters <= 3
@@ -305,12 +309,25 @@ class TestPgdMatchesHelperLoop:
 
 
 class TestPgdStructure:
-    def test_large_n_builds_one_dense_matrix(self, dense_matrices):
+    def test_large_n_builds_no_dense_matrix(self, dense_matrices):
         op = make_op(n=1024, s=0.5)
         r = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, max_iter=200))
-        assert len(dense_matrices) == 1  # the eigendecomposition's; the solve needs none
+        assert dense_matrices == []  # the even half's basis comes from its own half matrix
         assert r.iters == 200 and np.all(np.isfinite(r.f_star))
         assert 1.0 - 1e-12 <= norm_h(r.f_star, op.grid) <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("rule", ["fixed", "armijo"])
+    def test_benchmark_order_takes_no_dense_eigendecomposition(self, rule, dense_matrices,
+                                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        op = make_op(n=128, s=0.5)
+        r = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-5, step_rule=rule))
+        assert r.converged and dense_matrices == []
+        # The iterate never leaves the even half, so f_star is exactly even.
+        assert np.array_equal(r.f_star, r.f_star[::-1])
 
     def test_indefinite_operator_raises(self):
         col = np.zeros(8)

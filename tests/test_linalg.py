@@ -1,14 +1,16 @@
 import functools
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 
 from fraclap.discretize import Grid, assemble_classical, assemble_fractional
 from fraclap import linalg
-from fraclap.linalg import PCG_MIN_N, SolveError, eig_extreme, toeplitz_solve
+from fraclap.linalg import PCG_MIN_N, SolveError, eig_extreme, even_basis, toeplitz_solve
 from oracles import CgResult, cg_solve, eig_full_jacobi, refined_toeplitz_solve
 
 
@@ -205,6 +207,60 @@ class TestEigExtremeAgainstDense:
             assert np.linalg.norm(stencil - pair.value * v) <= 1e-9 * pair.value
             assert pair.residual <= 1e-9 * pair.value
             assert _exactly_even_or_odd(pair.vector)
+
+
+class TestEvenBasis:
+    """The even half's full spectrum and basis against LAPACK on the dense matrix, built here."""
+
+    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("n", [*range(3, 10), 64, 65, 128, 129])
+    def test_matches_the_dense_even_modes(self, n, s):
+        col = _assemble(n, s).col
+        basis = even_basis(col)
+        k = (n + 1) // 2
+        lam, V = scipy.linalg.eigh(scipy.linalg.toeplitz(col))
+        even = [j for j in range(n) if np.abs(V[:, j] - V[::-1, j]).max() <= 1e-6]
+        assert len(basis.values) == len(even) == k
+        assert np.abs(basis.values - lam[even]).max() <= 1e-12 * np.abs(lam).max()
+        B = np.column_stack([basis.nodal(e) for e in np.eye(k)])
+        for j, b in zip(even, B.T):
+            assert np.array_equal(b, b[::-1])
+            assert _same_up_to_sign(b, V[:, j], 1e-9)
+        # coefficients applies B^T, and the two maps invert each other on even vectors.
+        C = np.column_stack([basis.coefficients(e) for e in np.eye(n)])
+        assert np.abs(C - B.T).max() <= 1e-13
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(k)
+        assert np.abs(basis.coefficients(basis.nodal(c)) - c).max() <= 1e-13 * np.abs(c).max()
+        v = rng.standard_normal(n)
+        even_part = 0.5 * (v + v[::-1])
+        assert np.abs(basis.nodal(basis.coefficients(v)) - even_part).max() \
+            <= 1e-13 * np.abs(v).max()
+        # An odd vector has no even coefficients at all.
+        assert not basis.coefficients(v - v[::-1]).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_smallest_orders(self, n):
+        col = np.random.default_rng(n).standard_normal(n)
+        basis = even_basis(col)
+        lam, V = scipy.linalg.eigh(scipy.linalg.toeplitz(col))
+        even = [j for j in range(n) if np.abs(V[:, j] - V[::-1, j]).max() <= 1e-6]
+        assert np.abs(basis.values - lam[even]).max() <= 1e-14 * np.abs(lam).max()
+        assert basis.nodal(basis.coefficients(np.ones(n))) == pytest.approx(np.ones(n), rel=1e-15)
+
+    @pytest.mark.parametrize("col", [[1.0], [[1.0, 0.5]], [1.0, np.nan, 0.5]])
+    def test_rejects_what_eig_extreme_rejects(self, col):
+        with pytest.raises(ValueError):
+            even_basis(np.asarray(col))
+
+
+class TestLapackWrappers:
+    def test_every_wrapper_that_linalg_calls_exists(self):
+        # The declared scipy floor must supply each of them; name any that it lacks.
+        names = set(re.findall(r"scipy\.linalg\.lapack\.(\w+)", inspect.getsource(linalg)))
+        assert {"dsytrd", "dsytrd_lwork", "dstemr", "dormqr"} <= names
+        missing = sorted(name for name in names if not hasattr(scipy.linalg.lapack, name))
+        assert not missing, f"scipy {scipy.__version__} has no LAPACK wrapper {missing}"
 
 
 class TestJacobi:
