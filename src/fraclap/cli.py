@@ -1,4 +1,7 @@
-"""Command-line front end: config parsing, experiment dispatch, CSV output."""
+"""Command-line front end: config parsing, experiment dispatch, CSV output.
+
+A config is checked by the library objects a subcommand builds; the CLI adds the file line.
+"""
 
 import argparse
 import math
@@ -13,15 +16,21 @@ from . import limitlab
 from .control import ControlConfig, eigen_solve_control
 from .discretize import Grid, assemble_fractional, norm_h
 from .forward import solve_poisson
-from .limitlab import default_s_ladder
+from .limitlab import default_s_ladder, validate_s_list
 from .linalg import SolveError
+from .specfun import frac_constant
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
-RHS_PRESETS = ("one", "sine", "hat")
+# Named right-hand sides at the interior nodes x of the interval (lo, hi).
+RHS_PRESETS = {
+    "one": lambda x, lo, hi: np.ones(len(x)),
+    "sine": lambda x, lo, hi: np.sin(np.pi * (x - lo) / (2.0 * (0.5 * (hi - lo)))),
+    "hat": lambda x, lo, hi: 1.0 - np.abs(x - 0.5 * (lo + hi)) / (0.5 * (hi - lo)),
+}
 
 
 class ConfigError(Exception):
@@ -80,10 +89,10 @@ _KEY_PARSERS = {
 def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse "key = value" lines with '#' comments into a validated RunConfig.
 
-    overrides maps keys to already parsed values that take precedence
-    over the file's; the merged config is validated once.  Unknown keys,
-    malformed values and constraint violations raise a ConfigError
-    naming the key, and the line number where the value came from the file.
+    overrides maps keys to already parsed values that take precedence over
+    the file's; the library's objects validate the merged config once.  Unknown
+    keys, malformed values and constraint violations raise a ConfigError, with
+    the line of the key to blame when its value came from the file.
     """
     values = {}
     lines = {}
@@ -106,60 +115,31 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         values[key] = value
         lines.pop(key, None)
     cfg = RunConfig(**values)
-    _validate(cfg, lines)
+    # The library's checks, each with the keys it blames; a FieldError names its own.
+    checks = (((), cfg.grid),
+              (("s",), lambda: cfg.s is None or frac_constant(cfg.s)),
+              (("s_list",), lambda: validate_s_list(cfg.s_list)),
+              ((), cfg.control),
+              (("rhs",), lambda: _rhs_formula(cfg.rhs)))
+    for keys, check in checks:
+        try:
+            check()
+        except ValueError as exc:
+            keys = getattr(exc, "fields", keys)
+            where = next((f"line {lines[k]}: " for k in keys if k in lines), "")
+            raise ConfigError(f"{where}{exc}") from None
     return cfg
 
 
-def _fail(key, lines, message):
-    where = f"line {lines[key]}: " if key in lines else ""
-    raise ConfigError(f"{where}{message}")
-
-
-def _validate(cfg: RunConfig, lines):
-    for key in ("x_left", "x_right"):
-        if not math.isfinite(getattr(cfg, key)):
-            _fail(key, lines, f"{key} must be finite, got {getattr(cfg, key)}")
-    if not cfg.x_left < cfg.x_right:
-        _fail("x_right", lines, f"domain endpoints must satisfy x_left < x_right, "
-                                f"got [{cfg.x_left}, {cfg.x_right}]")
-    if not math.isfinite(cfg.x_right - cfg.x_left):
-        _fail("x_right", lines, f"domain length x_right - x_left overflows, "
-                                f"got [{cfg.x_left}, {cfg.x_right}]")
-    if cfg.n < 3:
-        _fail("n", lines, f"n must be at least 3, got {cfg.n}")
-    if cfg.s is not None and not 0.0 < cfg.s < 1.0:
-        _fail("s", lines, f"s must lie in (0, 1), got {cfg.s}")
-    for s in cfg.s_list:
-        if not 0.0 < s < 1.0:
-            _fail("s_list", lines, f"every s in s_list must lie in (0, 1), got {s}")
-    if any(b <= a for a, b in zip(cfg.s_list, cfg.s_list[1:])):
-        _fail("s_list", lines, "s_list must be strictly ascending")
-    if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
-        _fail("mu", lines, f"mu must be positive and finite, got {cfg.mu}")
-    if not (math.isfinite(cfg.a) and cfg.a >= 0.0):
-        _fail("a", lines, f"a must be nonnegative and finite, got {cfg.a}")
-    if not math.isfinite(cfg.b):
-        _fail("b", lines, f"b must be finite, got {cfg.b}")
-    if cfg.a > cfg.b:
-        _fail("b" if "b" in lines else "a", lines, f"a > b ({cfg.a} > {cfg.b})")
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
-        _fail("tol", lines, f"tol must be positive and finite, got {cfg.tol}")
-    if cfg.rhs not in RHS_PRESETS:
-        _fail("rhs", lines, f"unknown rhs preset '{cfg.rhs}' (available: {', '.join(RHS_PRESETS)})")
+def _rhs_formula(name: str):
+    if name not in RHS_PRESETS:
+        raise ValueError(f"unknown rhs preset '{name}' (available: {', '.join(RHS_PRESETS)})")
+    return RHS_PRESETS[name]
 
 
 def rhs_preset(name: str, grid: Grid) -> np.ndarray:
     """Named right-hand sides sampled at the interior nodes."""
-    x = grid.nodes()
-    mid = 0.5 * (grid.x_left + grid.x_right)
-    half = 0.5 * (grid.x_right - grid.x_left)
-    if name == "one":
-        return np.ones(grid.n)
-    if name == "sine":
-        return np.sin(np.pi * (x - grid.x_left) / (2.0 * half))
-    if name == "hat":
-        return 1.0 - np.abs(x - mid) / half
-    raise ConfigError(f"unknown rhs preset '{name}'")
+    return _rhs_formula(name)(grid.nodes(), grid.x_left, grid.x_right)
 
 
 # Text of a block of one column, by its dtype kind. repr of a float from

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .discretize import Grid, GridFunction, Operator, inner_product_h, norm_h
+from .discretize import FieldError, Grid, GridFunction, Operator, inner_product_h, norm_h
 from .linalg import FactorizationError
 
 _EPS = float(np.finfo(float).eps)
@@ -45,16 +45,19 @@ class ControlConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"regularization mu must be positive and finite, got {self.mu}")
-        if not (math.isfinite(self.b) and 0.0 <= self.a <= self.b):
-            raise ValueError(f"annulus bounds must be finite and satisfy 0 <= a <= b, "
-                             f"got a={self.a}, b={self.b}")
+            raise FieldError(f"mu must be positive and finite, got {self.mu}", "mu")
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise FieldError(f"a must be nonnegative and finite, got {self.a}", "a")
+        if not math.isfinite(self.b):
+            raise FieldError(f"b must be finite, got {self.b}", "b")
+        if self.a > self.b:
+            raise FieldError(f"a > b ({self.a} > {self.b})", "b", "a")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
+            raise FieldError(f"tol must be positive and finite, got {self.tol}", "tol")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+            raise FieldError(f"max_iter must be positive, got {self.max_iter}", "max_iter")
         if self.step_rule not in ("fixed", "armijo"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
+            raise FieldError(f"unknown step rule {self.step_rule!r}", "step_rule")
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,10 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     Starts from the constant control projected onto the annulus and stops
     when the projected-gradient residual ||f - P(f - step g)||_h / step
-    drops below cfg.tol.  Non-convergence is reported, never raised.  The
-    fixed step is 1 / (1/lambda_min(A) + mu), the reciprocal of the
-    gradient's Lipschitz constant; the Armijo rule tries 4 step and halves.
+    drops below cfg.tol.  Non-convergence, or a cost that overflows to inf,
+    is reported as not converged, never raised.  The fixed step is
+    1 / (1/lambda_min(A) + mu), the reciprocal of the gradient's Lipschitz
+    constant; the Armijo rule tries 4 step and halves.
 
     The iteration runs in an orthonormal eigenbasis of A.  A is symmetric
     Toeplitz, so its eigenvectors are even or odd, and neither the constant
@@ -294,14 +298,19 @@ def _pgd_signs(g: np.ndarray, F: list, applied: list) -> np.ndarray:
 def _pgd_result(op: Operator, cfg: ControlConfig, f: GridFunction, pg_res: float,
                 it: int) -> OptimResult:
     u = op.solve(f)
+    # A huge b can overflow the cost and the norm to inf; converged then
+    # reads False, as in eigen_solve_control, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = _cost(f, u, cfg.mu, op.grid)
+        nrm = norm_h(f, op.grid)
     return OptimResult(
         f_star=f,
         u_star=u,
-        J_star=_cost(f, u, cfg.mu, op.grid),
+        J_star=J,
         grad_norm=pg_res,
         iters=it,
-        converged=pg_res <= cfg.tol,
-        active_bound=_active_bound(norm_h(f, op.grid), cfg.a, cfg.b, cfg.tol),
+        converged=pg_res <= cfg.tol and math.isfinite(J),
+        active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
     )
 
 

@@ -40,6 +40,14 @@ from .specfun import frac_constant
 GridFunction = np.ndarray
 
 
+class FieldError(ValueError):
+    """An invalid input, with the names of the fields to blame in order of preference."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of n interior nodes on the open interval (x_left, x_right)."""
@@ -50,13 +58,16 @@ class Grid:
 
     def __post_init__(self):
         if not (math.isfinite(self.x_left) and math.isfinite(self.x_right)):
-            raise ValueError(f"need finite endpoints, got [{self.x_left}, {self.x_right}]")
+            raise FieldError(f"need finite endpoints, got [{self.x_left}, {self.x_right}]",
+                             "x_right" if math.isfinite(self.x_left) else "x_left")
         if not self.x_left < self.x_right:
-            raise ValueError(f"need x_left < x_right, got [{self.x_left}, {self.x_right}]")
+            raise FieldError(f"need x_left < x_right, got [{self.x_left}, {self.x_right}]",
+                             "x_right", "x_left")
         if not math.isfinite(self.x_right - self.x_left):
-            raise ValueError(f"domain length overflows, got [{self.x_left}, {self.x_right}]")
+            raise FieldError(f"domain length overflows, got [{self.x_left}, {self.x_right}]",
+                             "x_right", "x_left")
         if self.n < 3:
-            raise ValueError(f"need at least 3 interior nodes, got n={self.n}")
+            raise FieldError(f"need at least 3 interior nodes, got n={self.n}", "n")
 
     @property
     def h(self) -> float:
@@ -135,8 +146,6 @@ class Operator:
 
 def stencil_weights(s: float, h: float, K: int) -> StencilWeights:
     """Quadrature weights of the order-s operator at spacing h, truncated at K."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"order s must lie in (0, 1), got {s}")
     if not h > 0.0:
         raise ValueError(f"spacing must be positive, got h={h}")
     if K < 2:

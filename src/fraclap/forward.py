@@ -24,11 +24,10 @@ class ForwardSolution:
 def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
     """Solve the (fractional or classical) Poisson problem on the grid.
 
-    An energy or norm that overflows raises OverflowError naming the spacing.
+    An energy or norm that overflows raises OverflowError naming the spacing;
+    an f that is not finite or not of shape (n,) raises ValueError, the latter in op.solve.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (op.n,):
-        raise ValueError(f"expected right-hand side of shape ({op.n},), got {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValueError("right-hand side must be finite")
     u = op.solve(f)

@@ -35,7 +35,8 @@ def default_s_ladder(count: int = 10) -> list[float]:
     return [1.0 - 2.0 ** (-k) for k in range(1, count + 1)]
 
 
-def _validate_s_list(s_list):
+def validate_s_list(s_list):
+    """The orders as floats; ValueError unless nonempty, each in (0, 1) and strictly ascending."""
     s_list = [float(s) for s in s_list]
     if not s_list:
         raise ValueError("s_list must not be empty")
@@ -74,7 +75,7 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     every row compares against it, and a converged row with a value that
     overflows raises OverflowError naming the spacing.
     """
-    s_list = _validate_s_list(s_list)
+    s_list = validate_s_list(s_list)
     ref = eigen_solve_control(assemble_classical(grid), control)
     if not ref.converged:
         raise SweepError("classical reference solve did not converge")
@@ -132,7 +133,7 @@ class StateConvergenceReport:
 
 def state_convergence_check(grid: Grid, f: GridFunction, s_list) -> StateConvergenceReport:
     """Distance of order-s states to the classical state for a fixed right-hand side."""
-    s_list = _validate_s_list(s_list)
+    s_list = validate_s_list(s_list)
     f = np.asarray(f, dtype=float)
     ref = solve_poisson(assemble_classical(grid), f)
     rows = []
@@ -165,7 +166,7 @@ def bbm_limit_check(grid: Grid, v: GridFunction, s_list) -> BbmReport:
     The values approach the classical Dirichlet energy <A_1 v, v>_h as
     s -> 1-, for any v with square-integrable gradient.
     """
-    s_list = _validate_s_list(s_list)
+    s_list = validate_s_list(s_list)
     v = np.asarray(v, dtype=float)
     ref = quadratic_form(assemble_classical(grid), v)
     rows = [BbmRow(s=s, energy=quadratic_form(assemble_fractional(grid, s), v))
@@ -215,7 +216,7 @@ def _gamma_clause(clause: str, grid: Grid, f: GridFunction, c: float, s_list,
     finite margin.  The liminf clause takes the annulus as a
     precondition and raises where the recovery clause scores +inf.
     """
-    s_list = _validate_s_list(s_list)
+    s_list = validate_s_list(s_list)
     f = np.asarray(f, dtype=float)
     F_ref = _extended_cost(assemble_classical(grid), f, cfg)
     strict = clause == "liminf"

@@ -9,7 +9,9 @@ values, one Cholesky solve per trial, checks the eigenbasis iteration of
 fraclap.control.pgd_solve; so does the same eigenbasis iteration written
 with the checked helpers of fraclap.control and fraclap.discretize, on the
 coefficients themselves rather than their squares.  The row-at-a-time CSV writer, one format call per value,
-is the byte reference for the column writer fraclap.cli.write_csv.
+is the byte reference for the column writer fraclap.cli.write_csv.  The
+CLI's former list of config rules is the reference for which configs
+fraclap.cli.parse_config rejects, now that the library objects check them.
 """
 
 import math
@@ -29,6 +31,7 @@ from fraclap.control import (
     project_annulus,
 )
 from fraclap import linalg
+from fraclap.cli import ConfigError
 from fraclap.discretize import inner_product_h, norm_h
 from fraclap.linalg import FactorizationError
 
@@ -317,3 +320,48 @@ def write_csv_rows(path: str, header: list[str], rows) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+RHS_PRESETS = ("one", "sine", "hat")
+
+
+def _fail(key, lines, message):
+    where = f"line {lines[key]}: " if key in lines else ""
+    raise ConfigError(f"{where}{message}")
+
+
+def validate_config(cfg, lines):
+    """The CLI's own rule list for a merged RunConfig, before the library's objects checked it.
+
+    lines maps each key read from the file to its line number.
+    """
+    for key in ("x_left", "x_right"):
+        if not math.isfinite(getattr(cfg, key)):
+            _fail(key, lines, f"{key} must be finite, got {getattr(cfg, key)}")
+    if not cfg.x_left < cfg.x_right:
+        _fail("x_right", lines, f"domain endpoints must satisfy x_left < x_right, "
+                                f"got [{cfg.x_left}, {cfg.x_right}]")
+    if not math.isfinite(cfg.x_right - cfg.x_left):
+        _fail("x_right", lines, f"domain length x_right - x_left overflows, "
+                                f"got [{cfg.x_left}, {cfg.x_right}]")
+    if cfg.n < 3:
+        _fail("n", lines, f"n must be at least 3, got {cfg.n}")
+    if cfg.s is not None and not 0.0 < cfg.s < 1.0:
+        _fail("s", lines, f"s must lie in (0, 1), got {cfg.s}")
+    for s in cfg.s_list:
+        if not 0.0 < s < 1.0:
+            _fail("s_list", lines, f"every s in s_list must lie in (0, 1), got {s}")
+    if any(b <= a for a, b in zip(cfg.s_list, cfg.s_list[1:])):
+        _fail("s_list", lines, "s_list must be strictly ascending")
+    if not (math.isfinite(cfg.mu) and cfg.mu > 0.0):
+        _fail("mu", lines, f"mu must be positive and finite, got {cfg.mu}")
+    if not (math.isfinite(cfg.a) and cfg.a >= 0.0):
+        _fail("a", lines, f"a must be nonnegative and finite, got {cfg.a}")
+    if not math.isfinite(cfg.b):
+        _fail("b", lines, f"b must be finite, got {cfg.b}")
+    if cfg.a > cfg.b:
+        _fail("b" if "b" in lines else "a", lines, f"a > b ({cfg.a} > {cfg.b})")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        _fail("tol", lines, f"tol must be positive and finite, got {cfg.tol}")
+    if cfg.rhs not in RHS_PRESETS:
+        _fail("rhs", lines, f"unknown rhs preset '{cfg.rhs}' (available: {', '.join(RHS_PRESETS)})")

@@ -8,6 +8,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import fraclap.cli
 import fraclap.limitlab
@@ -124,6 +126,108 @@ class TestParseConfig:
     def test_keys_and_flags_match_run_config_fields(self):
         assert set(fraclap.cli._KEY_PARSERS) == {f.name for f in fields(RunConfig)}
         assert set(fraclap.cli.OVERRIDES) <= set(fraclap.cli._KEY_PARSERS)
+
+
+# Each key draws a valid value half the time, else a value on or across the edge of a
+# rule or any float, so that the rules checked late are still the first to fail often.
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 2.0, 3.0, 0.5, 1e-300,
+          5e-324, 1e308, -1e308, 1.7976931348623157e308]
+_ORDERS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.5, -0.5, 0.25, 0.5,
+                           0.75, 0.999, 5e-324]) | st.floats(min_value=-0.5, max_value=1.5)
+
+
+def _float(valid):
+    return st.one_of(valid, valid, st.sampled_from(_EDGES), st.floats(width=64))
+
+
+# Endpoints in order, reversed, nonfinite, or so far apart that the length overflows.
+_HUGE = st.sampled_from([1e308, 1.7976931348623157e308])
+_VALUES = {
+    "x_left": st.one_of(st.sampled_from([-1.0, 0.0, 5.0]), _HUGE.map(float.__neg__),
+                        _float(st.just(-1.0))),
+    "x_right": st.one_of(st.sampled_from([1.0, 2.0, 0.5]), _HUGE, _float(st.just(1.0))),
+    "n": st.one_of(st.integers(min_value=3, max_value=4096), st.integers(min_value=-3, max_value=8),
+                   st.integers(min_value=-2**40, max_value=2**40)),
+    "s": st.floats(min_value=0.01, max_value=0.99) | _ORDERS,
+    # Ascending orders in (0, 1); repeated or out of order; or some outside (0, 1).
+    "s_list": st.one_of(
+        st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=4, unique=True)
+        .map(sorted),
+        st.lists(st.sampled_from([0.25, 0.5, 0.75, 0.999]), min_size=1, max_size=4),
+        st.lists(_ORDERS, min_size=1, max_size=4)),
+    "mu": _float(st.floats(min_value=1e-3, max_value=10.0)),
+    "a": _float(st.floats(min_value=0.0, max_value=3.0)),
+    "b": _float(st.floats(min_value=0.0, max_value=3.0)),
+    "tol": _float(st.floats(min_value=1e-14, max_value=1e-3)),
+    "rhs": st.sampled_from(["one", "sine", "hat", "gaussian", "One", "ones"]),
+    "out": st.sampled_from([".", "results"]),
+}
+
+
+def _text(value) -> str:
+    """The config text of a parsed value; repr round-trips every float, nan and inf included."""
+    if isinstance(value, list):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+@st.composite
+def _configs(draw):
+    """A config text, its overrides, the merged values and the line each file key was last read from.
+
+    Each key is absent, set once or set twice in the file, in a random order,
+    and an overridable key is overridden one time in three.
+    """
+    text_lines, merged, lines, overrides = [], {}, {}, {}
+    for key in draw(st.permutations(sorted(_VALUES))):
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            if draw(st.booleans()):
+                text_lines.append("# a comment")
+            merged[key] = draw(_VALUES[key])
+            text_lines.append(f"{key} = {_text(merged[key])}")
+            lines[key] = len(text_lines)
+    for key in fraclap.cli.OVERRIDES:
+        if draw(st.integers(min_value=0, max_value=2)) == 0:
+            merged[key] = overrides[key] = draw(_VALUES[key])
+            lines.pop(key, None)
+    return "\n".join(text_lines), overrides, merged, lines
+
+
+class TestConfigRulesMatchReference:
+    """parse_config, checking through the library objects, against the CLI's former rule list."""
+
+    @seed(20261019)
+    @settings(max_examples=400, deadline=None)
+    @given(_configs())
+    # The reference's order: the grid before s, so n = 2 is blamed, on line 2.
+    @example(("s = 2.0\nn = 2", {}, {"s": 2.0, "n": 2}, {"s": 1, "n": 2}))
+    @example(("a = 3.0\nb = 2.5", {"a": 4.0}, {"a": 4.0, "b": 2.5}, {"b": 2}))
+    @example(("x_left = -1e+308\nx_right = 1e+308", {}, {"x_left": -1e308, "x_right": 1e308},
+              {"x_left": 1, "x_right": 2}))
+    def test_rejects_what_the_reference_rejects_naming_the_same_line(self, case):
+        text, overrides, merged, lines = case
+        try:
+            oracles.validate_config(RunConfig(**merged), lines)
+            expected = None
+        except ConfigError as exc:
+            expected = str(exc)
+        try:
+            cfg, got = parse_config(text, overrides), None
+        except ConfigError as exc:
+            got = str(exc)
+        assert (got is None) == (expected is None), (expected, got)
+        if expected is None:
+            assert cfg == RunConfig(**merged)
+            return
+        where = re.match(r"line \d+: ", expected)
+        if where:
+            assert got.startswith(where.group()), (expected, got)
+        assert len(got.splitlines()) == 1
+
+    def test_reversed_endpoints_fall_back_to_the_x_left_line(self):
+        # The reference blamed the default x_right and printed no line.
+        with pytest.raises(ConfigError, match=r"^line 1: need x_left < x_right, got \[5.0, 1.0\]$"):
+            parse_config("x_left = 5")
 
 
 class TestRhsPresets:
@@ -365,6 +469,11 @@ class TestDispatch:
 
     def test_unknown_subcommand(self):
         assert dispatch(RunConfig(), "plot") == EXIT_CONFIG
+
+    def test_unknown_rhs_past_parse_config_exits_config(self, tmp_path, capsys):
+        assert dispatch(RunConfig(rhs="gaussian", out=str(tmp_path)), "solve") == EXIT_CONFIG
+        assert capsys.readouterr().err == ("configuration error: unknown rhs preset 'gaussian' "
+                                           "(available: one, sine, hat)\n")
 
 
 class TestMain:

@@ -14,6 +14,7 @@ from fraclap.control import (
     reduced_gradient,
 )
 from fraclap.discretize import (
+    FieldError,
     Grid,
     Operator,
     assemble_classical,
@@ -42,6 +43,18 @@ class TestControlConfig:
     def test_rejects_unknown_step_rule(self):
         with pytest.raises(ValueError):
             ControlConfig(mu=0.1, a=1.0, b=2.0, step_rule="exact")
+
+    @pytest.mark.parametrize("bad, message, fields", [
+        ({"mu": 0.0}, "mu must be positive and finite, got 0.0", ("mu",)),
+        ({"a": -1.0}, "a must be nonnegative and finite, got -1.0", ("a",)),
+        ({"b": math.nan}, "b must be finite, got nan", ("b",)),
+        ({"a": 3.0}, "a > b (3.0 > 2.0)", ("b", "a")),
+        ({"tol": math.inf}, "tol must be positive and finite, got inf", ("tol",)),
+    ])
+    def test_rejection_names_the_fields_to_blame(self, bad, message, fields):
+        with pytest.raises(FieldError) as err:
+            ControlConfig(**{"mu": 0.1, "a": 1.0, "b": 2.0, **bad})
+        assert (str(err.value), err.value.fields) == (message, fields)
 
     def test_rejects_nonfinite_inputs(self):
         for bad in ({"mu": math.nan}, {"mu": math.inf}, {"b": math.inf},
@@ -190,6 +203,14 @@ class TestPgd:
         assert not r.converged
         assert r.iters == 50
         assert np.all(np.isfinite(r.f_star))
+
+    def test_overflowing_cost_is_not_converged(self):
+        # The loop meets tol at unit scale, but J_star ~ 1e600 overflows to inf;
+        # it used to read converged=True, with numpy's overflow warning escaping.
+        r = pgd_solve(make_op(n=64, s=0.5),
+                      ControlConfig(mu=0.1, a=1e300, b=1e300, tol=1e294, step_rule="armijo"))
+        assert np.all(np.isfinite(r.f_star)) and r.grad_norm <= 1e294
+        assert r.J_star == math.inf and not r.converged
 
     @pytest.mark.parametrize("rule", ["fixed", "armijo"])
     @pytest.mark.parametrize("t", [2.0**-560, 2.0**330])

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh, toeplitz
 
 from fraclap.discretize import (
+    FieldError,
     Grid,
     assemble_classical,
     assemble_fractional,
@@ -43,6 +44,16 @@ class TestGrid:
     def test_rejects_an_overflowing_length(self):
         with pytest.raises(ValueError, match=r"length overflows, got \[-1e\+308, 1e\+308\]"):
             Grid(-1e308, 1e308, 16)
+
+    @pytest.mark.parametrize("left, right, n, fields", [
+        (math.nan, math.inf, 16, ("x_left",)), (-1.0, math.nan, 16, ("x_right",)),
+        (1.0, -1.0, 16, ("x_right", "x_left")), (-1e308, 1e308, 16, ("x_right", "x_left")),
+        (-1.0, 1.0, 2, ("n",)),
+    ])
+    def test_rejection_names_the_fields_to_blame(self, left, right, n, fields):
+        with pytest.raises(FieldError) as err:
+            Grid(left, right, n)
+        assert err.value.fields == fields
 
 
 class TestStencilWeights:
