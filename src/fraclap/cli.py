@@ -8,7 +8,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -259,19 +259,9 @@ def _cmd_control(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     report = limitlab.run_sweep(cfg.grid(), cfg.sweep_s_list(), cfg.control())
-    if any(row.error for row in report.rows):
-        for row in report.rows:
-            if row.error:
-                print(f"s={row.s}: {row.error}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    rows = [(r.s, r.J_star, r.dist_f, r.dist_u, r.align, r.lambda_max,
-             r.seminorm_sq, r.poincare_c) for r in report.rows]
-    write_csv(
-        os.path.join(cfg.out, "sweep.csv"),
-        ["s", "J_star", "dist_f", "dist_u", "align", "lambda_max",
-         "seminorm_sq", "poincare_c"],
-        zip(*rows),
-    )
+    header = [fld.name for fld in fields(limitlab.SweepRow)]
+    write_csv(os.path.join(cfg.out, "sweep.csv"), header,
+              [[getattr(row, name) for row in report.rows] for name in header])
     print(f"sweep over {len(report.rows)} orders vs classical "
           f"J_star={report.J_star_classical:.12g} -> sweep.csv")
     return EXIT_OK
@@ -315,7 +305,7 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
         return EXIT_CONFIG
     try:
         return HANDLERS[subcommand](cfg)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:

@@ -134,10 +134,11 @@ def _sign_normalize(f: GridFunction) -> GridFunction:
 
 
 def _active_bound(nrm: float, a: float, b: float, tol: float) -> str:
-    slack = max(tol, 1e-12) * max(1.0, b)
-    if abs(nrm - a) <= slack:
+    # Distances relative to max(1, b), so that a huge b or tol cannot overflow the slack.
+    slack, scale = max(tol, 1e-12), max(1.0, b)
+    if abs(nrm - a) / scale <= slack:
         return "lower"
-    if abs(nrm - b) <= slack:
+    if abs(nrm - b) / scale <= slack:
         return "upper"
     return "none"
 
@@ -171,18 +172,10 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     ||f||_h = tau sqrt(sum w).  The loop's norms then neither underflow nor
     overflow for bounds from 1e-300 to 1e300, and scaling a, b and tol by a
     power of two scales f_star exactly.  The step's sum is expanded about
-    the smallest q of the whole operator, q_ref = 1/lambda_max(A) + mu
-    (or the half's smallest q, if that rounds lower): F = F_ref + G with
-    G <= 0, so each sum is one-signed.  The expansion can still cancel when
-    the iterate sits on one mode other than lambda_max's, which may be odd
-    and so absent from the half.  When its rounding bound exceeds 1e-8 of
-    its value, the step is summed elementwise instead.
-
-    An Armijo iteration at n = 128 takes 4-6 us of wall time and as much
-    CPU time (the benchmark's pgd ops, 2-vCPU VM, numpy 2.4, scipy 1.17).
-    A dense eigendecomposition of A in its place woke a BLAS worker thread
-    that then spun through the loop: 0.1-0.3 s of CPU over the 25 000
-    iterations at s = 0.25.
+    the half's smallest q, q_ref = min q: F = F_ref + G with G <= 0, so
+    each sum is one-signed.  The expansion still cancels when the iterate
+    sits on one mode other than q_ref's; when its rounding bound exceeds
+    1e-8 of its value, the step is summed elementwise instead.
 
     A non-positive-definite operator (lambda_min <= 0 in the even half or
     in op.bottom_pair, or a non-finite eigenvalue) raises
@@ -190,8 +183,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     """
     grid = op.grid
     basis = linalg.even_basis(op.col)
-    lam, top = basis.values, op.top_pair.value
-    spectrum = np.append(lam, (op.bottom_pair.value, top))
+    lam = basis.values
+    spectrum = np.append(lam, op.bottom_pair.value)
     if not (np.all(np.isfinite(spectrum)) and spectrum.min() > 0.0):
         raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
                                  f"[{spectrum.min():.3e}, {spectrum.max():.3e}]")
@@ -199,8 +192,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     if b == 0.0:  # the annulus is the origin
         return _pgd_result(op, cfg, np.zeros(n), 0.0, 1)
     q = 1.0 / lam + cfg.mu
-    # The smallest q of the whole operator, which the step's sums are expanded about.
-    q_ref = min(float(q.min()), 1.0 / top + cfg.mu)
+    q_ref = float(q.min())  # the step's sums are expanded about it
     g = basis.coefficients(np.ones(n)) / math.sqrt(n)  # the constant direction, unit norm
     g2 = g * g
     # The iterate is f = B (tau / sqrt(h)) sign * sqrt(w): ||f||_h = tau sqrt(sum w).

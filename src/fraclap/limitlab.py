@@ -27,7 +27,7 @@ from .forward import poincare_constant, solve_poisson
 
 
 class SweepError(RuntimeError):
-    """The classical reference solve failed; no comparison is possible."""
+    """A control solve of the sweep did not converge: the classical reference or one order s."""
 
 
 def default_s_ladder(count: int = 10) -> list[float]:
@@ -57,7 +57,6 @@ class SweepRow:
     lambda_max: float
     seminorm_sq: float
     poincare_c: float
-    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,10 @@ class SweepReport:
 def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     """Solve the control problem along the s ladder against the classical reference.
 
-    Per-s solver failures are recorded in their row and the sweep
-    continues; a failing classical reference aborts the whole sweep since
-    every row compares against it, and a converged row with a value that
-    overflows raises OverflowError naming the spacing.
+    The first control solve that does not converge, the classical
+    reference's or that of one order s, raises SweepError naming it, and
+    no later order is solved.  A row with a value that overflows raises
+    OverflowError naming the spacing.
     """
     s_list = validate_s_list(s_list)
     ref = eigen_solve_control(assemble_classical(grid), control)
@@ -84,6 +83,8 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     for s in s_list:
         op = assemble_fractional(grid, s)
         result = eigen_solve_control(op, control)
+        if not result.converged:
+            raise SweepError(f"control solve did not converge at s={s}")
         fs, us = result.f_star, result.u_star
         # A wide domain can overflow a norm to inf; the test below reports
         # that, so numpy need not warn about it.
@@ -102,11 +103,9 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
             lambda_max=op.top_pair.value,
             seminorm_sq=seminorm_sq,
             poincare_c=poincare_constant(op),
-            error="" if result.converged else "eigensolver did not converge",
         )
-        overflowed = [fld.name for fld in fields(row) if fld.name not in ("s", "error")
-                      and not math.isfinite(getattr(row, fld.name))]
-        if overflowed and not row.error:
+        overflowed = [fld.name for fld in fields(row) if not math.isfinite(getattr(row, fld.name))]
+        if overflowed:
             raise OverflowError(f"non-finite {' and '.join(overflowed)} at s={s}, grid "
                                 f"spacing h={grid.h:.3e}")
         rows.append(row)

@@ -66,18 +66,13 @@ def _pcg(col: np.ndarray, b: np.ndarray) -> np.ndarray:
     The product sums the entries within PCG_BAND of the diagonal directly
     and the rest through the 2n circulant embedding, so the cancelling
     near-diagonal sum carries no FFT rounding.  The preconditioner is
-    Strang's circulant.  col and b are first scaled by powers of two, which
-    is exact and keeps the clipped preconditioner eigenvalues normal.
+    Strang's circulant.
     """
     n = len(col)
     if not np.all(np.isfinite(b)):
         raise SolveError("right-hand side is not finite")
     if not b.any():
         return np.zeros(n)
-    e_col = int(np.frexp(np.abs(col).max())[1])
-    e_b = int(np.frexp(np.abs(b).max())[1])
-    col = np.ldexp(col, -e_col)
-    b = np.ldexp(b, -e_b)
     band = np.concatenate((col[PCG_BAND:0:-1], col[:PCG_BAND + 1]))
     far = col.copy()
     far[:PCG_BAND + 1] = 0.0
@@ -108,7 +103,7 @@ def _pcg(col: np.ndarray, b: np.ndarray) -> np.ndarray:
         x += alpha * p
         r -= alpha * q
         if float(np.linalg.norm(r)) <= stop:
-            return np.ldexp(x, e_b - e_col)
+            return x
         z = precondition(r)
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
@@ -125,11 +120,18 @@ def toeplitz_solve(col, b) -> np.ndarray:
     backward error at most BACKWARD_ERROR_TOL, taking
     ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from an FFT product;
     otherwise SolveError.  A b whose shape is not col's raises ValueError.
+
+    col and b are first scaled exactly, by powers of two, to unit scale, so
+    that neither the preconditioner nor the check's bound underflows; x is
+    scaled back once at the end.
     """
     col = np.asarray(col, dtype=float)
     b = np.asarray(b, dtype=float)
     if b.shape != col.shape:
         raise ValueError(f"expected right-hand side of shape {col.shape}, got {b.shape}")
+    e_col = int(np.frexp(np.abs(col).max(initial=0.0))[1])
+    e_b = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    col, b = np.ldexp(col, -e_col), np.ldexp(b, -e_b)
     if len(col) < PCG_MIN_N:
         try:
             x = scipy.linalg.solve_toeplitz(col, b, check_finite=False)
@@ -137,7 +139,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
             raise SolveError(f"Levinson recursion failed: {exc}") from exc
     else:
         x = _pcg(col, b)
-    if not np.all(np.isfinite(x)):
+    result = np.ldexp(x, e_b - e_col)
+    if not np.all(np.isfinite(result)):
         raise SolveError("Toeplitz solve returned non-finite values")
     r_norm = float(np.abs(b - _toeplitz_matvec(col, x)).max(initial=0.0))
     a_norm = abs(float(col[0])) + 2.0 * float(np.abs(col[1:]).sum())
@@ -145,9 +148,7 @@ def toeplitz_solve(col, b) -> np.ndarray:
     if not r_norm <= bound:
         raise SolveError(f"Toeplitz solve residual {r_norm:.3e} exceeds "
                          f"{BACKWARD_ERROR_TOL:g} * ||A|| * ||x|| = {bound:.3e}")
-    return x
-
-
+    return result
 
 
 @dataclass(frozen=True)

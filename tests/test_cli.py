@@ -458,6 +458,15 @@ class TestDispatch:
         assert not (tmp_path / "sweep.csv").exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_failing_at_several_orders_prints_one_line(self, tmp_path, capsys,
+                                                             orders_failing_from_075):
+        # Orders 0.75 to 0.9990234375 all fail; the sweep stops at the first.
+        code = main(["sweep", "--n", "32", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err == "numerical failure: control solve did not converge at s=0.75\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_gamma_writes_both_clauses(self, tmp_path):
         cfg = parse_config(f"n = 64\nout = {tmp_path}")
         assert dispatch(cfg, "gamma") == EXIT_OK

@@ -211,6 +211,22 @@ class TestPgd:
                       ControlConfig(mu=0.1, a=1e300, b=1e300, tol=1e294, step_rule="armijo"))
         assert np.all(np.isfinite(r.f_star)) and r.grad_norm <= 1e294
         assert r.J_star == math.inf and not r.converged
+        # f_star's h-norm overflows too.  The slack max(tol, 1e-12) * b used
+        # to overflow with it, and the norm read as on the lower bound.
+        assert r.active_bound == "none"
+
+    @pytest.mark.parametrize("rule", ["fixed", "armijo"])
+    def test_subnormal_bounds(self, rule):
+        # f_star's entries are about 1e-320; its state solve used to fail the
+        # Toeplitz solve's check, whose bound underflowed to 0.
+        op = make_op(n=64, s=0.5)
+        r = pgd_solve(op, ControlConfig(mu=0.1, a=1e-320, b=1e-320, step_rule=rule))
+        one = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=1.0, max_iter=r.iters,
+                                          step_rule=rule))
+        assert r.converged
+        for got, unit in ((r.f_star, one.f_star), (r.u_star, one.u_star)):
+            # The subnormal range holds about three digits here.
+            assert np.allclose(got, 1e-320 * unit, rtol=1e-2, atol=2.0**-1070)
 
     @pytest.mark.parametrize("rule", ["fixed", "armijo"])
     @pytest.mark.parametrize("t", [2.0**-560, 2.0**330])
@@ -317,16 +333,27 @@ class TestPgdMatchesHelperLoop:
         assert r.converged and r.iters <= 3
         assert np.allclose(r.f_star, a / math.sqrt(op.grid.h * 16), rtol=1e-13, atol=0.0)
 
-    def test_step_on_a_mode_other_than_the_reference_mode(self):
-        # The constant start has no component on the classical operator's odd
-        # top mode, so the iterate settles on the second mode.  There the
-        # step's sums about the top mode cancel to round-off long before
-        # tol = 1e-12, and only the elementwise sum reaches the reference.
+    def test_step_on_a_mode_other_than_the_reference_mode(self, monkeypatch):
+        # A basis whose coefficients drop the even half's top mode, so that the
+        # constant start has no weight there and the iterate settles on the
+        # next even mode.  The step's sums are expanded about the top mode and
+        # cancel to round-off there long before tol = 1e-12: only the
+        # elementwise sum reaches the reference.
+        class WithoutTopMode(linalg.EvenBasis):
+            def coefficients(self, v):
+                c = super().coefficients(v)
+                c[-1] = 0.0
+                return c
+
+        even_basis = linalg.even_basis
+        monkeypatch.setattr(linalg, "even_basis",
+                            lambda col: WithoutTopMode(**vars(even_basis(col))))
         op = assemble_classical(Grid(-1.0, 1.0, 8))
         cfg = ControlConfig(mu=1e-3, a=1.0, b=2.0, tol=1e-12)
         r = self.assert_close(op, cfg)
         assert r.converged
-        assert r.J_star > eigen_solve_control(op, cfg).J_star + 1e-4  # not the top mode
+        lam = even_basis(op.col).values
+        assert r.J_star == pytest.approx(0.5 * (1.0 / lam[-2] + cfg.mu), rel=1e-9)  # the next mode
 
 
 class TestPgdStructure:

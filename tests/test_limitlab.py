@@ -35,7 +35,6 @@ class TestRunSweep:
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         dist = [r.dist_f for r in report.rows]
         assert all(d1 > d2 for d1, d2 in zip(dist, dist[1:]))
-        assert all(r.error == "" for r in report.rows)
 
     def test_singleton_ladder(self):
         report = run_sweep(Grid(-1.0, 1.0, 256), [0.99], CONTROL)
@@ -52,6 +51,11 @@ class TestRunSweep:
         monkeypatch.setattr(module, "eigen_solve_control", bad_reference)
         with pytest.raises(SweepError):
             run_sweep(Grid(-1.0, 1.0, 32), [0.5], CONTROL)
+
+    def test_first_failed_order_stops_the_sweep(self, orders_failing_from_075):
+        with pytest.raises(SweepError, match=re.escape("did not converge at s=0.75")):
+            run_sweep(Grid(-1.0, 1.0, 32), default_s_ladder(4), CONTROL)
+        assert orders_failing_from_075 == [0.5, 0.75]  # no solve after the failure
 
     def test_no_dense_matrix_and_one_spectral_pass_per_operator(self, monkeypatch,
                                                                 dense_matrices):

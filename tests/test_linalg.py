@@ -433,13 +433,23 @@ class TestToeplitzSolve:
         with pytest.raises(SolveError):
             toeplitz_solve(_toeplitz_operator(0.5, n).col, b)
 
+    @pytest.mark.parametrize("path", SOLVERS)
     @pytest.mark.parametrize("b_exp, col_exp", [(600, 0), (0, -900), (-900, 0), (600, 600)])
-    def test_power_of_two_scaling_is_exact(self, b_exp, col_exp):
-        op = _toeplitz_operator(0.5, 1024)
+    def test_power_of_two_scaling_is_exact(self, b_exp, col_exp, path):
+        op = _toeplitz_operator(0.5, SOLVERS[path][0])
         b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
         x = toeplitz_solve(op.col, b)
         scaled = toeplitz_solve(np.ldexp(op.col, col_exp), np.ldexp(b, b_exp))
         assert np.array_equal(scaled, np.ldexp(x, b_exp - col_exp))
+
+    @pytest.mark.parametrize("n", [64, PCG_MIN_N])
+    def test_subnormal_right_hand_side(self, n):
+        # The check's bound ||A|| ||x|| used to underflow to 0 here and fail the solve.
+        col = _toeplitz_operator(0.5, n).col
+        x = toeplitz_solve(col, np.full(n, 1e-320))
+        # Within two units in the last place of the subnormal range.
+        assert np.abs(x - 1e-320 * toeplitz_solve(col, np.ones(n))).max() <= 2.0 ** -1073
+        assert x.min() > 0.0
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_rejects_a_right_hand_side_of_another_shape(self, n):
