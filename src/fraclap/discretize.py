@@ -207,8 +207,8 @@ def norm_h(v: GridFunction, grid: Grid) -> float:
 
 
 def quadratic_form(op: Operator, v: GridFunction) -> float:
-    """Energy <A v, v>_h, A v one FFT product on col; the weighted seminorm of a free function."""
+    """Energy <A v, v>_h, A v by linalg.toeplitz_product; the weighted seminorm of a free function."""
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"expected a vector of shape ({op.n},), got {v.shape}")
-    return op.grid.h * float(v @ linalg._toeplitz_matvec(op.col, v))
+    return op.grid.h * float(v @ linalg.toeplitz_product(op.col)(v))

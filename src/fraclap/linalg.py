@@ -3,7 +3,7 @@
 A solve on the first column of a symmetric Toeplitz matrix runs Levinson
 recursion once below n = PCG_MIN_N, and Strang-preconditioned conjugate
 gradients from there up, where O(n log n) iterations beat O(n^2) Levinson.
-Either answer is checked by its backward error through an FFT product.
+Either answer is checked by its backward error through toeplitz_product.
 
 The smallest and the largest eigenpair come from one pass on the same
 first column.  A symmetric Toeplitz matrix is centrosymmetric, so its
@@ -45,7 +45,7 @@ BACKWARD_ERROR_TOL = 1e-12
 # Smallest n solved by conjugate gradients rather than Levinson: the
 # measured break-even per solve lies between n = 512 and n = 640.
 PCG_MIN_N = 600
-# Half-width of the band that the CG product sums directly.
+# Half-width of the band that toeplitz_product sums directly from PCG_MIN_N up.
 PCG_BAND = 16
 # CG stops at ||r||_2 <= PCG_RTOL ||b||_2 and fails after PCG_MAX_ITER
 # iterations; assembled operators up to n = 65536 take at most 18.
@@ -53,40 +53,58 @@ PCG_RTOL = 1e-14
 PCG_MAX_ITER = 200
 
 
-def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for the symmetric Toeplitz A with first column col, via its 2n circulant embedding."""
+def _smooth_length(n: int) -> int:
+    """The smallest integer >= n whose only prime factors are 2, 3 and 5, a fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def toeplitz_product(col: np.ndarray):
+    """v -> A v for the symmetric Toeplitz matrix A of col, summed directly below PCG_MIN_N.
+
+    From there up, entries beyond PCG_BAND of the diagonal go through a circulant embedding
+    of fast length m >= 2n - 1, so the cancelling near-diagonal sum carries no FFT rounding.
+    """
     n = len(col)
-    circ = np.concatenate((col, [0.0], col[:0:-1]))
-    return np.fft.irfft(np.fft.rfft(circ) * np.fft.rfft(x, 2 * n), 2 * n)[:n]
+    w = n - 1 if n < PCG_MIN_N else min(PCG_BAND, n - 1)
+    band = np.concatenate((col[w:0:-1], col[:w + 1]))
+    if w == n - 1:  # "valid" keeps the n sums that overlap v whole
+        return lambda v: np.convolve(v, band, "valid")
+    m = _smooth_length(2 * n - 1)
+    far = np.concatenate((col, np.zeros(m - 2 * n + 1), col[:0:-1]))
+    far[:w + 1] = far[m - w:] = 0.0
+    far_symbol = np.fft.rfft(far)
+    return lambda v: np.convolve(v, band)[w:w + n] + np.fft.irfft(far_symbol * np.fft.rfft(v, m), m)[:n]
 
 
-def _pcg(col: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Preconditioned conjugate gradients on A x = b, A the symmetric Toeplitz matrix of col.
+def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
+    """Strang-preconditioned conjugate gradients on A x = b, A = toeplitz(col), A v = product(v).
 
-    The product sums the entries within PCG_BAND of the diagonal directly
-    and the rest through the 2n circulant embedding, so the cancelling
-    near-diagonal sum carries no FFT rounding.  The preconditioner is
-    Strang's circulant.
+    The preconditioner is R C^-1 R^T, C Strang's circulant of fast order k >= n and R the
+    restriction to the first n entries; it is SPD because C is.
     """
     n = len(col)
     if not np.all(np.isfinite(b)):
         raise SolveError("right-hand side is not finite")
     if not b.any():
         return np.zeros(n)
-    band = np.concatenate((col[PCG_BAND:0:-1], col[:PCG_BAND + 1]))
-    far = col.copy()
-    far[:PCG_BAND + 1] = 0.0
-    far_symbol = np.fft.rfft(np.concatenate((far, [0.0], far[:0:-1])))
-    # Eigenvalues of Strang's circulant (c_k for k <= n/2, wrapped), clipped below.
-    strang = np.fft.rfft(np.concatenate((col[:n // 2 + 1], col[1:(n + 1) // 2][::-1]))).real
+    k = _smooth_length(n)
+    # Eigenvalues of Strang's circulant (c_j for j <= k/2, wrapped), clipped below.
+    strang = np.fft.rfft(np.concatenate((col[:k // 2 + 1], col[1:(k + 1) // 2][::-1]))).real
     strang = np.maximum(strang, 1e-14 * strang.max())
 
-    def product(v):
-        far_part = np.fft.irfft(far_symbol * np.fft.rfft(v, 2 * n), 2 * n)[:n]
-        return np.convolve(v, band, "same") + far_part
-
     def precondition(v):
-        return np.fft.irfft(np.fft.rfft(v) / strang, n)
+        return np.fft.irfft(np.fft.rfft(v, k) / strang, k)[:n]
 
     x = np.zeros(n)
     r = b.copy()
@@ -118,7 +136,7 @@ def toeplitz_solve(col, b) -> np.ndarray:
     memory); from PCG_MIN_N up, preconditioned conjugate gradients (_pcg,
     O(n log n) per iteration).  The result must be finite with a normwise
     backward error at most BACKWARD_ERROR_TOL, taking
-    ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from an FFT product;
+    ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from toeplitz_product;
     otherwise SolveError.  A b whose shape is not col's raises ValueError.
 
     col and b are first scaled exactly, by powers of two, to unit scale, so
@@ -132,17 +150,18 @@ def toeplitz_solve(col, b) -> np.ndarray:
     e_col = int(np.frexp(np.abs(col).max(initial=0.0))[1])
     e_b = int(np.frexp(np.abs(b).max(initial=0.0))[1])
     col, b = np.ldexp(col, -e_col), np.ldexp(b, -e_b)
+    product = toeplitz_product(col)
     if len(col) < PCG_MIN_N:
         try:
             x = scipy.linalg.solve_toeplitz(col, b, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolveError(f"Levinson recursion failed: {exc}") from exc
     else:
-        x = _pcg(col, b)
+        x = _pcg(col, b, product=product)
     result = np.ldexp(x, e_b - e_col)
     if not np.all(np.isfinite(result)):
         raise SolveError("Toeplitz solve returned non-finite values")
-    r_norm = float(np.abs(b - _toeplitz_matvec(col, x)).max(initial=0.0))
+    r_norm = float(np.abs(b - product(x)).max(initial=0.0))
     a_norm = abs(float(col[0])) + 2.0 * float(np.abs(col[1:]).sum())
     bound = BACKWARD_ERROR_TOL * a_norm * float(np.abs(x).max(initial=0.0))
     if not r_norm <= bound:

@@ -3,8 +3,9 @@
 Pure-Python cyclic Jacobi and conjugate gradients share no code with the
 LAPACK routes in fraclap.linalg, so agreement between the two is evidence
 for both.  A dense Cholesky solve refined with long-double residuals is the
-reference for Toeplitz solves.  The unit-load state is the closed form the
-forward solver is measured against.  Projected gradient descent in nodal
+reference for Toeplitz solves, and the long-double direct sum behind those
+residuals the reference for Toeplitz products.  The unit-load state is the
+closed form the forward solver is measured against.  Projected gradient descent in nodal
 values, one Cholesky solve per trial, checks the eigenbasis iteration of
 fraclap.control.pgd_solve; so does the same eigenbasis iteration written
 with the checked helpers of fraclap.control and fraclap.discretize, on the
@@ -47,20 +48,29 @@ def _as_matrix(A) -> np.ndarray:
     return np.asarray(getattr(A, "matrix", A), dtype=float)
 
 
+def direct_toeplitz_product(col, v) -> np.ndarray:
+    """toeplitz(col) @ v summed directly in long double, without the matrix or an FFT.
+
+    np.convolve with the full symmetric kernel; "valid" keeps the n sums
+    in which v lies wholly inside the kernel, which are A v.
+    """
+    col = np.asarray(col, dtype=np.longdouble)
+    kernel = np.concatenate((col[:0:-1], col))
+    return np.convolve(np.asarray(v, dtype=np.longdouble), kernel, "valid")
+
+
 def refined_toeplitz_solve(col, b) -> np.ndarray:
     """Dense Cholesky solve of toeplitz(col) x = b, refined twice with long-double residuals.
 
-    Each residual is the exact Toeplitz sum in long double (np.convolve with
-    the full symmetric kernel), so the refined answer is accurate well below
+    Each residual is the exact Toeplitz sum in long double
+    (direct_toeplitz_product), so the refined answer is accurate well below
     the double-precision forward error of any solver under test.
     """
     col = np.asarray(col, dtype=float)
-    n = len(col)
     factor = scipy.linalg.cho_factor(scipy.linalg.toeplitz(col))
-    kernel = np.concatenate((col[:0:-1], col)).astype(np.longdouble)
     x = scipy.linalg.cho_solve(factor, b).astype(np.longdouble)
     for _ in range(2):
-        r = np.asarray(b, dtype=np.longdouble) - np.convolve(x, kernel)[n - 1:2 * n - 1]
+        r = np.asarray(b, dtype=np.longdouble) - direct_toeplitz_product(col, x)
         x = x + scipy.linalg.cho_solve(factor, r.astype(float))
     return x.astype(float)
 
