@@ -13,9 +13,9 @@ the direct solver is authoritative and the gradient iteration serves as a
 cross-check that may stop at a non-global stationary point.
 
 The direct solver reads the top eigenpair (Operator.top_pair).  The
-gradient iteration runs on the coefficients of the operator's even half
-in its own eigenbasis (linalg.even_basis): a start that is even stays
-even.  Neither builds an n x n matrix.
+gradient iteration, with Armijo steps, runs on the coefficients of the
+operator's even half in its own eigenbasis (linalg.even_basis): a start
+that is even stays even.  Neither builds an n x n matrix.
 """
 
 import math
@@ -29,9 +29,11 @@ from .linalg import FactorizationError
 
 _EPS = float(np.finfo(float).eps)
 
-# Armijo trial lengths 4 step, 2 step and step: pgd_solve tabulates their
-# sums before the loop and the rest when a trial first reaches them.
+# pgd_solve's Armijo trial lengths 4 step, 2 step and step: it tabulates their
+# sums before the loop and the rest when a trial first reaches them.  A run
+# stops after PGD_MAX_ITER iterations, not converged.
 _PGD_TABULATED = 3
+PGD_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,7 @@ class ControlConfig:
     a: float
     b: float
     tol: float = 1e-10
-    max_iter: int = 200_000
-    step_rule: str = "fixed"  # "fixed" (Lipschitz estimate) or "armijo"
+    step_rule: str = "armijo"  # pgd_solve's step rule, the only one
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -54,9 +55,7 @@ class ControlConfig:
             raise FieldError(f"a > b ({self.a} > {self.b})", "b", "a")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise FieldError(f"tol must be positive and finite, got {self.tol}", "tol")
-        if self.max_iter < 1:
-            raise FieldError(f"max_iter must be positive, got {self.max_iter}", "max_iter")
-        if self.step_rule not in ("fixed", "armijo"):
+        if self.step_rule != "armijo":
             raise FieldError(f"unknown step rule {self.step_rule!r}", "step_rule")
 
 
@@ -148,10 +147,11 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     Starts from the constant control projected onto the annulus and stops
     when the projected-gradient residual ||f - P(f - step g)||_h / step
-    drops below cfg.tol.  Non-convergence, or a cost that overflows to inf,
-    is reported as not converged, never raised.  The fixed step is
-    1 / (1/lambda_min(A) + mu), the reciprocal of the gradient's Lipschitz
-    constant; the Armijo rule tries 4 step and halves.
+    drops below cfg.tol or after PGD_MAX_ITER iterations.  Non-convergence,
+    or a cost that overflows to inf, is reported as not converged, never
+    raised.  Armijo trials start at 4 step, step = 1 / (1/lambda_min(A) + mu)
+    being the reciprocal of the gradient's Lipschitz constant, and halve
+    until the cost decreases enough or the trial falls below 1e-12 step.
 
     The iteration runs in an orthonormal eigenbasis of A.  A is symmetric
     Toeplitz, so its eigenvectors are even or odd, and neither the constant
@@ -198,8 +198,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     # The iterate is f = B (tau / sqrt(h)) sign * sqrt(w): ||f||_h = tau sqrt(sum w).
     w, tau = g2.copy(), min(max(math.sqrt(h * n), a), b)
     step = _step(op, cfg.mu)
-    fixed = cfg.step_rule == "fixed"
-    first, floor = (step if fixed else 4.0 * step), 1e-12 * step
+    first, floor = 4.0 * step, 1e-12 * step
 
     # Trial m has length first * 2**-m.  Its rows are F^2, q F^2, G and G^2, and
     # applied[m] counts how often its F multiplied the coefficients.
@@ -216,14 +215,14 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
             F2.append(rows[-1][0])
             applied.append(0)
 
-    tabulate(0 if fixed else _PGD_TABULATED - 1)
+    tabulate(_PGD_TABULATED - 1)
     tabulated = len(F)
     dot = np.vstack([np.ones(len(q)), q] + rows).dot  # rows 0 and 1 give sum w and 2 J / tau^2
     sqrt = math.sqrt
     # Relative rounding bound of a sum of len(q) one-signed products of rounded rows.
     cancel = (len(q) + 4) * _EPS
 
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, PGD_MAX_ITER + 1):
         sums = dot(w).tolist()
         s0, J = sums[0], 0.5 * sums[1]
         used, m = first, 0
@@ -252,7 +251,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
                 if cancel * mag + 2.0 * _EPS * abs(x) > 1e-8 * e:
                     e = float(np.square(rho * F[m] - 1.0).dot(w))
                 J_new = 0.5 * rho * rho * s2
-            if fixed or J_new <= J - 1e-4 / max(used, 1e-300) * e or used < floor:
+            if J_new <= J - 1e-4 / max(used, 1e-300) * e or used < floor:
                 break
             used *= 0.5
             m += 1

@@ -31,7 +31,7 @@ from fraclap.control import (
     _step,
     project_annulus,
 )
-from fraclap import linalg
+from fraclap import control, linalg
 from fraclap.cli import ConfigError
 from fraclap.discretize import inner_product_h, norm_h
 from fraclap.linalg import FactorizationError
@@ -176,8 +176,9 @@ def eig_full_jacobi(A, tol: float = 1e-13, max_sweeps: int = 50, h: float = 1.0)
 def pgd_reference(op, cfg) -> OptimResult:
     """Projected gradient descent on the reduced cost in nodal values.
 
-    The same start, steps, Armijo test and stopping rule as pgd_solve, but
-    every trial control gets its state from a Cholesky solve with A.
+    The same start, Armijo steps, stopping rule and iteration cap
+    (control.PGD_MAX_ITER) as pgd_solve, but every trial control gets its
+    state from a Cholesky solve with A.
     """
     grid = op.grid
     mu = cfg.mu
@@ -189,17 +190,14 @@ def pgd_reference(op, cfg) -> OptimResult:
     pg_res = np.inf
     it = 0
     converged = False
-    fixed = cfg.step_rule == "fixed"
-    while it < cfg.max_iter:
+    while it < control.PGD_MAX_ITER:
         it += 1
         grad = u + mu * f
-        used = step if fixed else 4.0 * step
+        used = 4.0 * step
         while True:
             f_new = project_annulus(f - used * grad, cfg.a, cfg.b, grid)
             u_new = scipy.linalg.cho_solve(chol, f_new, check_finite=False)
             dn = norm_h(f_new - f, grid)
-            if fixed:
-                break
             J_new = _cost(f_new, u_new, mu, grid)
             if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
                 J = J_new
@@ -226,6 +224,9 @@ def pgd_reference(op, cfg) -> OptimResult:
 
 def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
     """pgd_solve's eigenbasis iteration, every trial through the checked helpers.
+
+    The same start, Armijo steps, stopping rule and iteration cap
+    (control.PGD_MAX_ITER) as pgd_solve.
 
     Each trial forms d, its projection with project_annulus and c_new - c
     as arrays and measures them with norm_h and inner_product_h.  pgd_solve
@@ -272,16 +273,13 @@ def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
     pg_res = np.inf
     it = 0
     converged = False
-    fixed = cfg.step_rule == "fixed"
-    while it < cfg.max_iter:
+    while it < control.PGD_MAX_ITER:
         it += 1
-        used = step if fixed else 4.0 * step
+        used = 4.0 * step
         while True:
             c_new = project(c - used * grad)
             grad_new = q * c_new
             dn = norm_h(c_new - c, grid)
-            if fixed:
-                break
             J_new = 0.5 * inner_product_h(grad_new, c_new, grid)
             if J_new <= J - 1e-4 / max(used, 1e-300) * dn**2 or used < 1e-12 * step:
                 J = J_new

@@ -108,7 +108,7 @@ def test_criterion_5_optimizer_cross_validation():
     grid = Grid(-1.0, 1.0, 128)
     op = assemble_fractional(grid, 0.5)
     direct = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10))
-    pgd = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6, max_iter=1_500_000))
+    pgd = pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6))
     rel_gap = abs(pgd.J_star - direct.J_star) / (1.0 + direct.J_star)
     stationary = pgd.converged and pgd.J_star >= direct.J_star - 1e-12
     pgd_ok = rel_gap <= 1e-8 or stationary
