@@ -9,13 +9,14 @@ The smallest and the largest eigenpair come from one pass on the same
 first column.  A symmetric Toeplitz matrix is centrosymmetric, so its
 eigenvectors split into even and odd ones, each the eigenvectors of a
 symmetric half matrix of order about n/2 (Cantoni & Butler, Linear
-Algebra Appl. 13, 1976).  Each half is reduced to tridiagonal form once
-(LAPACK dsytrd), the two pairs at each end of that tridiagonal come from
-dstemr and are mapped back by dormqr, and the four ends on each side are
-merged.  No n x n matrix is formed; the two reductions cost a quarter of
-the flops of one reduction of the full matrix.  even_basis takes every
-pair of the even half the same way, for the gradient iteration of
-fraclap.control, and applies its basis to one vector at a time.
+Algebra Appl. 13, 1976).  One routine, _half_pairs, reduces a half to
+tridiagonal form once (LAPACK dsytrd) and takes its pairs from dstemr:
+the two at each end for eig_extreme, which maps their vectors back by
+dormqr and merges the four ends on each side, and every pair for
+even_basis, whose basis the gradient iteration of fraclap.control applies
+to one vector at a time.  No n x n matrix is formed; the two reductions
+cost a quarter of the flops of one reduction of the full matrix.  A half
+of order 1 takes the same calls but dormqr, which _apply_q skips.
 """
 
 import math
@@ -94,8 +95,6 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
     restriction to the first n entries; it is SPD because C is.
     """
     n = len(col)
-    if not np.all(np.isfinite(b)):
-        raise SolveError("right-hand side is not finite")
     if not b.any():
         return np.zeros(n)
     k = _smooth_length(n)
@@ -137,7 +136,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
     O(n log n) per iteration).  The result must be finite with a normwise
     backward error at most BACKWARD_ERROR_TOL, taking
     ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from toeplitz_product;
-    otherwise SolveError.  A b whose shape is not col's raises ValueError.
+    otherwise SolveError, as for a b that is not finite on either path.  A b
+    whose shape is not col's raises ValueError.
 
     col and b are first scaled exactly, by powers of two, to unit scale, so
     that neither the preconditioner nor the check's bound underflows; x is
@@ -147,6 +147,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != col.shape:
         raise ValueError(f"expected right-hand side of shape {col.shape}, got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise SolveError("right-hand side is not finite")
     e_col = int(np.frexp(np.abs(col).max(initial=0.0))[1])
     e_b = int(np.frexp(np.abs(b).max(initial=0.0))[1])
     col, b = np.ldexp(col, -e_col), np.ldexp(b, -e_b)
@@ -224,59 +226,46 @@ def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
     return M
 
 
-def _reduce(M: np.ndarray):
-    """M = Q T Q^T by LAPACK dsytrd (blocked, with the queried workspace), M of order at least 2.
+def _half_pairs(M: np.ndarray, ends: bool):
+    """Eigenvalues of symmetric M, with the eigenvectors of its tridiagonal form and its reflectors.
 
-    Returns the reflectors c and tau that hold Q, and T's diagonal d and
-    subdiagonal e.
+    M = Q T Q^T by one LAPACK dsytrd (blocked, with the queried workspace);
+    dstemr then takes every pair of T, or with ends set the two pairs at each
+    end of T, every pair once when the order is below 5.  Returns the values
+    in ascending order within each range, T's eigenvectors as columns, and
+    the reflectors c and tau that hold Q (_apply_q maps the vectors back).
     """
-    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(M.shape[0], lower=1)
+    k = M.shape[0]
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(k, lower=1)
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
     _check_lapack("dsytrd", info)
-    return c, d, e, tau
+    ranges = [(1, 2), (k - 1, k)] if ends and k > 4 else [(1, k)]
+    width = sum(iu - il + 1 for il, iu in ranges)
+    values, vectors, j = np.empty(width), np.empty((k, width)), 0
+    for il, iu in ranges:
+        # dstemr takes e padded to the order and overwrites it; with a range of indices it
+        # returns iu - il + 1 pairs, their vectors in the leading columns of a k x k array.
+        count, w, z, info = scipy.linalg.lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, il, iu)
+        _check_lapack("dstemr", info)
+        values[j:j + count], vectors[:, j:j + count] = w[:count], z[:, :count]
+        j += count
+    return values, vectors, c, tau
 
 
 def _apply_q(c: np.ndarray, tau: np.ndarray, z: np.ndarray, trans: str) -> None:
-    """Overwrite the columns of z with Q z (trans "N") or Q^T z (trans "T"), Q from _reduce."""
+    """Overwrite the columns of z with Q z (trans "N") or Q^T z (trans "T"), Q from _half_pairs.
+
+    Q = H(1) ... H(k-1) acts on rows 1..k-1, so at k = 1 nothing is applied: the one case for a
+    half of order 1, which dsytrd and dstemr take but dormqr refuses (no reflectors).
+    """
     k = c.shape[0]
-    # Q = H(1) ... H(k-1) acts on rows 1..k-1; dormqr's minimal workspace runs it unblocked.
+    if k == 1:
+        return
+    # dormqr's minimal workspace runs it unblocked.
     q_z, _, info = scipy.linalg.lapack.dormqr("L", trans, c[1:, :k - 1], tau, z[1:],
                                                lwork=z.shape[1])
     _check_lapack("dormqr", info)
     z[1:] = q_z
-
-
-def _half_ends(M: np.ndarray):
-    """Eigenvalues, unit eigenvectors and residual norms at both ends of symmetric M.
-
-    Two pairs at each end, each pair once when the order is below 5.  M is
-    reduced to tridiagonal form once (_reduce), dstemr takes the end pairs
-    of the tridiagonal, and dormqr maps their vectors back through the
-    stored reflectors.
-    """
-    k = M.shape[0]
-    if k == 1:
-        values, vectors = M[0].copy(), np.ones((1, 1))
-    else:
-        c, d, e, tau = _reduce(M)
-        ends = [_tridiagonal_pairs(d, e, il, iu)
-                for il, iu in ([(1, k)] if k <= 4 else [(1, 2), (k - 1, k)])]
-        values = np.concatenate([w for w, _ in ends])
-        vectors = np.concatenate([z for _, z in ends], axis=1)
-        _apply_q(c, tau, vectors, "N")
-    # BLAS dnrm2 scales as it sums, so a residual near the top of the double range stays finite.
-    residuals = [float(scipy.linalg.norm(r, check_finite=False))
-                 for r in (M @ vectors - vectors * values).T]
-    return values, vectors, residuals
-
-
-def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, il: int, iu: int):
-    """Eigenpairs il..iu (1-based, ascending) of the symmetric tridiagonal (d, e) by LAPACK dstemr."""
-    # dstemr takes e padded to the order and overwrites it, and returns its vectors in a
-    # k x k array, which the copy frees before the next call.
-    count, w, z, info = scipy.linalg.lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, il, iu)
-    _check_lapack("dstemr", info)
-    return w[:count], z[:, :count].copy()
 
 
 def _check_lapack(name: str, info: int) -> None:
@@ -314,7 +303,7 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     """Smallest and largest eigenpair of the symmetric Toeplitz matrix with first column col.
 
     One pass over the matrix's even and odd halves (_half_matrix), each
-    half of order about n/2 reduced once (_half_ends), and no n x n matrix.
+    half of order about n/2 reduced once (_half_pairs), and no n x n matrix.
     The two pairs at each end of each half are merged: the extreme one gives
     the value, the vector lifted to full length (exactly even or exactly
     odd) and its residual, the next one inwards gives the relative gap.
@@ -325,7 +314,12 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     n = len(col)
     candidates = []  # (value, parity, half vector, residual)
     for parity in (1, -1):
-        values, vectors, residuals = _half_ends(_half_matrix(col, parity))
+        M = _half_matrix(col, parity)
+        values, vectors, c, tau = _half_pairs(M, ends=True)
+        _apply_q(c, tau, vectors, "N")
+        # BLAS dnrm2 scales as it sums, so a residual near the top of the double range stays finite.
+        residuals = [float(scipy.linalg.norm(r, check_finite=False))
+                     for r in (M @ vectors - vectors * values).T]
         candidates += zip(values.tolist(), [parity] * len(values), vectors.T, residuals)
     candidates.sort(key=lambda c: c[0])
 
@@ -364,15 +358,13 @@ class EvenBasis:
         y[:m, 0] = (v[:m] + v[::-1][:m]) / math.sqrt(2.0)
         if self.n % 2:
             y[m, 0] = v[m]
-        if len(y) > 1:
-            _apply_q(self.reflectors, self.tau, y, "T")
+        _apply_q(self.reflectors, self.tau, y, "T")
         return self.vectors.T @ y[:, 0]
 
     def nodal(self, c) -> np.ndarray:
         """B c, the exactly even vector of order n with coefficients c."""
         y = (self.vectors @ np.asarray(c, dtype=float))[:, None]
-        if len(y) > 1:
-            _apply_q(self.reflectors, self.tau, y, "N")
+        _apply_q(self.reflectors, self.tau, y, "N")
         return _lift(y[:, 0], 1, self.n) / math.sqrt(2.0)
 
 
@@ -384,12 +376,5 @@ def even_basis(col) -> EvenBasis:
     column checks as eig_extreme.
     """
     col = _checked_col(col)
-    n = len(col)
-    M = _half_matrix(col, 1)
-    k = M.shape[0]
-    if k == 1:
-        return EvenBasis(values=M[0].copy(), vectors=np.ones((1, 1)), reflectors=M,
-                         tau=np.empty(0), n=n)
-    c, d, e, tau = _reduce(M)
-    values, vectors = _tridiagonal_pairs(d, e, 1, k)
-    return EvenBasis(values=values, vectors=vectors, reflectors=c, tau=tau, n=n)
+    values, vectors, c, tau = _half_pairs(_half_matrix(col, 1), ends=False)
+    return EvenBasis(values=values, vectors=vectors, reflectors=c, tau=tau, n=len(col))

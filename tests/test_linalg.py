@@ -11,49 +11,13 @@ import scipy.linalg
 from fraclap.discretize import Grid, assemble_classical, assemble_fractional
 from fraclap import linalg
 from fraclap.linalg import PCG_MIN_N, SolveError, eig_extreme, even_basis, toeplitz_solve
-from oracles import (
-    CgResult,
-    cg_solve,
-    direct_toeplitz_product,
-    eig_full_jacobi,
-    refined_toeplitz_solve,
-)
+from oracles import direct_toeplitz_product, eig_full_jacobi, refined_toeplitz_solve
 
 
 def random_spd(n, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, n))
     return B.T @ B + np.eye(n)
-
-
-class TestCg:
-    def test_agrees_with_a_direct_solve_on_random_systems(self):
-        for seed in range(50):
-            A = random_spd(12, seed)
-            b = np.random.default_rng(1000 + seed).standard_normal(12)
-            direct = scipy.linalg.solve(A, b, assume_a="pos")
-            result = cg_solve(A, b, tol=1e-10)
-            assert result.converged
-            gap = np.linalg.norm(result.x - direct) / np.linalg.norm(direct)
-            assert gap <= 1e-8
-
-    def test_zero_rhs(self):
-        result = cg_solve(random_spd(6, 0), np.zeros(6), tol=1e-10)
-        assert result.converged and np.all(result.x == 0.0)
-
-    def test_reports_nonconvergence(self):
-        A = random_spd(30, 5)
-        b = np.ones(30)
-        result = cg_solve(A, b, tol=1e-14, max_iter=2)
-        assert isinstance(result, CgResult)
-        assert not result.converged
-        assert result.iterations == 2
-        assert np.all(np.isfinite(result.x))
-        assert result.residual > 0.0
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            cg_solve(random_spd(4, 0), np.ones(4), tol=0.0)
 
 
 def random_spd_toeplitz(n, seed):
@@ -258,6 +222,29 @@ class TestEvenBasis:
     def test_rejects_what_eig_extreme_rejects(self, col):
         with pytest.raises(ValueError):
             even_basis(np.asarray(col))
+
+
+class TestOneReductionPerHalf:
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64])
+    def test_lapack_calls(self, n, monkeypatch):
+        # Halves of order 1 (n = 2, and the odd half at n = 3) take the same calls.
+        calls = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        lapack = linalg.scipy.linalg.lapack
+        for name in ("dsytrd", "dstemr"):
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        col = random_spd_toeplitz(n, n)
+        eig_extreme(col)
+        assert calls.count("dsytrd") == 2 and calls.count("dstemr") <= 4
+        calls.clear()
+        even_basis(col)
+        assert calls == ["dsytrd", "dstemr"]
 
 
 class TestLapackWrappers:
@@ -489,11 +476,13 @@ class TestToeplitzSolve:
         with pytest.raises(SolveError):
             toeplitz_solve(col, np.ones(PCG_MIN_N))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [PCG_MIN_N - 1, PCG_MIN_N])
-    def test_non_finite_right_hand_side(self, n):
+    def test_non_finite_right_hand_side(self, n, bad):
+        # Both paths refuse b before solving, with the same message.
         b = np.ones(n)
-        b[n // 2] = np.nan
-        with pytest.raises(SolveError):
+        b[n // 2] = bad
+        with pytest.raises(SolveError, match="^right-hand side is not finite$"):
             toeplitz_solve(_toeplitz_operator(0.5, n).col, b)
 
     @pytest.mark.parametrize("path", SOLVERS)
