@@ -10,13 +10,16 @@ first column.  A symmetric Toeplitz matrix is centrosymmetric, so its
 eigenvectors split into even and odd ones, each the eigenvectors of a
 symmetric half matrix of order about n/2 (Cantoni & Butler, Linear
 Algebra Appl. 13, 1976).  One routine, _half_pairs, reduces a half to
-tridiagonal form once (LAPACK dsytrd) and takes its pairs from dstemr:
-the two at each end for eig_extreme, which maps their vectors back by
-dormqr and merges the four ends on each side, and every pair for
-even_basis, whose basis the gradient iteration of fraclap.control applies
-to one vector at a time.  No n x n matrix is formed; the two reductions
-cost a quarter of the flops of one reduction of the full matrix.  A half
-of order 1 takes the same calls but dormqr, which _apply_q skips.
+tridiagonal form once (LAPACK dsytrd, with block size 4 up to order
+SMALL_BLOCK_MAX_K, so that no BLAS worker thread wakes and then spins
+on through the single-threaded work that follows) and takes its pairs
+from dstemr: the two at each end for eig_extreme, which maps their
+vectors back by dormqr and merges the four ends on each side, and every
+pair for even_basis, whose basis the gradient iteration of
+fraclap.control applies to one vector at a time.  No n x n matrix is
+formed; the two reductions cost a quarter of the flops of one reduction
+of the full matrix.  A half of order 1 takes the same calls but dormqr,
+which _apply_q skips.
 """
 
 import math
@@ -34,8 +37,8 @@ class SolveError(Exception):
     """A Toeplitz solve failed.
 
     Levinson met a singular leading minor, conjugate gradients broke down or
-    reached its iteration cap, the right-hand side or the result is not
-    finite, or the backward error is too large.
+    reached its iteration cap, the first column, the right-hand side or the
+    result is not finite, or the backward error is too large.
     """
 
 
@@ -52,6 +55,11 @@ PCG_BAND = 16
 # iterations; assembled operators up to n = 65536 take at most 18.
 PCG_RTOL = 1e-14
 PCG_MAX_ITER = 200
+# Largest half order that dsytrd reduces with block size 4 (workspace 4k) instead of the
+# queried block of 32: with that block scipy-openblas splits the updates over its threads
+# from order 65 up, and the woken worker threads spin on through whatever runs next.
+# From order 201 dsymv threads whatever the block, so the queried workspace stays there.
+SMALL_BLOCK_MAX_K = 200
 
 
 def _smooth_length(n: int) -> int:
@@ -136,8 +144,9 @@ def toeplitz_solve(col, b) -> np.ndarray:
     O(n log n) per iteration).  The result must be finite with a normwise
     backward error at most BACKWARD_ERROR_TOL, taking
     ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from toeplitz_product;
-    otherwise SolveError, as for a b that is not finite on either path.  A b
-    whose shape is not col's raises ValueError.
+    otherwise SolveError, as for a col or a b that is not finite, which both
+    paths refuse before scaling.  A b whose shape is not col's raises
+    ValueError.
 
     col and b are first scaled exactly, by powers of two, to unit scale, so
     that neither the preconditioner nor the check's bound underflows; x is
@@ -147,6 +156,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != col.shape:
         raise ValueError(f"expected right-hand side of shape {col.shape}, got {b.shape}")
+    if not np.all(np.isfinite(col)):
+        raise SolveError("first column is not finite")
     if not np.all(np.isfinite(b)):
         raise SolveError("right-hand side is not finite")
     e_col = int(np.frexp(np.abs(col).max(initial=0.0))[1])
@@ -229,14 +240,17 @@ def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
 def _half_pairs(M: np.ndarray, ends: bool):
     """Eigenvalues of symmetric M, with the eigenvectors of its tridiagonal form and its reflectors.
 
-    M = Q T Q^T by one LAPACK dsytrd (blocked, with the queried workspace);
-    dstemr then takes every pair of T, or with ends set the two pairs at each
-    end of T, every pair once when the order is below 5.  Returns the values
-    in ascending order within each range, T's eigenvectors as columns, and
-    the reflectors c and tau that hold Q (_apply_q maps the vectors back).
+    M = Q T Q^T by one LAPACK dsytrd: with block size 4 (workspace 4k) up to
+    order SMALL_BLOCK_MAX_K, so that no BLAS worker thread wakes and then
+    spins, and with the queried workspace above it; below order 33 dsytrd
+    runs unblocked either way.  dstemr then takes every pair of T, or with
+    ends set the two pairs at each end of T, every pair once when the
+    order is below 5.  Returns the values in ascending order within each
+    range, T's eigenvectors as columns, and the reflectors c and tau that
+    hold Q (_apply_q maps the vectors back).
     """
     k = M.shape[0]
-    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(k, lower=1)
+    lwork = 4 * k if k <= SMALL_BLOCK_MAX_K else scipy.linalg.lapack.dsytrd_lwork(k, lower=1)[0]
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
     _check_lapack("dsytrd", info)
     ranges = [(1, 2), (k - 1, k)] if ends and k > 4 else [(1, k)]

@@ -1,7 +1,10 @@
 import functools
+import glob
 import inspect
 import math
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +249,77 @@ class TestOneReductionPerHalf:
         even_basis(col)
         assert calls == ["dsytrd", "dstemr"]
 
+    # Block size 4 (workspace 4k) up to order 200; the queried workspace above.
+    @pytest.mark.parametrize("k, block4", [(33, True), (64, True), (128, True), (200, True),
+                                           (201, False), (256, False)])
+    def test_dsytrd_workspace(self, k, block4, monkeypatch):
+        lapack = linalg.scipy.linalg.lapack
+        original, lworks = lapack.dsytrd, []
+
+        def recorded(M, **kwargs):
+            lworks.append(kwargs["lwork"])
+            return original(M, **kwargs)
+
+        monkeypatch.setattr(lapack, "dsytrd", recorded)
+        even_basis(random_spd_toeplitz(2 * k, k))
+        assert lworks == [4 * k if block4 else int(lapack.dsytrd_lwork(k, lower=1)[0])]
+
+    # dsytrd runs unblocked below order 33 whatever the workspace.
+    @pytest.mark.parametrize("k", [1, 2, 16, 32, 201, 256])
+    def test_same_bits_as_the_queried_workspace(self, k, monkeypatch):
+        col = random_spd_toeplitz(2 * k, k)  # both halves of order k
+
+        def arrays():
+            pairs, basis = eig_extreme(col), even_basis(col)
+            return [np.asarray(getattr(pair, name)) for pair in (pairs.bottom, pairs.top)
+                    for name in ("value", "vector", "residual", "gap")] + \
+                [basis.values, basis.vectors, basis.reflectors, basis.tau]
+
+        ours = arrays()
+        lapack = linalg.scipy.linalg.lapack
+        original = lapack.dsytrd
+        monkeypatch.setattr(lapack, "dsytrd", lambda M, lower, lwork: original(
+            M, lower=lower, lwork=int(lapack.dsytrd_lwork(M.shape[0], lower=lower)[0])))
+        assert all(np.array_equal(a, b) for a, b in zip(ours, arrays(), strict=True))
+
+
+def _other_threads_cpu_s():
+    """CPU seconds used so far by this process's threads other than the main one."""
+    total = 0
+    for path in glob.glob("/proc/self/task/*/stat"):
+        if int(path.split("/")[-2]) == os.getpid():
+            continue
+        try:
+            with open(path) as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread exited
+            continue
+        total += int(fields[11]) + int(fields[12])  # utime, stime in clock ticks
+    return total / os.sysconf("SC_CLK_TCK")
+
+
+def _scipy_blas_name():
+    config = getattr(scipy.__config__, "CONFIG", {})
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name")
+
+
+class TestNoIdleBlasWorker:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc and at least 2 CPUs")
+    @pytest.mark.skipif(_scipy_blas_name() != "scipy-openblas",
+                        reason="OpenBLAS's thread thresholds were measured on scipy-openblas")
+    def test_half_reductions_leave_no_spinning_worker(self):
+        # With the queried block of 32, the halves of order 128 and 200 wake an OpenBLAS
+        # worker, which spins on through the busy wait: 50-60 ms on other threads.
+        time.sleep(0.5)  # let workers woken by earlier tests go back to sleep
+        before = _other_threads_cpu_s()
+        eig_extreme(_assemble(256, 0.5).col)
+        even_basis(_assemble(400, 0.5).col)
+        end = time.perf_counter() + 0.1
+        while time.perf_counter() < end:
+            pass
+        assert _other_threads_cpu_s() - before <= 0.01
+
 
 class TestLapackWrappers:
     def test_every_wrapper_that_linalg_calls_exists(self):
@@ -484,6 +558,15 @@ class TestToeplitzSolve:
         b[n // 2] = bad
         with pytest.raises(SolveError, match="^right-hand side is not finite$"):
             toeplitz_solve(_toeplitz_operator(0.5, n).col, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [PCG_MIN_N - 1, PCG_MIN_N])
+    def test_non_finite_first_column(self, n, bad):
+        # Both paths refuse col before scaling it, with the same message.
+        col = _toeplitz_operator(0.5, n).col.copy()
+        col[3] = bad
+        with pytest.raises(SolveError, match="^first column is not finite$"):
+            toeplitz_solve(col, np.ones(n))
 
     @pytest.mark.parametrize("path", SOLVERS)
     @pytest.mark.parametrize("b_exp, col_exp", [(600, 0), (0, -900), (-900, 0), (600, 600)])
