@@ -29,9 +29,10 @@ from .linalg import FactorizationError
 
 _EPS = float(np.finfo(float).eps)
 
-# pgd_solve's Armijo trial lengths 4 step, 2 step and step: it tabulates their
-# sums before the loop and the rest when a trial first reaches them.  A run
-# stops after PGD_MAX_ITER iterations, not converged.
+# pgd_solve builds the rows of its Armijo trial lengths once, before the loop.
+# Each iteration sums those of the first three, 4 step, 2 step and step, in one
+# product, and a shorter trial's only when the search reaches it.  A run stops
+# after PGD_MAX_ITER iterations, not converged.
 _PGD_TABULATED = 3
 PGD_MAX_ITER = 200_000
 
@@ -164,9 +165,10 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     number the loop decides on is a weighted sum of w = c^2: ||d||^2 is
     sum F^2 w, the trial cost 1/2 rho^2 sum q F^2 w, and the step
     ||rho d - c||^2 is sum (rho F - 1)^2 w.  So the loop keeps w in place
-    of c and computes the sums of all tabulated trial lengths with one
-    matrix-vector product.  It recovers the signs of c at the end, from the
-    start's signs and the parity of how often each F was applied.
+    of c.  The rows of every trial length, down to the first below the
+    floor, are built once before the loop, and one matrix-vector product
+    gives the sums of the first _PGD_TABULATED.  The signs of c come from
+    the start's signs and the parity of how often each F was applied.
 
     w is kept at unit scale, and a float tau carries the h-norm:
     ||f||_h = tau sqrt(sum w).  The loop's norms then neither underflow nor
@@ -200,24 +202,22 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     step = _step(op, cfg.mu)
     first, floor = 4.0 * step, 1e-12 * step
 
-    # Trial m has length first * 2**-m.  Its rows are F^2, q F^2, G and G^2, and
+    # Trial m has length first * 2**-m, down to the first below floor, which the
+    # search takes whatever the cost.  Its rows are F^2, q F^2, G and G^2, and
     # applied[m] counts how often its F multiplied the coefficients.
-    F, F_ref, F2, rows, applied = [], [], [], [], []
+    t = first * 0.5 ** np.arange(math.ceil(math.log2(first / floor)) + 1)
+    F, F_ref = 1.0 - t[:, None] * q, 1.0 - t * q_ref
+    G = F - F_ref[:, None]
+    # Lists, as the loop indexes them: indexing an array would make a new view.
+    rows = list(np.stack([F * F, q * F * F, G, G * G], axis=1))
+    F2, F_ref, applied = [r[0] for r in rows], F_ref.tolist(), [0] * len(t)
+    tabulated = _PGD_TABULATED
+    # Rows 0 and 1 of the product give sum w and 2 J / tau^2.
+    dot = np.vstack([np.ones(len(q)), q, *rows[:tabulated]]).dot
 
-    def tabulate(m):
-        while len(F) <= m:
-            t = first * 0.5 ** len(F)
-            Fm, F_ref_m = 1.0 - t * q, 1.0 - t * q_ref
-            Gm = Fm - F_ref_m
-            F.append(Fm)
-            F_ref.append(F_ref_m)
-            rows.append(np.vstack([Fm * Fm, q * Fm * Fm, Gm, Gm * Gm]))
-            F2.append(rows[-1][0])
-            applied.append(0)
+    def coefficients():  # c: the start's signs, flipped by each F applied an odd number of times
+        return np.sign(g) * np.sign(F[np.array(applied) % 2 == 1]).prod(axis=0) * np.sqrt(w)
 
-    tabulate(_PGD_TABULATED - 1)
-    tabulated = len(F)
-    dot = np.vstack([np.ones(len(q)), q] + rows).dot  # rows 0 and 1 give sum w and 2 J / tau^2
     sqrt = math.sqrt
     # Relative rounding bound of a sum of len(q) one-signed products of rounded rows.
     cancel = (len(q) + 4) * _EPS
@@ -231,11 +231,10 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
             if m < tabulated:
                 s1, s2, t1, t2 = sums[4 * m + 2:4 * m + 6]
             else:
-                tabulate(m)
                 s1, s2, t1, t2 = rows[m].dot(w).tolist()
             restart = s1 == 0.0 and a > 0.0
             if restart:  # d = 0 projects to the constant direction on the inner sphere
-                c = _pgd_signs(g, F, applied) * np.sqrt(w)
+                c = coefficients()
                 rho = a / tau
                 e = float(np.square(rho * g - c).sum())
                 J_new = 0.5 * rho * rho * float(q.dot(g2))
@@ -272,18 +271,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
         if pg_res <= tol:
             break
 
-    c = _pgd_signs(g, F, applied) * np.sqrt(w)
-    return _pgd_result(op, cfg, _sign_normalize(basis.nodal(c * (tau / math.sqrt(h)))),
-                       pg_res, it)
-
-
-def _pgd_signs(g: np.ndarray, F: list, applied: list) -> np.ndarray:
-    """Signs of the coefficients: those of the start g, flipped by each F applied an odd number of times."""
-    sign = np.sign(g)
-    for Fm, count in zip(F, applied):
-        if count % 2:
-            sign *= np.sign(Fm)
-    return sign
+    f = basis.nodal(coefficients() * (tau / math.sqrt(h)))
+    return _pgd_result(op, cfg, _sign_normalize(f), pg_res, it)
 
 
 def _pgd_result(op: Operator, cfg: ControlConfig, f: GridFunction, pg_res: float,

@@ -169,11 +169,18 @@ def assemble_fractional(grid: Grid, s: float) -> Operator:
 
     Diagonal entries keep the full weight sum (including the tail), which is
     exactly the exterior mass of the zero extension; off-diagonals are the
-    negated weights indexed by node distance.
+    negated weights indexed by node distance.  A diagonal that overflows
+    raises OverflowError naming the spacing, as the weights do.
     """
     sw = stencil_weights(s, grid.h, grid.n)
+    # The diagonal, twice the sum of the nonnegative weights, bounds every entry.
+    # On a tiny spacing the weights can be finite and the diagonal not.
+    with np.errstate(over="ignore"):
+        diag = 2.0 * (sw.w.sum() + sw.tail)
+    if not math.isfinite(diag):
+        raise OverflowError(f"the diagonal overflows at grid spacing h={grid.h:.3e}, s={s}")
     # First column of the Toeplitz matrix: [diag, -w_1, ..., -w_{n-1}].
-    col = np.concatenate(([2.0 * (sw.w.sum() + sw.tail)], -sw.w[: grid.n - 1]))
+    col = np.concatenate(([diag], -sw.w[: grid.n - 1]))
     return Operator(kind="fractional", s=float(s), col=col, grid=grid)
 
 

@@ -42,21 +42,6 @@ def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
     return ForwardSolution(u=u, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
 
 
-def maximum_principle_check(op: Operator, f: GridFunction):
-    """Whether f >= 0 yields u >= 0 entrywise; None when f has mixed signs.
-
-    Must hold for every operator assembled here: the matrices are
-    irreducible M-matrices, whose inverses are nonnegative.
-    """
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0.0):
-        return None
-    u = op.solve(f)
-    # Round-off slack scaled by the solution size.
-    floor = -1e-12 * max(1.0, float(np.abs(u).max()))
-    return bool(np.all(u >= floor))
-
-
 def poincare_constant(op: Operator) -> float:
     """Smallest constant with ||u||_h^2 <= C <A u, u>_h on the grid: 1/lambda_min."""
     return 1.0 / op.bottom_pair.value

@@ -21,9 +21,8 @@ from .discretize import (
     assemble_fractional,
     inner_product_h,
     norm_h,
-    quadratic_form,
 )
-from .forward import poincare_constant, solve_poisson
+from .forward import poincare_constant
 
 
 class SweepError(RuntimeError):
@@ -114,63 +113,6 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
         J_star_classical=ref.J_star,
         f_star_classical=ref.f_star,
     )
-
-
-@dataclass(frozen=True)
-class StateConvergenceRow:
-    s: float
-    dist_u: float
-    seminorm_gap: float
-
-
-@dataclass(frozen=True)
-class StateConvergenceReport:
-    rows: list[StateConvergenceRow]
-    seminorm_classical: float
-    u_norm_classical: float
-
-
-def state_convergence_check(grid: Grid, f: GridFunction, s_list) -> StateConvergenceReport:
-    """Distance of order-s states to the classical state for a fixed right-hand side."""
-    s_list = validate_s_list(s_list)
-    f = np.asarray(f, dtype=float)
-    ref = solve_poisson(assemble_classical(grid), f)
-    rows = []
-    for s in s_list:
-        sol = solve_poisson(assemble_fractional(grid, s), f)
-        rows.append(StateConvergenceRow(
-            s=s,
-            dist_u=norm_h(sol.u - ref.u, grid),
-            seminorm_gap=abs(sol.seminorm_sq - ref.seminorm_sq),
-        ))
-    return StateConvergenceReport(rows=rows, seminorm_classical=ref.seminorm_sq,
-                                  u_norm_classical=ref.l2_norm_u)
-
-
-@dataclass(frozen=True)
-class BbmRow:
-    s: float
-    energy: float
-
-
-@dataclass(frozen=True)
-class BbmReport:
-    rows: list[BbmRow]
-    energy_classical: float
-
-
-def bbm_limit_check(grid: Grid, v: GridFunction, s_list) -> BbmReport:
-    """Weighted fractional energy of a fixed function along the ladder.
-
-    The values approach the classical Dirichlet energy <A_1 v, v>_h as
-    s -> 1-, for any v with square-integrable gradient.
-    """
-    s_list = validate_s_list(s_list)
-    v = np.asarray(v, dtype=float)
-    ref = quadratic_form(assemble_classical(grid), v)
-    rows = [BbmRow(s=s, energy=quadratic_form(assemble_fractional(grid, s), v))
-            for s in s_list]
-    return BbmReport(rows=rows, energy_classical=ref)
 
 
 @dataclass(frozen=True)

@@ -574,6 +574,19 @@ class TestMain:
                        f"h=5.882e-202{named[1]}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("subcommand", ["solve", "control"])
+    def test_overflowing_diagonal_exits_numerical(self, subcommand, tmp_path, capsys):
+        # The weights are finite on (0, 1e-153) at s = 0.999, their doubled sum is not.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e-153\nn = 16\ns = 0.999\n")
+        out_dir = tmp_path / "out"
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert err == ("numerical failure: the diagonal overflows at grid spacing "
+                       "h=5.882e-155, s=0.999\n")
+        assert out == "" and not out_dir.exists()
+
     def test_control_on_a_tiny_spacing_is_finite_or_fails_cleanly(self, tmp_path, capsys):
         # Entries near 1e201 at s = 0.5: the eigen residual's squares overflow, its norm need not.
         cfg_path = tmp_path / "run.cfg"

@@ -180,6 +180,15 @@ class TestPgd:
         r = pgd_solve(op, cfg)
         assert norm_h(r.f_star, op.grid) == pytest.approx(1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_search_down_to_the_floor(self, s):
+        # At tol = 1e-12 on n = 16 the search reaches its last trial, the first
+        # below 1e-12 step, which it takes whatever the cost (measured).
+        op = make_op(n=16, s=s)
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-12)
+        r = pgd_solve(op, cfg)
+        assert r.converged and r.J_star >= eigen_solve_control(op, cfg).J_star - 1e-12
+
     def test_agrees_with_direct_solver_or_flags_gap(self):
         op = make_op(n=64, s=0.5)
         direct = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-10))

@@ -165,6 +165,14 @@ class TestFractionalOperator:
         assert op.matrix is op.matrix
         assert np.array_equal(op.matrix[:, 0], op.col)
 
+    def test_overflowing_diagonal_names_the_spacing(self):
+        # Every weight is finite (w_1 = 1.42e308), but twice their sum is not.
+        g = Grid(0.0, 1e-153, 16)
+        assert np.all(np.isfinite(stencil_weights(0.999, g.h, 16).w))
+        with pytest.raises(OverflowError, match=re.escape(f"the diagonal overflows at grid "
+                                                          f"spacing h={g.h:.3e}, s=0.999")):
+            assemble_fractional(g, 0.999)
+
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.integers(min_value=3, max_value=24))
     @settings(max_examples=100, deadline=None)

@@ -12,7 +12,7 @@ from fraclap.discretize import (
     norm_h,
     quadratic_form,
 )
-from fraclap.forward import maximum_principle_check, poincare_constant, solve_poisson
+from fraclap.forward import poincare_constant, solve_poisson
 from oracles import unit_rhs_exact_state
 
 
@@ -91,33 +91,33 @@ class TestSolvePoisson:
                                                           f"spacing h={g.h:.3e}: {named}")):
             solve_poisson(assemble_fractional(g, 0.5), np.ones(16))
 
+def assert_nonnegative_state(op, f):
+    # Criterion 7's round-off floor, scaled by the state's size.
+    u = op.solve(f)
+    assert np.all(u >= -1e-12 * max(1.0, float(np.abs(u).max())))
+
+
 class TestMaximumPrinciple:
-    def test_unit_load(self):
-        g = Grid(-1.0, 1.0, 64)
-        for s in (0.2, 0.5, 0.8):
-            assert maximum_principle_check(assemble_fractional(g, s), np.ones(64)) is True
+    """f >= 0 gives u >= 0: every assembled operator is an irreducible M-matrix."""
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+    def test_unit_load(self, s):
+        assert_nonnegative_state(assemble_fractional(Grid(-1.0, 1.0, 64), s), np.ones(64))
 
     def test_point_mass_spreads_positively(self):
         g = Grid(-1.0, 1.0, 65)
         op = assemble_fractional(g, 0.5)
         f = np.zeros(65)
         f[32] = 1.0
-        assert maximum_principle_check(op, f) is True
+        assert_nonnegative_state(op, f)
         u = solve_poisson(op, f).u
         assert np.all(u > 0.0)  # the inverse of the operator is positive
 
     def test_builds_no_dense_matrix_with_solve_poisson(self, dense_matrices):
         op = assemble_fractional(Grid(-1.0, 1.0, 64), 0.5)
         solve_poisson(op, np.ones(64))
-        assert maximum_principle_check(op, np.ones(64)) is True
+        assert_nonnegative_state(op, np.ones(64))
         assert dense_matrices == []
-
-    def test_mixed_signs_skipped(self):
-        g = Grid(-1.0, 1.0, 16)
-        op = assemble_classical(g)
-        f = np.ones(16)
-        f[3] = -1.0
-        assert maximum_principle_check(op, f) is None
 
 
 class TestPoincare:

@@ -8,15 +8,20 @@ import pytest
 
 import fraclap.linalg
 from fraclap.control import ControlConfig, eigen_solve_control
-from fraclap.discretize import Grid, assemble_classical, norm_h
+from fraclap.discretize import (
+    Grid,
+    assemble_classical,
+    assemble_fractional,
+    norm_h,
+    quadratic_form,
+)
+from fraclap.forward import solve_poisson
 from fraclap.limitlab import (
     SweepError,
-    bbm_limit_check,
     default_s_ladder,
     liminf_check,
     recovery_sequence_check,
     run_sweep,
-    state_convergence_check,
 )
 
 CONTROL = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-9)
@@ -85,53 +90,54 @@ class TestRunSweep:
             run_sweep(Grid(-1.0, 1.0, 16), [0.9, 0.5], CONTROL)
 
 
-class TestStateConvergence:
+class TestStateLimit:
+    """The state of a fixed load approaches the classical state as s -> 1-."""
+
     def test_unit_load_approaches_classical(self):
         n = 512
         grid = Grid(-1.0, 1.0, n)
-        report = state_convergence_check(grid, np.ones(n), [0.9, 0.99, 0.999])
-        dist = [r.dist_u for r in report.rows]
-        gaps = [r.seminorm_gap for r in report.rows]
+        ref = solve_poisson(assemble_classical(grid), np.ones(n))
+        sols = [solve_poisson(assemble_fractional(grid, s), np.ones(n))
+                for s in (0.9, 0.99, 0.999)]
+        dist = [norm_h(sol.u - ref.u, grid) for sol in sols]
+        gaps = [abs(sol.seminorm_sq - ref.seminorm_sq) for sol in sols]
         assert all(d1 > d2 for d1, d2 in zip(dist, dist[1:]))
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-        assert dist[-1] <= 0.01 * report.u_norm_classical
-        assert gaps[-1] <= 0.03 * report.seminorm_classical
-
-    def test_zero_load_gives_zero_rows(self):
-        grid = Grid(-1.0, 1.0, 32)
-        report = state_convergence_check(grid, np.zeros(32), [0.5, 0.9])
-        assert all(r.dist_u == 0.0 and r.seminorm_gap == 0.0 for r in report.rows)
+        assert dist[-1] <= 0.01 * ref.l2_norm_u
+        assert gaps[-1] <= 0.03 * ref.seminorm_sq
 
 
-class TestBbmLimit:
+class TestEnergyLimit:
+    """The fractional energy <A_s v, v>_h approaches the classical <A_1 v, v>_h as s -> 1-."""
+
+    @staticmethod
+    def energies(grid, v):
+        return (quadratic_form(assemble_classical(grid), v),
+                [quadratic_form(assemble_fractional(grid, s), v) for s in (0.9, 0.99, 0.999)])
+
     def test_parabola_energy(self):
-        n = 1024
-        grid = Grid(-1.0, 1.0, n)
-        v = 1.0 - grid.nodes() ** 2
-        report = bbm_limit_check(grid, v, [0.9, 0.99, 0.999])
+        grid = Grid(-1.0, 1.0, 1024)
+        classical, energies = self.energies(grid, 1.0 - grid.nodes() ** 2)
         target = 8.0 / 3.0
-        assert report.energy_classical == pytest.approx(target, rel=0.01)
-        gaps = [abs(r.energy - target) for r in report.rows]
+        assert classical == pytest.approx(target, rel=0.01)
+        gaps = [abs(e - target) for e in energies]
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 0.03 * target
 
     def test_zero_function(self):
         grid = Grid(-1.0, 1.0, 64)
-        report = bbm_limit_check(grid, np.zeros(64), [0.5, 0.9])
-        assert all(r.energy == 0.0 for r in report.rows)
+        for s in (0.5, 0.9):
+            assert quadratic_form(assemble_fractional(grid, s), np.zeros(64)) == 0.0
 
     def test_lipschitz_kink(self):
         # The tent 1 - |x| has derivative of modulus 1 a.e., so the
         # classical energy is 2; a kink is fine for the limit.
-        n = 1024
-        grid = Grid(-1.0, 1.0, n)
-        x = grid.nodes()
-        v = 1.0 - np.abs(x)
-        report = bbm_limit_check(grid, v, [0.9, 0.99, 0.999])
-        gaps = [abs(r.energy - report.energy_classical) for r in report.rows]
-        assert report.energy_classical == pytest.approx(2.0, rel=0.01)
+        grid = Grid(-1.0, 1.0, 1024)
+        classical, energies = self.energies(grid, 1.0 - np.abs(grid.nodes()))
+        gaps = [abs(e - classical) for e in energies]
+        assert classical == pytest.approx(2.0, rel=0.01)
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= 0.03 * report.energy_classical
+        assert gaps[-1] <= 0.03 * classical
 
 
 class TestRecovery:
