@@ -211,6 +211,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     # Lists, as the loop indexes them: indexing an array would make a new view.
     rows = list(np.stack([F * F, q * F * F, G, G * G], axis=1))
     F2, F_ref, applied = [r[0] for r in rows], F_ref.tolist(), [0] * len(t)
+    # Each trial's length and Armijo coefficient; the last trial is the first below floor.
+    lengths, armijo, last = t.tolist(), (1e-4 / np.maximum(t, 1e-300)).tolist(), len(t) - 1
     tabulated = _PGD_TABULATED
     # Rows 0 and 1 of the product give sum w and 2 J / tau^2.
     dot = np.vstack([np.ones(len(q)), q, *rows[:tabulated]]).dot
@@ -225,7 +227,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     for it in range(1, PGD_MAX_ITER + 1):
         sums = dot(w).tolist()
         s0, J = sums[0], 0.5 * sums[1]
-        used, m = first, 0
+        m = 0
         # Costs and squared steps below are in units of tau^2.
         while True:
             if m < tabulated:
@@ -250,11 +252,10 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
                 if cancel * mag + 2.0 * _EPS * abs(x) > 1e-8 * e:
                     e = float(np.square(rho * F[m] - 1.0).dot(w))
                 J_new = 0.5 * rho * rho * s2
-            if J_new <= J - 1e-4 / max(used, 1e-300) * e or used < floor:
+            if J_new <= J - armijo[m] * e or m == last:
                 break
-            used *= 0.5
             m += 1
-        pg_res = tau * sqrt(e) / used
+        pg_res = tau * sqrt(e) / lengths[m]
         if restart:
             w, tau = g2.copy(), a
             applied[:] = [0] * len(applied)
