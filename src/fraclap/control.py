@@ -30,10 +30,15 @@ from .linalg import FactorizationError
 _EPS = float(np.finfo(float).eps)
 
 # pgd_solve builds the rows of its Armijo trial lengths once, before the loop.
-# Each iteration sums those of the first three, 4 step, 2 step and step, in one
-# product, and a shorter trial's only when the search reaches it.  A run stops
+# One product sums those of the first three, 4 step, 2 step and step, and a
+# shorter trial's are summed only when the search reaches it.  A run stops
 # after PGD_MAX_ITER iterations, not converged.
 _PGD_TABULATED = 3
+# The same product also gives those sums up to _PGD_AHEAD trial-0 steps on, so that a
+# run of trial-0 steps, most steps, takes one product and one update of the weights.
+# At n = 128, 3 to 5 measured the same and 8 slower: the product grows with it, and
+# few runs are that long.
+_PGD_AHEAD = 4
 PGD_MAX_ITER = 200_000
 
 
@@ -166,9 +171,17 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     sum F^2 w, the trial cost 1/2 rho^2 sum q F^2 w, and the step
     ||rho d - c||^2 is sum (rho F - 1)^2 w.  So the loop keeps w in place
     of c.  The rows of every trial length, down to the first below the
-    floor, are built once before the loop, and one matrix-vector product
-    gives the sums of the first _PGD_TABULATED.  The signs of c come from
-    the start's signs and the parity of how often each F was applied.
+    floor, are built once before the loop.  Most accepted steps take trial
+    0, the longest, in runs of a few, so the rows of the first
+    _PGD_TABULATED are also stacked times F_0^2j for j up to _PGD_AHEAD:
+    one matrix-vector product at w gives the sums at w and at each of the
+    next _PGD_AHEAD iterates along trial 0.  Through a run of trial-0 steps
+    the loop reads its sums from that one product and lets w lag behind.
+    w catches up, in one multiplication by a tabulated product of F^2, when
+    another trial is accepted, when _PGD_AHEAD steps are pending, at a
+    renormalization, before a restart, a trial past the tabulated ones or a
+    step summed elementwise, and at the end.  The signs of c come from the
+    start's signs and the parity of how often each F was applied.
 
     w is kept at unit scale, and a float tau carries the h-norm:
     ||f||_h = tau sqrt(sum w).  The loop's norms then neither underflow nor
@@ -213,11 +226,27 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     F2, F_ref, applied = [r[0] for r in rows], F_ref.tolist(), [0] * len(t)
     # Each trial's length and Armijo coefficient; the last trial is the first below floor.
     lengths, armijo, last = t.tolist(), (1e-4 / np.maximum(t, 1e-300)).tolist(), len(t) - 1
-    tabulated = _PGD_TABULATED
-    # Rows 0 and 1 of the product give sum w and 2 J / tau^2.
-    dot = np.vstack([np.ones(len(q)), q, *rows[:tabulated]]).dot
+    tabulated, ahead = _PGD_TABULATED, _PGD_AHEAD
+    # Rows 0 and 1 of a block give sum w and 2 J / tau^2.  Block j holds the rows times
+    # F2[0]^j: it gives the sums j trial-0 steps on from w.
+    power = F2[0] ** np.arange(ahead + 1)[:, None]
+    block = np.vstack([np.ones(len(q)), q, *rows[:tabulated]])
+    width = len(block)
+    dot = (power[:, None] * block).reshape(-1, len(q)).dot
+    # w lags the iterate by `pending` trial-0 steps, which sums, the product at w, already
+    # holds; sums is None once w has moved since the product.  steps[m][p] applies p
+    # pending steps and an accepted trial m at once.
+    steps = [list(F2[m] * power) for m in range(tabulated)]
+    power, pending, sums = list(power), 0, None
+
+    def catch_up():  # apply the pending steps to w
+        nonlocal w, pending, sums
+        if pending:
+            w *= power[pending]
+            pending, sums = 0, None
 
     def coefficients():  # c: the start's signs, flipped by each F applied an odd number of times
+        catch_up()
         return np.sign(g) * np.sign(F[np.array(applied) % 2 == 1]).prod(axis=0) * np.sqrt(w)
 
     sqrt = math.sqrt
@@ -225,14 +254,17 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     cancel = (len(q) + 4) * _EPS
 
     for it in range(1, PGD_MAX_ITER + 1):
-        sums = dot(w).tolist()
-        s0, J = sums[0], 0.5 * sums[1]
+        if sums is None:
+            sums = dot(w).tolist()
+        at, o = sums, width * pending  # the sums at the iterate start at o
+        s0, J = at[o], 0.5 * at[o + 1]
         m = 0
         # Costs and squared steps below are in units of tau^2.
         while True:
             if m < tabulated:
-                s1, s2, t1, t2 = sums[4 * m + 2:4 * m + 6]
+                s1, s2, t1, t2 = at[o + 4 * m + 2:o + 4 * m + 6]
             else:
+                catch_up()
                 s1, s2, t1, t2 = rows[m].dot(w).tolist()
             restart = s1 == 0.0 and a > 0.0
             if restart:  # d = 0 projects to the constant direction on the inner sphere
@@ -250,25 +282,31 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
                 # The terms' magnitudes, and alpha's own rounding times de/dalpha = 2x.
                 mag = e - 4.0 * alpha * rho * t1 if alpha > 0.0 else e
                 if cancel * mag + 2.0 * _EPS * abs(x) > 1e-8 * e:
+                    catch_up()
                     e = float(np.square(rho * F[m] - 1.0).dot(w))
                 J_new = 0.5 * rho * rho * s2
             if J_new <= J - armijo[m] * e or m == last:
                 break
             m += 1
         pg_res = tau * sqrt(e) / lengths[m]
-        if restart:
-            w, tau = g2.copy(), a
+        if restart:  # coefficients() has caught w up
+            w, tau, sums = g2.copy(), a, None
             applied[:] = [0] * len(applied)
         else:
-            w *= F2[m]
             tau *= rho
             applied[m] += 1
-            if (it % 32 == 0 or not 1e-20 < s1 < 1e20 or tau > 1e290) and s1 > 0.0:
-                # Renormalize, so that tau stays finite, and flush weights that
-                # would turn subnormal, which slows the product several times over.
-                w /= s1
-                tau *= sqrt(s1)
-                w[w < 1e-200] = 0.0
+            renormalize = (it % 32 == 0 or not 1e-20 < s1 < 1e20 or tau > 1e290) and s1 > 0.0
+            if m == 0 and pending < ahead and not renormalize:
+                pending += 1
+            else:  # w catches up; past the tabulated trials, pending is already 0
+                w *= steps[m][pending] if m < tabulated else F2[m]
+                pending, sums = 0, None
+                if renormalize:
+                    # Renormalize, so that tau stays finite, and flush weights that
+                    # would turn subnormal, which slows the product several times over.
+                    w /= s1
+                    tau *= sqrt(s1)
+                    w[w < 1e-200] = 0.0
         if pg_res <= tol:
             break
 

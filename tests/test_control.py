@@ -315,6 +315,30 @@ class TestPgdMatchesHelperLoop:
         cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6)
         self.assert_same_steps(make_op(n=n, s=s), cfg, 10, monkeypatch)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("s, steps", [(s, k) for s in (0.25, 0.5, 0.75) for k in range(1, 6)]
+                             + [(0.25, 33)])
+    def test_runs_stopped_with_trial_0_steps_pending(self, n, s, steps, monkeypatch):
+        # pgd_solve applies a run of trial-0 steps to its weights only when the run ends, so
+        # a run cut after 1 to 5 iterations can stop with up to 4 steps pending, and the
+        # 32nd iteration's renormalization meets them.  At 33 steps only s = 0.25 still
+        # follows the helpers' path: at s = 0.5 and 0.75 the grad_norms part by 3e-10 and
+        # 2.5e-5 relative, without the lookahead too.
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6)
+        self.assert_same_steps(make_op(n=n, s=s), cfg, steps, monkeypatch)
+
+    @pytest.mark.parametrize("n, s, steps", [(16, 0.5, 10), (64, 0.25, 33)])
+    def test_trials_past_the_table_with_steps_pending(self, n, s, steps, monkeypatch):
+        # A trial past the tabulated ones is summed from the weights themselves, which must
+        # first catch up with the pending trial-0 steps.  With one trial tabulated the search
+        # goes past it with steps pending in the first iterations (measured: at iterations
+        # 6 and 9 at n = 16, and 9, 12, 15 and 18 at n = 64).  The search past the whole
+        # table, down to the floor, comes only at round-off (n = 16, tol = 1e-12, from
+        # iteration 446), where no two roundings take the same steps.
+        monkeypatch.setattr(control, "_PGD_TABULATED", 1)
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6)
+        self.assert_same_steps(make_op(n=n, s=s), cfg, steps, monkeypatch)
+
     @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.0, 1.0), (1.5, 1.5), (1.0, 1e200)])
     def test_first_steps_at_the_bounds(self, a, b, monkeypatch):
         # test_bounds' annuli, step for step.  The two iterates part by about
@@ -356,15 +380,9 @@ class TestPgdMatchesHelperLoop:
         assert r.converged and r.iters <= 3
         assert np.allclose(r.f_star, a / math.sqrt(op.grid.h * 16), rtol=1e-13, atol=0.0)
 
-    def test_step_on_a_mode_other_than_the_reference_mode(self, monkeypatch):
-        # A basis whose coefficients drop the even half's top mode, so that the
-        # constant start has no weight there and the iterate settles on the
-        # next even mode.  The step's sums are expanded about the top mode and
-        # cancel to round-off there long before tol = 1e-12: only the
-        # elementwise sum reaches the reference.  The cost is quadratic in the
-        # distance to that mode and cannot tell; f_star's other coefficients
-        # can (2.7e-11 of its own here, 3.4e-11 for the helper loop, 1.2e-9
-        # when the cancelled sum reads a zero step and stops early).
+    @staticmethod
+    def without_top_mode(monkeypatch):
+        """The operator and config of the runs on a mode other than the reference mode."""
         class WithoutTopMode(linalg.EvenBasis):
             def coefficients(self, v):
                 c = super().coefficients(v)
@@ -374,8 +392,27 @@ class TestPgdMatchesHelperLoop:
         even_basis = linalg.even_basis
         monkeypatch.setattr(linalg, "even_basis",
                             lambda col: WithoutTopMode(**vars(even_basis(col))))
-        op = assemble_classical(Grid(-1.0, 1.0, 8))
-        cfg = ControlConfig(mu=1e-3, a=1.0, b=2.0, tol=1e-12)
+        return assemble_classical(Grid(-1.0, 1.0, 8)), ControlConfig(mu=1e-3, a=1.0, b=2.0,
+                                                                     tol=1e-12)
+
+    def test_elementwise_step_with_steps_pending(self, monkeypatch):
+        # From iteration 27 the step is summed elementwise, from the weights themselves,
+        # which must first catch up with the pending trial-0 steps: at iteration 29 one is
+        # pending (measured).
+        op, cfg = self.without_top_mode(monkeypatch)
+        self.assert_same_steps(op, cfg, 29, monkeypatch)
+
+    def test_step_on_a_mode_other_than_the_reference_mode(self, monkeypatch):
+        # A basis whose coefficients drop the even half's top mode, so that the
+        # constant start has no weight there and the iterate settles on the
+        # next even mode.  The step's sums are expanded about the top mode and
+        # cancel to round-off there long before tol = 1e-12: only the
+        # elementwise sum reaches the reference.  The cost is quadratic in the
+        # distance to that mode and cannot tell; f_star's other coefficients
+        # can (2.7e-11 of its own here, 3.4e-11 for the helper loop, 1.2e-9
+        # when the cancelled sum reads a zero step and stops early).
+        even_basis = linalg.even_basis
+        op, cfg = self.without_top_mode(monkeypatch)
         r = self.assert_close(op, cfg)
         assert r.converged
         basis = even_basis(op.col)
