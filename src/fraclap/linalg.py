@@ -240,18 +240,20 @@ def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
 def _half_pairs(M: np.ndarray, ends: bool):
     """Eigenvalues of symmetric M, with the eigenvectors of its tridiagonal form and its reflectors.
 
-    M = Q T Q^T by one LAPACK dsytrd: with block size 4 (workspace 4k) up to
-    order SMALL_BLOCK_MAX_K, so that no BLAS worker thread wakes and then
-    spins, and with the queried workspace above it; below order 33 dsytrd
-    runs unblocked either way.  dstemr then takes every pair of T, or with
-    ends set the two pairs at each end of T, every pair once when the
-    order is below 5.  Returns the values in ascending order within each
-    range, T's eigenvectors as columns, and the reflectors c and tau that
-    hold Q (_apply_q maps the vectors back).
+    M = Q T Q^T by one LAPACK dsytrd, in place: M's memory then holds the
+    reflectors.  It runs with block size 4 (workspace 4k) up to order
+    SMALL_BLOCK_MAX_K, so that no BLAS worker thread wakes and then spins,
+    and with the queried workspace above it; below order 33 dsytrd runs
+    unblocked either way.  dstemr then takes every pair of T, or with ends
+    set the two pairs at each end of T, every pair once when the order is
+    below 5.  Returns the values in ascending order within each range, T's
+    eigenvectors as columns, and the reflectors c and tau that hold Q
+    (_apply_q maps the vectors back).
     """
     k = M.shape[0]
     lwork = 4 * k if k <= SMALL_BLOCK_MAX_K else scipy.linalg.lapack.dsytrd_lwork(k, lower=1)[0]
-    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M, lower=1, lwork=int(lwork))
+    # M.T is M in Fortran order, which dsytrd can overwrite without a copy.
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M.T, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_lapack("dsytrd", info)
     ranges = [(1, 2), (k - 1, k)] if ends and k > 4 else [(1, k)]
     width = sum(iu - il + 1 for il, iu in ranges)
@@ -263,6 +265,7 @@ def _half_pairs(M: np.ndarray, ends: bool):
         _check_lapack("dstemr", info)
         values[j:j + count], vectors[:, j:j + count] = w[:count], z[:, :count]
         j += count
+        del z  # before the next call allocates its own
     return values, vectors, c, tau
 
 
@@ -320,26 +323,32 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     half of order about n/2 reduced once (_half_pairs), and no n x n matrix.
     The two pairs at each end of each half are merged: the extreme one gives
     the value, the vector lifted to full length (exactly even or exactly
-    odd) and its residual, the next one inwards gives the relative gap.
-    Callers judge each pair with EigenPair.meets(tol).  A col that is not
-    finite or has fewer than 2 entries raises ValueError.
+    odd) and its residual against toeplitz(col) itself, the next one
+    inwards gives the relative gap.  Callers judge each pair with
+    EigenPair.meets(tol).  A col that is not finite or has fewer than 2
+    entries raises ValueError.
+
+    At most two half-order matrices are alive at once: a half matrix, whose
+    memory dsytrd turns into the reflectors, and dstemr's vectors.
     """
     col = _checked_col(col)
     n = len(col)
-    candidates = []  # (value, parity, half vector, residual)
+    candidates = []  # (value, parity, half vector)
     for parity in (1, -1):
-        M = _half_matrix(col, parity)
-        values, vectors, c, tau = _half_pairs(M, ends=True)
+        values, vectors, c, tau = _half_pairs(_half_matrix(col, parity), ends=True)
         _apply_q(c, tau, vectors, "N")
-        # BLAS dnrm2 scales as it sums, so a residual near the top of the double range stays finite.
-        residuals = [float(scipy.linalg.norm(r, check_finite=False))
-                     for r in (M @ vectors - vectors * values).T]
-        candidates += zip(values.tolist(), [parity] * len(values), vectors.T, residuals)
+        del c  # the half matrix's memory, before the next half is built
+        candidates += zip(values.tolist(), [parity] * len(values), vectors.T)
     candidates.sort(key=lambda c: c[0])
+    product = toeplitz_product(col)
 
     def pair(end: int, inward: int) -> EigenPair:
-        lam, parity, z, residual = candidates[end]
+        lam, parity, z = candidates[end]
         v = _lift(z, parity, n)
+        # v is sqrt(2) times as long as z.  BLAS dnrm2 scales as it sums, so a residual
+        # near the top of the double range stays finite.
+        r = product(v) - lam * v
+        residual = float(scipy.linalg.norm(r, check_finite=False)) / math.sqrt(2.0)
         gap = abs(candidates[inward][0] - lam) / abs(lam) if lam != 0.0 else math.inf
         return EigenPair(value=lam, vector=v / math.sqrt(h * float(v @ v)), residual=residual, gap=gap)
 
