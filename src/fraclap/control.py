@@ -175,7 +175,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     0, the longest, in runs of a few, so the rows of the first
     _PGD_TABULATED are also stacked times F_0^2j for j up to _PGD_AHEAD:
     one matrix-vector product at w gives the sums at w and at each of the
-    next _PGD_AHEAD iterates along trial 0.  Through a run of trial-0 steps
+    next _PGD_AHEAD iterates along trial 0, where sum w and the cost are
+    the step's own ||d||^2 and sum q F^2 w.  Through a run of trial-0 steps
     the loop reads its sums from that one product and lets w lag behind.
     w catches up, in one multiplication by a tabulated product of F^2, when
     another trial is accepted, when _PGD_AHEAD steps are pending, at a
@@ -227,12 +228,13 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     # Each trial's length and Armijo coefficient; the last trial is the first below floor.
     lengths, armijo, last = t.tolist(), (1e-4 / np.maximum(t, 1e-300)).tolist(), len(t) - 1
     tabulated, ahead = _PGD_TABULATED, _PGD_AHEAD
-    # Rows 0 and 1 of a block give sum w and 2 J / tau^2.  Block j holds the rows times
-    # F2[0]^j: it gives the sums j trial-0 steps on from w.
+    # Rows 0 and 1 of the product give sum w and 2 J / tau^2.  Then block j holds the
+    # tabulated trials' rows times F2[0]^j: their sums j trial-0 steps on from w.  There
+    # sum w and 2 J / tau^2 are the last step's s1 and s2.
     power = F2[0] ** np.arange(ahead + 1)[:, None]
-    block = np.vstack([np.ones(len(q)), q, *rows[:tabulated]])
+    block = np.vstack(rows[:tabulated])
     width = len(block)
-    dot = (power[:, None] * block).reshape(-1, len(q)).dot
+    dot = np.vstack([np.ones(len(q)), q, *(power[:, None] * block)]).dot
     # w lags the iterate by `pending` trial-0 steps, which sums, the product at w, already
     # holds; sums is None once w has moved since the product.  steps[m][p] applies p
     # pending steps and an accepted trial m at once.
@@ -256,13 +258,16 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     for it in range(1, PGD_MAX_ITER + 1):
         if sums is None:
             sums = dot(w).tolist()
-        at, o = sums, width * pending  # the sums at the iterate start at o
-        s0, J = at[o], 0.5 * at[o + 1]
+        if pending:
+            s0, J = s1, 0.5 * s2
+        else:
+            s0, J = sums[0], 0.5 * sums[1]
+        at, o = sums, 2 + width * pending  # the trials' sums at the iterate start at o
         m = 0
         # Costs and squared steps below are in units of tau^2.
         while True:
             if m < tabulated:
-                s1, s2, t1, t2 = at[o + 4 * m + 2:o + 4 * m + 6]
+                s1, s2, t1, t2 = at[o + 4 * m:o + 4 * m + 4]
             else:
                 catch_up()
                 s1, s2, t1, t2 = rows[m].dot(w).tolist()
