@@ -262,7 +262,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
             s0, J = s1, 0.5 * s2
         else:
             s0, J = sums[0], 0.5 * sums[1]
-        at, o = sums, 2 + width * pending  # the trials' sums at the iterate start at o
+        # The trials' sums at the iterate start at o; at keeps them when catch_up() drops sums.
+        at, o = sums, 2 + width * pending
         m = 0
         # Costs and squared steps below are in units of tau^2.
         while True:

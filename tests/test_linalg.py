@@ -289,7 +289,7 @@ class TestEigenPathMemory:
     @pytest.mark.parametrize("n", [2048, 2049])
     def test_two_half_matrices_at_the_peak(self, n):
         # A half matrix, which dsytrd overwrites with its reflectors, and dstemr's vectors;
-        # the rest is O(n).  Measured: 2.05 k^2 doubles; 5.04 k^2 when dsytrd copied the
+        # the rest is O(n).  Measured: 2.04 k^2 doubles; 5.04 k^2 when dsytrd copied the
         # half matrix, the residuals kept it and the first dstemr's vectors outlived the call.
         col = _assemble(n, 0.5).col
         k = (n + 1) // 2
