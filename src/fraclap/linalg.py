@@ -255,17 +255,20 @@ def _half_pairs(M: np.ndarray, ends: bool):
     # M.T is M in Fortran order, which dsytrd can overwrite without a copy.
     c, d, e, tau, info = scipy.linalg.lapack.dsytrd(M.T, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_lapack("dsytrd", info)
-    ranges = [(1, 2), (k - 1, k)] if ends and k > 4 else [(1, k)]
-    width = sum(iu - il + 1 for il, iu in ranges)
-    values, vectors, j = np.empty(width), np.empty((k, width)), 0
-    for il, iu in ranges:
+
+    def pairs(il, iu):
         # dstemr takes e padded to the order and overwrites it; with a range of indices it
         # returns iu - il + 1 pairs, their vectors in the leading columns of a k x k array.
         count, w, z, info = scipy.linalg.lapack.dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, il, iu)
         _check_lapack("dstemr", info)
-        values[j:j + count], vectors[:, j:j + count] = w[:count], z[:, :count]
-        j += count
-        del z  # before the next call allocates its own
+        return w[:count], z[:, :count]
+
+    if not ends or k <= 4:  # every pair: dstemr's own arrays, with no copy
+        values, vectors = pairs(1, k)
+    else:  # each z is dropped before the next call allocates its own
+        values, vectors = np.empty(4), np.empty((k, 4))
+        values[:2], vectors[:, :2] = pairs(1, 2)
+        values[2:], vectors[:, 2:] = pairs(k - 1, k)
     return values, vectors, c, tau
 
 
@@ -396,7 +399,9 @@ def even_basis(col) -> EvenBasis:
 
     One dsytrd reduction of _half_matrix(col, 1), of order ceil(n/2), and
     one dstemr call for all of its pairs; no n x n matrix.  The same
-    column checks as eig_extreme.
+    column checks as eig_extreme.  At most two half-order matrices are
+    alive at once: the reflectors, in the half matrix's memory, and
+    dstemr's vectors, which the basis keeps as they are.
     """
     col = _checked_col(col)
     values, vectors, c, tau = _half_pairs(_half_matrix(col, 1), ends=False)

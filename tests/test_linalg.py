@@ -287,16 +287,19 @@ class TestOneReductionPerHalf:
 
 class TestEigenPathMemory:
     @pytest.mark.parametrize("n", [2048, 2049])
-    def test_two_half_matrices_at_the_peak(self, n):
+    @pytest.mark.parametrize("path", [eig_extreme, even_basis])
+    def test_two_half_matrices_at_the_peak(self, path, n):
         # A half matrix, which dsytrd overwrites with its reflectors, and dstemr's vectors;
-        # the rest is O(n).  Measured: 2.04 k^2 doubles; 5.04 k^2 when dsytrd copied the
-        # half matrix, the residuals kept it and the first dstemr's vectors outlived the call.
+        # the rest is O(n).  Measured for eig_extreme: 2.04 k^2 doubles; 5.04 k^2 when dsytrd
+        # copied the half matrix, the residuals kept it and the first dstemr's vectors
+        # outlived the call.  For even_basis: 2.03 k^2; 3.03 k^2 when dstemr's vectors were
+        # copied into another k x k array.
         col = _assemble(n, 0.5).col
         k = (n + 1) // 2
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            eig_extreme(col)
+            path(col)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
