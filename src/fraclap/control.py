@@ -29,15 +29,13 @@ from .linalg import FactorizationError
 
 _EPS = float(np.finfo(float).eps)
 
-# pgd_solve builds the rows of its Armijo trial lengths once, before the loop.
-# One product sums those of the first three, 4 step, 2 step and step, and a
-# shorter trial's are summed only when the search reaches it.  A run stops
-# after PGD_MAX_ITER iterations, not converged.
-_PGD_TABULATED = 3
-# The same product also gives those sums up to _PGD_AHEAD trial-0 steps on, so that a
-# run of trial-0 steps, most steps, takes one product and one update of the weights.
-# At n = 128, 3 to 5 measured the same and 8 slower: the product grows with it, and
-# few runs are that long.
+# pgd_solve builds the rows of its Armijo trial lengths once, before the loop.  One
+# product sums those of trial 0, 4 step, at w and up to _PGD_AHEAD trial-0 steps on, so
+# that a run of trial-0 steps, most steps, takes one product and one update of the
+# weights; a shorter trial's rows are summed only when the search reaches it.  At
+# n = 128, over 16 interleaved rounds, a lookahead of 8 or 12 measured within noise of
+# 4 and 16 slower: few runs are that long.  A run stops after PGD_MAX_ITER iterations,
+# not converged.
 _PGD_AHEAD = 4
 PGD_MAX_ITER = 200_000
 
@@ -172,17 +170,17 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     ||rho d - c||^2 is sum (rho F - 1)^2 w.  So the loop keeps w in place
     of c.  The rows of every trial length, down to the first below the
     floor, are built once before the loop.  Most accepted steps take trial
-    0, the longest, in runs of a few, so the rows of the first
-    _PGD_TABULATED are also stacked times F_0^2j for j up to _PGD_AHEAD:
-    one matrix-vector product at w gives the sums at w and at each of the
-    next _PGD_AHEAD iterates along trial 0, where sum w and the cost are
-    the step's own ||d||^2 and sum q F^2 w.  Through a run of trial-0 steps
-    the loop reads its sums from that one product and lets w lag behind.
-    w catches up, in one multiplication by a tabulated product of F^2, when
-    another trial is accepted, when _PGD_AHEAD steps are pending, at a
-    renormalization, before a restart, a trial past the tabulated ones or a
-    step summed elementwise, and at the end.  The signs of c come from the
-    start's signs and the parity of how often each F was applied.
+    0, the longest, in runs of a few, so its rows are stacked times F_0^2j
+    for j up to _PGD_AHEAD: one matrix-vector product at w gives trial 0's
+    sums at w and at each of the next _PGD_AHEAD iterates along trial 0,
+    where sum w and the cost are the step's own ||d||^2 and sum q F^2 w.
+    Through a run of trial-0 steps the loop reads its sums from that one
+    product and lets w lag behind.  w catches up, in one multiplication by
+    a power of F_0^2, when _PGD_AHEAD steps are pending, at a
+    renormalization, before any other trial, a restart or a step summed
+    elementwise, and at the end; any other trial sums its own rows at w.
+    The signs of c come from the start's signs and the parity of how often
+    each F was applied.
 
     w is kept at unit scale, and a float tau carries the h-norm:
     ||f||_h = tau sqrt(sum w).  The loop's norms then neither underflow nor
@@ -227,18 +225,14 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     F2, F_ref, applied = [r[0] for r in rows], F_ref.tolist(), [0] * len(t)
     # Each trial's length and Armijo coefficient; the last trial is the first below floor.
     lengths, armijo, last = t.tolist(), (1e-4 / np.maximum(t, 1e-300)).tolist(), len(t) - 1
-    tabulated, ahead = _PGD_TABULATED, _PGD_AHEAD
-    # Rows 0 and 1 of the product give sum w and 2 J / tau^2.  Then block j holds the
-    # tabulated trials' rows times F2[0]^j: their sums j trial-0 steps on from w.  There
-    # sum w and 2 J / tau^2 are the last step's s1 and s2.
-    power = F2[0] ** np.arange(ahead + 1)[:, None]
-    block = np.vstack(rows[:tabulated])
-    width = len(block)
-    dot = np.vstack([np.ones(len(q)), q, *(power[:, None] * block)]).dot
+    ahead = _PGD_AHEAD
+    # power[j] = F2[0]^j.  Rows 0 and 1 of the product give sum w and 2 J / tau^2, and block
+    # j, from row 2 + 4 j, holds trial 0's rows times power[j]: its sums j trial-0 steps
+    # on from w.  There sum w and 2 J / tau^2 are the last step's s1 and s2.
+    power = np.cumprod([np.ones(len(q))] + [F2[0]] * (ahead + 1), axis=0)
+    dot = np.vstack([np.ones(len(q)), q, *(power[:ahead + 1, None] * rows[0])]).dot
     # w lags the iterate by `pending` trial-0 steps, which sums, the product at w, already
-    # holds; sums is None once w has moved since the product.  steps[m][p] applies p
-    # pending steps and an accepted trial m at once.
-    steps = [list(F2[m] * power) for m in range(tabulated)]
+    # holds; sums is None once w has moved since the product.
     power, pending, sums = list(power), 0, None
 
     def catch_up():  # apply the pending steps to w
@@ -262,14 +256,13 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
             s0, J = s1, 0.5 * s2
         else:
             s0, J = sums[0], 0.5 * sums[1]
-        # The trials' sums at the iterate start at o; at keeps them when catch_up() drops sums.
-        at, o = sums, 2 + width * pending
         m = 0
         # Costs and squared steps below are in units of tau^2.
         while True:
-            if m < tabulated:
-                s1, s2, t1, t2 = at[o + 4 * m:o + 4 * m + 4]
-            else:
+            if m == 0:
+                o = 2 + 4 * pending
+                s1, s2, t1, t2 = sums[o:o + 4]
+            else:  # summed from w itself, which first catches up
                 catch_up()
                 s1, s2, t1, t2 = rows[m].dot(w).tolist()
             restart = s1 == 0.0 and a > 0.0
@@ -304,8 +297,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
             renormalize = (it % 32 == 0 or not 1e-20 < s1 < 1e20 or tau > 1e290) and s1 > 0.0
             if m == 0 and pending < ahead and not renormalize:
                 pending += 1
-            else:  # w catches up; past the tabulated trials, pending is already 0
-                w *= steps[m][pending] if m < tabulated else F2[m]
+            else:  # w catches up; past trial 0, pending is already 0
+                w *= power[pending + 1] if m == 0 else F2[m]
                 pending, sums = 0, None
                 if renormalize:
                     # Renormalize, so that tau stays finite, and flush weights that

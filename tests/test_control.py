@@ -297,7 +297,7 @@ class TestPgdMatchesHelperLoop:
     @staticmethod
     def assert_same_steps(op, cfg, steps, monkeypatch):
         # Over a few iterations round-off has not yet moved an Armijo decision,
-        # so the tabulated sums must take the helpers' trials step for step:
+        # so the lookahead sums must take the helpers' trials step for step:
         # the same accepted lengths (grad_norm is the last step over its
         # length) and the same iterate.
         monkeypatch.setattr(control, "PGD_MAX_ITER", steps)
@@ -328,14 +328,13 @@ class TestPgdMatchesHelperLoop:
         self.assert_same_steps(make_op(n=n, s=s), cfg, steps, monkeypatch)
 
     @pytest.mark.parametrize("n, s, steps", [(16, 0.5, 10), (64, 0.25, 33)])
-    def test_trials_past_the_table_with_steps_pending(self, n, s, steps, monkeypatch):
-        # A trial past the tabulated ones is summed from the weights themselves, which must
-        # first catch up with the pending trial-0 steps.  With one trial tabulated the search
-        # goes past it with steps pending in the first iterations (measured: at iterations
-        # 6 and 9 at n = 16, and 9, 12, 15 and 18 at n = 64).  The search past the whole
-        # table, down to the floor, comes only at round-off (n = 16, tol = 1e-12, from
-        # iteration 446), where no two roundings take the same steps.
-        monkeypatch.setattr(control, "_PGD_TABULATED", 1)
+    def test_shorter_trials_with_steps_pending(self, n, s, steps, monkeypatch):
+        # Every trial but trial 0 is summed from the weights themselves, which must first
+        # catch up with the pending trial-0 steps.  The search goes past trial 0 with steps
+        # pending in the first iterations (measured: at iterations 6 and 9 at n = 16; 9, 12,
+        # 15, 18, 20, 23, 28, with two pending, 30 and 32 at n = 64).  The search down to the
+        # floor comes only at round-off (n = 16, tol = 1e-12, from iteration 553), where no
+        # two roundings take the same steps.
         cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=1e-6)
         self.assert_same_steps(make_op(n=n, s=s), cfg, steps, monkeypatch)
 
