@@ -173,6 +173,17 @@ class TestPgd:
         assert norm_h(r.f_star, op.grid) <= 1e-6
         assert r.active_bound == "none"
 
+    @pytest.mark.parametrize("n", [3, 16, 64, 65, 128])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+    def test_origin_annulus(self, n, s):
+        # a = b = 0 admits the zero control alone: one iteration, converged, on the lower bound.
+        r = pgd_solve(make_op(n=n, s=s), ControlConfig(mu=0.1, a=0.0, b=0.0))
+        assert (r.iters, r.converged, r.J_star, r.grad_norm, r.active_bound) == \
+            (1, True, 0.0, 0.0, "lower")
+        # Every entry is +0.0, with no sign bit set.
+        assert np.all(r.f_star == 0.0) and not np.signbit(r.f_star).any()
+        assert np.all(r.u_star == 0.0)
+
     def test_sphere_constraint_is_invariant(self, monkeypatch):
         monkeypatch.setattr(control, "PGD_MAX_ITER", 3000)
         op = make_op(n=48, s=0.5)
