@@ -25,7 +25,6 @@ import numpy as np
 
 from . import linalg
 from .discretize import FieldError, Grid, GridFunction, Operator, inner_product_h, norm_h
-from .linalg import FactorizationError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -90,17 +89,6 @@ def reduced_cost(op: Operator, f: GridFunction, mu: float) -> float:
     return _cost(f, op.solve(f), mu, op.grid)
 
 
-def reduced_gradient(op: Operator, f: GridFunction, mu: float) -> GridFunction:
-    """Gradient of the reduced cost in the h-inner product: u_f + mu f.
-
-    The solution operator is self-adjoint, so no separate adjoint solve
-    exists; the state itself is the derivative of the energy term.
-    """
-    f = np.asarray(f, dtype=float)
-    u = op.solve(f)
-    return u + mu * f
-
-
 def project_annulus(f: GridFunction, a: float, b: float, grid: Grid) -> GridFunction:
     """Radial projection of f onto {a <= ||.||_h <= b}.
 
@@ -156,6 +144,8 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     raised.  Armijo trials start at 4 step, step = 1 / (1/lambda_min(A) + mu)
     being the reciprocal of the gradient's Lipschitz constant, and halve
     until the cost decreases enough or the trial falls below 1e-12 step.
+    On the origin annulus a = b = 0 the start is the zero control, and the
+    first iteration stops there with a residual of 0.
 
     The iteration runs in an orthonormal eigenbasis of A.  A is symmetric
     Toeplitz, so its eigenvectors are even or odd, and neither the constant
@@ -192,19 +182,16 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     1e-8 of its value, the step is summed elementwise instead.
 
     A non-positive-definite operator (lambda_min <= 0 in the even half or
-    in op.bottom_pair, or a non-finite eigenvalue) raises
-    FactorizationError.
+    in op.bottom_pair, or a non-finite eigenvalue) raises linalg.SolveError.
     """
     grid = op.grid
     basis = linalg.even_basis(op.col)
     lam = basis.values
     spectrum = np.append(lam, op.bottom_pair.value)
     if not (np.all(np.isfinite(spectrum)) and spectrum.min() > 0.0):
-        raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
-                                 f"[{spectrum.min():.3e}, {spectrum.max():.3e}]")
+        raise linalg.SolveError(f"matrix is not positive definite: eigenvalues span "
+                                f"[{spectrum.min():.3e}, {spectrum.max():.3e}]")
     n, h, a, b, tol = grid.n, grid.h, cfg.a, cfg.b, cfg.tol
-    if b == 0.0:  # the annulus is the origin
-        return _pgd_result(op, cfg, np.zeros(n), 0.0, 1)
     q = 1.0 / lam + cfg.mu
     q_ref = float(q.min())  # the step's sums are expanded about it
     g = basis.coefficients(np.ones(n)) / math.sqrt(n)  # the constant direction, unit norm
@@ -309,26 +296,21 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
         if pg_res <= tol:
             break
 
-    f = basis.nodal(coefficients() * (tau / math.sqrt(h)))
-    return _pgd_result(op, cfg, _sign_normalize(f), pg_res, it)
-
-
-def _pgd_result(op: Operator, cfg: ControlConfig, f: GridFunction, pg_res: float,
-                it: int) -> OptimResult:
+    f = _sign_normalize(basis.nodal(coefficients() * (tau / math.sqrt(h))))
     u = op.solve(f)
     # A huge b can overflow the cost and the norm to inf; converged then
     # reads False, as in eigen_solve_control, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        J = _cost(f, u, cfg.mu, op.grid)
-        nrm = norm_h(f, op.grid)
+        J = _cost(f, u, cfg.mu, grid)
+        nrm = norm_h(f, grid)
     return OptimResult(
         f_star=f,
         u_star=u,
         J_star=J,
         grad_norm=pg_res,
         iters=it,
-        converged=pg_res <= cfg.tol and math.isfinite(J),
-        active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
+        converged=pg_res <= tol and math.isfinite(J),
+        active_bound=_active_bound(nrm, a, b, tol),
     )
 
 

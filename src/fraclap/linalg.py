@@ -29,16 +29,15 @@ import numpy as np
 import scipy.linalg
 
 
-class FactorizationError(Exception):
-    """Matrix not positive definite, judged from its spectrum."""
-
-
 class SolveError(Exception):
-    """A Toeplitz solve failed.
+    """A numerical failure in fraclap.linalg or fraclap.control.
 
-    Levinson met a singular leading minor, conjugate gradients broke down or
-    reached its iteration cap, the first column, the right-hand side or the
-    result is not finite, or the backward error is too large.
+    A Toeplitz solve failed: Levinson met a singular leading minor,
+    conjugate gradients broke down or reached its iteration cap, the first
+    column, the right-hand side or the result is not finite, or the
+    backward error is too large.  Or a LAPACK routine (dsytrd, dstemr,
+    dormqr) reported failure, or pgd_solve found the operator not positive
+    definite.
     """
 
 
@@ -290,7 +289,7 @@ def _apply_q(c: np.ndarray, tau: np.ndarray, z: np.ndarray, trans: str) -> None:
 
 def _check_lapack(name: str, info: int) -> None:
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info={info}")
+        raise SolveError(f"LAPACK {name} failed with info={info}")
 
 
 def _checked_col(col) -> np.ndarray:

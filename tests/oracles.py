@@ -36,7 +36,7 @@ from fraclap.control import (
 from fraclap import control, linalg
 from fraclap.cli import ConfigError
 from fraclap.discretize import inner_product_h, norm_h
-from fraclap.linalg import FactorizationError
+from fraclap.linalg import SolveError
 
 
 def unit_rhs_exact_state(x, s):
@@ -223,8 +223,8 @@ def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
     lam_odd, V_odd = scipy.linalg.eigh(linalg._half_matrix(op.col, -1))
     lam = np.concatenate((basis.values, lam_odd))
     if not (np.all(np.isfinite(lam)) and lam.min() > 0.0):
-        raise FactorizationError(f"matrix is not positive definite: eigenvalues span "
-                                 f"[{lam.min():.3e}, {lam.max():.3e}]")
+        raise SolveError(f"matrix is not positive definite: eigenvalues span "
+                         f"[{lam.min():.3e}, {lam.max():.3e}]")
     q = 1.0 / lam + cfg.mu
     k = len(basis.values)
 

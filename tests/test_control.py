@@ -11,7 +11,6 @@ from fraclap.control import (
     pgd_solve,
     project_annulus,
     reduced_cost,
-    reduced_gradient,
 )
 from fraclap.discretize import (
     FieldError,
@@ -23,7 +22,7 @@ from fraclap.discretize import (
     norm_h,
 )
 from fraclap import control, linalg
-from fraclap.linalg import FactorizationError
+from fraclap.linalg import SolveError
 from oracles import eig_full_jacobi, pgd_eigenbasis_reference, pgd_reference
 
 
@@ -95,7 +94,8 @@ class TestReducedCost:
 class TestReducedGradient:
     def test_zero_control(self):
         op = make_op()
-        assert np.all(reduced_gradient(op, np.zeros(op.n), 0.1) == 0.0)
+        f = np.zeros(op.n)
+        assert np.all(op.solve(f) + 0.1 * f == 0.0)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
     def test_matches_finite_differences(self, s):
@@ -103,7 +103,7 @@ class TestReducedGradient:
         g = op.grid
         rng = np.random.default_rng(42)
         f = rng.standard_normal(48)
-        grad = reduced_gradient(op, f, 0.1)
+        grad = op.solve(f) + 0.1 * f
         eps = 1e-5
         for _ in range(10):
             d = rng.standard_normal(48)
@@ -121,7 +121,7 @@ class TestReducedGradient:
         mu = 1e4 / lam_min  # 1e4 times the norm of the solution operator
         rng = np.random.default_rng(3)
         f = rng.standard_normal(32)
-        grad = reduced_gradient(op, f, mu)
+        grad = op.solve(f) + mu * f
         assert norm_h(grad - mu * f, g) <= 0.01 * norm_h(mu * f, g)
 
 
@@ -456,8 +456,17 @@ class TestPgdStructure:
         col = np.zeros(8)
         col[:2] = 1.0, 2.0  # tridiag(2, 1, 2) has negative eigenvalues
         op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 8))
-        with pytest.raises(FactorizationError, match="not positive definite"):
+        with pytest.raises(SolveError, match="not positive definite"):
             pgd_solve(op, ControlConfig(mu=0.1, a=1.0, b=2.0))
+
+
+class TestActiveBound:
+    # Distances to a bound are relative to max(1, b), with slack max(tol, 1e-12).
+    @pytest.mark.parametrize("nrm, bound", [(1.0, "lower"), (1.0 + 1e-10, "lower"),
+                                            (1.5, "none"), (2.0 - 1e-10, "upper"),
+                                            (2.0, "upper"), (2.0 + 4e-10, "none")])
+    def test_names_the_bound_the_norm_sits_on(self, nrm, bound):
+        assert control._active_bound(nrm, 1.0, 2.0, 1e-10) == bound
 
 
 class TestEigenSolveControl:

@@ -89,6 +89,10 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(Grid(-1.0, 1.0, 16), [0.9, 0.5], CONTROL)
 
+    def test_rejects_empty_ladder(self):
+        with pytest.raises(ValueError, match="^s_list must not be empty$"):
+            run_sweep(Grid(-1.0, 1.0, 16), [], CONTROL)
+
 
 class TestStateLimit:
     """The state of a fixed load approaches the classical state as s -> 1-."""

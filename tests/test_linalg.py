@@ -4,6 +4,8 @@ import inspect
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -344,6 +346,35 @@ class TestNoIdleBlasWorker:
         assert _other_threads_cpu_s() - before <= 0.01
 
 
+class TestSameBytesOnOneAndTwoBlasThreads:
+    # The commands whose CSVs README states do not depend on the BLAS thread count.
+    COMMANDS = (["solve", "--n", "4096"], ["control"], ["control", "--n", "400"], ["sweep"],
+                ["gamma"])
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs at least 2 CPUs")
+    @pytest.mark.skipif(_scipy_blas_name() != "scipy-openblas",
+                        reason="the thread-count range was measured on scipy-openblas")
+    def test_csv_bytes(self, tmp_path):
+        # Each child runs every command; only the child's environment names a thread count.
+        script = ("import os, sys\n"
+                  "from fraclap.cli import main\n"
+                  f"for i, argv in enumerate({list(self.COMMANDS)!r}):\n"
+                  "    assert main(argv + ['--out', os.path.join(sys.argv[1], str(i))]) == 0\n")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+        for out, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path / out)],
+                                  env={**env, **extra}, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+        for i, argv in enumerate(self.COMMANDS):
+            (csv,) = os.listdir(tmp_path / "one" / str(i))
+            one, default = ((tmp_path / out / str(i) / csv).read_bytes() for out in ("one", "default"))
+            assert one == default, f"{' '.join(argv)}: {csv} differs between 1 and 2 threads"
+
+
 class TestLapackWrappers:
     def test_every_wrapper_that_linalg_calls_exists(self):
         # The declared scipy floor must supply each of them; name any that it lacks.
@@ -351,6 +382,15 @@ class TestLapackWrappers:
         assert {"dsytrd", "dsytrd_lwork", "dstemr", "dormqr"} <= names
         missing = sorted(name for name in names if not hasattr(scipy.linalg.lapack, name))
         assert not missing, f"scipy {scipy.__version__} has no LAPACK wrapper {missing}"
+
+    @pytest.mark.parametrize("name", ["dsytrd", "dstemr", "dormqr"])
+    def test_failure_raises_solve_error(self, name, monkeypatch):
+        real = getattr(scipy.linalg.lapack, name)
+        # Each wrapper returns info last; report 3 whatever the routine did.
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 3))
+        with pytest.raises(SolveError, match=f"^LAPACK {name} failed with info=3$"):
+            eig_extreme(_assemble(64, 0.5).col)
 
 
 class TestJacobi:
