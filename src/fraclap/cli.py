@@ -316,7 +316,7 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
         return EXIT_CONFIG
     # ArithmeticError: Python float overflow or division by zero, e.g. from
     # a grid spacing so small that h^(-2s) overflows.
-    except (SolveError, limitlab.SweepError, ArithmeticError) as exc:
+    except (SolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -24,12 +24,10 @@ class ForwardSolution:
 def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
     """Solve the (fractional or classical) Poisson problem on the grid.
 
-    An energy or norm that overflows raises OverflowError naming the spacing;
-    an f that is not finite or not of shape (n,) raises ValueError, the latter in op.solve.
+    An energy or norm that overflows raises OverflowError naming the spacing.
+    op.solve refuses an f not of shape (n,) with ValueError and one that is
+    not finite with linalg.SolveError.
     """
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("right-hand side must be finite")
     u = op.solve(f)
     # A wide domain can overflow the energy or the norm to inf; the test
     # below reports that, so numpy need not warn about it.

@@ -23,10 +23,7 @@ from .discretize import (
     norm_h,
 )
 from .forward import poincare_constant
-
-
-class SweepError(RuntimeError):
-    """A control solve of the sweep did not converge: the classical reference or one order s."""
+from .linalg import SolveError
 
 
 def default_s_ladder(count: int = 10) -> list[float]:
@@ -69,21 +66,21 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     """Solve the control problem along the s ladder against the classical reference.
 
     The first control solve that does not converge, the classical
-    reference's or that of one order s, raises SweepError naming it, and
+    reference's or that of one order s, raises SolveError naming it, and
     no later order is solved.  A row with a value that overflows raises
     OverflowError naming the spacing.
     """
     s_list = validate_s_list(s_list)
     ref = eigen_solve_control(assemble_classical(grid), control)
     if not ref.converged:
-        raise SweepError("classical reference solve did not converge")
+        raise SolveError("classical reference solve did not converge")
 
     rows = []
     for s in s_list:
         op = assemble_fractional(grid, s)
         result = eigen_solve_control(op, control)
         if not result.converged:
-            raise SweepError(f"control solve did not converge at s={s}")
+            raise SolveError(f"control solve did not converge at s={s}")
         fs, us = result.f_star, result.u_star
         # A wide domain can overflow a norm to inf; the test below reports
         # that, so numpy need not warn about it.

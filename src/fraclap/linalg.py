@@ -30,14 +30,15 @@ import scipy.linalg
 
 
 class SolveError(Exception):
-    """A numerical failure in fraclap.linalg or fraclap.control.
+    """A non-finite array or a failed computation in fraclap.linalg, control or limitlab.
 
-    A Toeplitz solve failed: Levinson met a singular leading minor,
-    conjugate gradients broke down or reached its iteration cap, the first
-    column, the right-hand side or the result is not finite, or the
-    backward error is too large.  Or a LAPACK routine (dsytrd, dstemr,
-    dormqr) reported failure, or pgd_solve found the operator not positive
-    definite.
+    A first column that is not finite, for a solve or an eigen pass.  Or a
+    Toeplitz solve failed: Levinson met a singular leading minor, conjugate
+    gradients broke down or reached its iteration cap, the right-hand side
+    or the result is not finite, or the backward error is too large.  Or a
+    LAPACK routine (dsytrd, dstemr, dormqr) reported failure, pgd_solve
+    found the operator not positive definite, or run_sweep met a control
+    solve that did not converge.
     """
 
 
@@ -99,7 +100,9 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
     """Strang-preconditioned conjugate gradients on A x = b, A = toeplitz(col), A v = product(v).
 
     The preconditioner is R C^-1 R^T, C Strang's circulant of fast order k >= n and R the
-    restriction to the first n entries; it is SPD because C is.
+    restriction to the first n entries; it is SPD because C is.  Each inner product and norm
+    is numpy's pairwise sum, not BLAS ddot or dnrm2, whose split depends on the thread count,
+    so x has the same bytes on any number of BLAS threads.
     """
     n = len(col)
     if not b.any():
@@ -116,20 +119,20 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
     r = b.copy()
     z = precondition(r)
     p = z
-    rz = float(r @ z)
-    stop = PCG_RTOL * float(np.linalg.norm(b))
+    rz = float(np.sum(r * z))
+    stop = PCG_RTOL * math.sqrt(np.sum(b * b))
     for _ in range(PCG_MAX_ITER):
         q = product(p)
-        pq = float(p @ q)
+        pq = float(np.sum(p * q))
         if not 0.0 < pq < math.inf:
             raise SolveError(f"conjugate gradients broke down: p^T A p = {pq:.3e}")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        if float(np.linalg.norm(r)) <= stop:
+        if math.sqrt(np.sum(r * r)) <= stop:
             return x
         z = precondition(r)
-        rz, rz_old = float(r @ z), rz
+        rz, rz_old = float(np.sum(r * z)), rz
         p = z + (rz / rz_old) * p
     raise SolveError(f"conjugate gradients did not reach relative residual {PCG_RTOL:g} "
                      f"in {PCG_MAX_ITER} iterations")
@@ -144,19 +147,17 @@ def toeplitz_solve(col, b) -> np.ndarray:
     backward error at most BACKWARD_ERROR_TOL, taking
     ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from toeplitz_product;
     otherwise SolveError, as for a col or a b that is not finite, which both
-    paths refuse before scaling.  A b whose shape is not col's raises
-    ValueError.
+    paths refuse before scaling.  A col that _checked_col refuses for its
+    shape, or a b whose shape is not col's, raises ValueError.
 
     col and b are first scaled exactly, by powers of two, to unit scale, so
     that neither the preconditioner nor the check's bound underflows; x is
     scaled back once at the end.
     """
-    col = np.asarray(col, dtype=float)
+    col = _checked_col(col)
     b = np.asarray(b, dtype=float)
     if b.shape != col.shape:
         raise ValueError(f"expected right-hand side of shape {col.shape}, got {b.shape}")
-    if not np.all(np.isfinite(col)):
-        raise SolveError("first column is not finite")
     if not np.all(np.isfinite(b)):
         raise SolveError("right-hand side is not finite")
     e_col = int(np.frexp(np.abs(col).max(initial=0.0))[1])
@@ -293,12 +294,12 @@ def _check_lapack(name: str, info: int) -> None:
 
 
 def _checked_col(col) -> np.ndarray:
-    """col as a float array; ValueError unless it is finite, one-dimensional and of length >= 2."""
+    """col as a float array; ValueError unless 1-D of length >= 2, SolveError unless finite."""
     col = np.asarray(col, dtype=float)
     if col.ndim != 1 or len(col) < 2:
         raise ValueError(f"expected a first column of length at least 2, got shape {col.shape}")
     if not np.all(np.isfinite(col)):
-        raise ValueError("first column must be finite")
+        raise SolveError("first column is not finite")
     return col
 
 
@@ -327,8 +328,8 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     the value, the vector lifted to full length (exactly even or exactly
     odd) and its residual against toeplitz(col) itself, the next one
     inwards gives the relative gap.  Callers judge each pair with
-    EigenPair.meets(tol).  A col that is not finite or has fewer than 2
-    entries raises ValueError.
+    EigenPair.meets(tol).  A col with fewer than 2 entries raises
+    ValueError, and one that is not finite SolveError.
 
     At most two half-order matrices are alive at once: a half matrix, whose
     memory dsytrd turns into the reflectors, and dstemr's vectors.

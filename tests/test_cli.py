@@ -458,7 +458,7 @@ class TestDispatch:
 
     def test_sweep_numerical_failure_leaves_no_csv(self, tmp_path, monkeypatch):
         def boom(*args):
-            raise fraclap.limitlab.SweepError("reference failed")
+            raise fraclap.linalg.SolveError("reference failed")
 
         monkeypatch.setattr(fraclap.limitlab, "run_sweep", boom)
         cfg = parse_config(f"n = 64\nout = {tmp_path}")

@@ -13,6 +13,7 @@ from fraclap.discretize import (
     quadratic_form,
 )
 from fraclap.forward import poincare_constant, solve_poisson
+from fraclap.linalg import SolveError
 from oracles import unit_rhs_exact_state
 
 
@@ -77,7 +78,10 @@ class TestSolvePoisson:
         op = assemble_classical(g)
         with pytest.raises(ValueError):
             solve_poisson(op, np.ones(9))
-        with pytest.raises(ValueError):
+
+    def test_refuses_a_right_hand_side_that_is_not_finite(self):
+        op = assemble_classical(Grid(-1.0, 1.0, 8))
+        with pytest.raises(SolveError, match="^right-hand side is not finite$"):
             solve_poisson(op, np.full(8, np.nan))
 
 

@@ -88,9 +88,13 @@ class TestEigExtreme:
         res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
         assert res <= 1e-9 * abs(pair.value) * np.linalg.norm(pair.vector)
 
-    @pytest.mark.parametrize("col", [np.ones((2, 2)), [], [1.0], [2.0, math.nan, 0.0], [math.inf, -1.0]])
-    def test_rejects_a_column_that_is_not_finite_or_one_dimensional(self, col):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("col, error", [(np.ones((2, 2)), ValueError), ([], ValueError),
+                                            ([1.0], ValueError), ([2.0, math.nan, 0.0], SolveError),
+                                            ([math.inf, -1.0], SolveError)])
+    def test_rejects_a_column_that_is_not_finite_or_one_dimensional(self, col, error):
+        # A defect of shape is a ValueError; a non-finite entry is the numerical failure
+        # that toeplitz_solve reports for the same column.
+        with pytest.raises(error):
             eig_extreme(col)
 
     def test_large_operator_matches_full_spectrum(self):
@@ -224,9 +228,10 @@ class TestEvenBasis:
         assert np.abs(basis.values - lam[even]).max() <= 1e-14 * np.abs(lam).max()
         assert basis.nodal(basis.coefficients(np.ones(n))) == pytest.approx(np.ones(n), rel=1e-15)
 
-    @pytest.mark.parametrize("col", [[1.0], [[1.0, 0.5]], [1.0, np.nan, 0.5]])
-    def test_rejects_what_eig_extreme_rejects(self, col):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("col, error", [([1.0], ValueError), ([[1.0, 0.5]], ValueError),
+                                            ([1.0, np.nan, 0.5], SolveError)])
+    def test_rejects_what_eig_extreme_rejects(self, col, error):
+        with pytest.raises(error):
             even_basis(np.asarray(col))
 
 
@@ -348,8 +353,9 @@ class TestNoIdleBlasWorker:
 
 class TestSameBytesOnOneAndTwoBlasThreads:
     # The commands whose CSVs README states do not depend on the BLAS thread count.
-    COMMANDS = (["solve", "--n", "4096"], ["control"], ["control", "--n", "400"], ["sweep"],
-                ["gamma"])
+    COMMANDS = (["solve", "--n", "4096"], ["solve", "--n", "16384", "--s", "0.9"],
+                ["solve", "--n", "65537", "--s", "0.9"], ["control"], ["control", "--n", "400"],
+                ["sweep"], ["gamma"])
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs at least 2 CPUs")
@@ -625,11 +631,14 @@ class TestToeplitzSolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [PCG_MIN_N - 1, PCG_MIN_N])
     def test_non_finite_first_column(self, n, bad):
-        # Both paths refuse col before scaling it, with the same message.
+        # Both solve paths refuse col before scaling it, and the eigen pass before its
+        # reduction, with the same message.
         col = _toeplitz_operator(0.5, n).col.copy()
         col[3] = bad
         with pytest.raises(SolveError, match="^first column is not finite$"):
             toeplitz_solve(col, np.ones(n))
+        with pytest.raises(SolveError, match="^first column is not finite$"):
+            eig_extreme(col)
 
     @pytest.mark.parametrize("path", SOLVERS)
     @pytest.mark.parametrize("b_exp, col_exp", [(600, 0), (0, -900), (-900, 0), (600, 600)])
