@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .discretize import FieldError, Grid, GridFunction, Operator, inner_product_h, norm_h
+from .discretize import (FieldError, Grid, GridFunction, Operator, inner_product_h, norm_h,
+                         require_finite)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -139,11 +140,11 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     Starts from the constant control projected onto the annulus and stops
     when the projected-gradient residual ||f - P(f - step g)||_h / step
-    drops below cfg.tol or after PGD_MAX_ITER iterations.  Non-convergence,
-    or a cost that overflows to inf, is reported as not converged, never
-    raised.  Armijo trials start at 4 step, step = 1 / (1/lambda_min(A) + mu)
-    being the reciprocal of the gradient's Lipschitz constant, and halve
-    until the cost decreases enough or the trial falls below 1e-12 step.
+    drops below cfg.tol or after PGD_MAX_ITER iterations.  Non-convergence
+    reads converged=False; a cost or norm that overflows raises OverflowError.
+    Armijo trials start at 4 step, step = 1 / (1/lambda_min(A) + mu) being
+    the reciprocal of the gradient's Lipschitz constant, and halve until the
+    cost decreases enough or the trial falls below 1e-12 step.
     On the origin annulus a = b = 0 the start is the zero control, and the
     first iteration stops there with a residual of 0.
 
@@ -298,18 +299,17 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     f = _sign_normalize(basis.nodal(coefficients() * (tau / math.sqrt(h))))
     u = op.solve(f)
-    # A huge b can overflow the cost and the norm to inf; converged then
-    # reads False, as in eigen_solve_control, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge b can overflow both
         J = _cost(f, u, cfg.mu, grid)
         nrm = norm_h(f, grid)
+    require_finite(grid, J_star=J, norm_f=nrm)
     return OptimResult(
         f_star=f,
         u_star=u,
         J_star=J,
         grad_norm=pg_res,
         iters=it,
-        converged=pg_res <= tol and math.isfinite(J),
+        converged=pg_res <= tol,
         active_bound=_active_bound(nrm, a, b, tol),
     )
 
@@ -320,8 +320,8 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     J(t f) = t^2 J(f) grows in t, so for a > 0 the lower bound is active
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
-    converged reports whether that eigenpair meets cfg.tol and the cost
-    and the projected-gradient residual are finite.
+    converged reports whether that eigenpair meets cfg.tol.  A norm,
+    cost or residual that overflows raises OverflowError naming h.
     """
     grid = op.grid
     if cfg.a == 0.0:
@@ -329,27 +329,22 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
                            converged=True, active_bound="none")
     pair = op.top_pair
-    # A huge a can overflow the norm or the cost to inf; the finiteness test
-    # below reports that as not converged, so numpy need not warn about it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge a can overflow each value
         f = _sign_normalize(cfg.a * pair.vector)
         nrm = norm_h(f, grid)
-        if math.isfinite(nrm):
-            u = op.solve(f)
-            J = _cost(f, u, cfg.mu, grid)
-            # Residual of the projected optimality condition, evaluated honestly.
-            step = _step(op, cfg.mu)
-            f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
-            pg_res = norm_h(f - f_next, grid) / step
-        else:  # ||f||_h^2 overflowed, so J >= mu/2 ||f||_h^2 is inf: skip the solve.
-            u, J, pg_res = np.full(grid.n, math.nan), math.inf, math.inf
-        active = _active_bound(nrm, cfg.a, cfg.b, cfg.tol)
+        require_finite(grid, norm_f=nrm)  # before the state solve, which such an f can overflow
+        u = op.solve(f)
+        J = _cost(f, u, cfg.mu, grid)
+        step = _step(op, cfg.mu)
+        f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
+        pg_res = norm_h(f - f_next, grid) / step  # the projected optimality residual
+    require_finite(grid, J_star=J, grad_norm=pg_res)
     return OptimResult(
         f_star=f,
         u_star=u,
         J_star=J,
         grad_norm=pg_res,
         iters=0,
-        converged=pair.meets(cfg.tol) and math.isfinite(J) and math.isfinite(pg_res),
-        active_bound=active,
+        converged=pair.meets(cfg.tol),
+        active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
     )

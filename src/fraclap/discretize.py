@@ -213,6 +213,14 @@ def norm_h(v: GridFunction, grid: Grid) -> float:
     return float(np.sqrt(inner_product_h(v, v, grid)))
 
 
+def require_finite(grid: Grid, where: str = "", **values: float) -> None:
+    """OverflowError naming the values that are not finite, where (e.g. "s=0.5, ") and h."""
+    overflowed = [name for name, value in values.items() if not math.isfinite(value)]
+    if overflowed:
+        raise OverflowError(f"non-finite {' and '.join(overflowed)} at {where}grid spacing "
+                            f"h={grid.h:.3e}")
+
+
 def quadratic_form(op: Operator, v: GridFunction) -> float:
     """Energy <A v, v>_h, A v by linalg.toeplitz_product; the weighted seminorm of a free function."""
     v = np.asarray(v, dtype=float)

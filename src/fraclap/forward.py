@@ -1,11 +1,10 @@
 """Forward Poisson solves, seminorm evaluation, Poincare constant."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import GridFunction, Operator, inner_product_h, norm_h
+from .discretize import GridFunction, Operator, inner_product_h, norm_h, require_finite
 
 
 @dataclass(frozen=True)
@@ -24,19 +23,16 @@ class ForwardSolution:
 def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
     """Solve the (fractional or classical) Poisson problem on the grid.
 
-    An energy or norm that overflows raises OverflowError naming the spacing.
-    op.solve refuses an f not of shape (n,) with ValueError and one that is
-    not finite with linalg.SolveError.
+    An energy or norm that overflows raises OverflowError naming the
+    spacing, from discretize.require_finite.  op.solve refuses an f not of
+    shape (n,) with ValueError and one that is not finite with
+    linalg.SolveError.
     """
     u = op.solve(f)
-    # A wide domain can overflow the energy or the norm to inf; the test
-    # below reports that, so numpy need not warn about it.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a wide domain can overflow both
         seminorm_sq = inner_product_h(f, u, op.grid)
         l2_norm_u = norm_h(u, op.grid)
-    if not (math.isfinite(seminorm_sq) and math.isfinite(l2_norm_u)):
-        raise OverflowError(f"state norms overflow at grid spacing h={op.grid.h:.3e}: "
-                            f"seminorm_sq={seminorm_sq:.3e}, l2_norm_u={l2_norm_u:.3e}")
+    require_finite(op.grid, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
     return ForwardSolution(u=u, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
 
 

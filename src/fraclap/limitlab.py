@@ -9,7 +9,7 @@ the normalizing constant vanishes, proportionally to 1 - s.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .discretize import (
     assemble_fractional,
     inner_product_h,
     norm_h,
+    require_finite,
 )
 from .forward import poincare_constant
 from .linalg import SolveError
@@ -67,8 +68,8 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
 
     The first control solve that does not converge, the classical
     reference's or that of one order s, raises SolveError naming it, and
-    no later order is solved.  A row with a value that overflows raises
-    OverflowError naming the spacing.
+    no later order is solved.  A value that overflows raises OverflowError
+    naming the spacing, and the order too if it is in a row.
     """
     s_list = validate_s_list(s_list)
     ref = eigen_solve_control(assemble_classical(grid), control)
@@ -82,9 +83,7 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
         if not result.converged:
             raise SolveError(f"control solve did not converge at s={s}")
         fs, us = result.f_star, result.u_star
-        # A wide domain can overflow a norm to inf; the test below reports
-        # that, so numpy need not warn about it.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a wide domain can overflow a norm
             nf = norm_h(fs, grid) * norm_h(ref.f_star, grid)
             align = abs(inner_product_h(fs, ref.f_star, grid)) / nf if nf > 0 else 1.0
             dist_f = norm_h(fs - ref.f_star, grid)
@@ -100,10 +99,7 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
             seminorm_sq=seminorm_sq,
             poincare_c=poincare_constant(op),
         )
-        overflowed = [fld.name for fld in fields(row) if not math.isfinite(getattr(row, fld.name))]
-        if overflowed:
-            raise OverflowError(f"non-finite {' and '.join(overflowed)} at s={s}, grid "
-                                f"spacing h={grid.h:.3e}")
+        require_finite(grid, where=f"s={s}, ", **asdict(row))
         rows.append(row)
     return SweepReport(
         rows=rows,
@@ -135,12 +131,16 @@ LIMINF_TOLERANCE = 1e-3
 
 
 def _extended_cost(op, f, cfg: ControlConfig) -> float:
-    """Cost extended by +inf outside the admissible annulus."""
-    nrm = norm_h(f, op.grid)
-    slack = 1e-12 * max(1.0, cfg.b)
-    if nrm < cfg.a - slack or nrm > cfg.b + slack:
-        return math.inf
-    return reduced_cost(op, f, cfg.mu)
+    """Cost extended by +inf outside the annulus; a norm or cost that overflows raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge f can overflow both
+        nrm = norm_h(f, op.grid)
+        require_finite(op.grid, norm_f=nrm)
+        slack = 1e-12 * max(1.0, cfg.b)
+        if nrm < cfg.a - slack or nrm > cfg.b + slack:
+            return math.inf
+        cost = reduced_cost(op, f, cfg.mu)
+    require_finite(op.grid, cost=cost)
+    return cost
 
 
 def _gamma_clause(clause: str, grid: Grid, f: GridFunction, c: float, s_list,

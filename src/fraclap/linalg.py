@@ -171,7 +171,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
             raise SolveError(f"Levinson recursion failed: {exc}") from exc
     else:
         x = _pcg(col, b, product=product)
-    result = np.ldexp(x, e_b - e_col)
+    with np.errstate(over="ignore"):  # an x that overflows is refused just below
+        result = np.ldexp(x, e_b - e_col)
     if not np.all(np.isfinite(result)):
         raise SolveError("Toeplitz solve returned non-finite values")
     r_norm = float(np.abs(b - product(x)).max(initial=0.0))

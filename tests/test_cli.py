@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -617,9 +621,10 @@ class TestMain:
         ("solve", 0.0, 1e174, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
         ("solve", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
         ("control", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
-        ("solve", 0.0, 1e160, None, EXIT_NUMERICAL, "state norms overflow at grid spacing h="),
-        ("solve", 0.0, 1e150, None, EXIT_NUMERICAL, "overflow at grid spacing h=5.882e+148: "
-                                                    "seminorm_sq=3.696e+299, l2_norm_u=inf"),
+        ("solve", 0.0, 1e160, None, EXIT_NUMERICAL,
+         "non-finite seminorm_sq and l2_norm_u at grid spacing h="),
+        ("solve", 0.0, 1e150, None, EXIT_NUMERICAL,
+         "non-finite l2_norm_u at grid spacing h=5.882e+148\n"),
         ("sweep", 0.0, 1e150, None, EXIT_NUMERICAL, "non-finite dist_u at s=0.5, grid spacing h="),
         ("solve", -1e308, 1e308, None, EXIT_CONFIG, "line 2: domain length"),
         ("control", -1e308, 1e308, None, EXIT_CONFIG, "line 2: domain length"),
@@ -799,29 +804,28 @@ class TestLapackFailure:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestOverflowIsNotConverged:
+class TestOverflowNamesTheSpacing:
+    """A reported value that overflows exits 2 with one stderr line naming h, and no CSV."""
+
     def test_control_exits_numerical_without_csv_or_warning(self, tmp_path, capsys):
         code = main(["control", "--a", "1e200", "--b", "1e200", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
-        assert "J_star=inf" in captured.out and "converged=False" in captured.out
-        assert "control.csv" not in captured.out
-        assert captured.err == ""
+        assert captured.out == ""
+        assert captured.err == "numerical failure: non-finite norm_f at grid spacing h=7.782e-03\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_norm_prints_the_same_summary_at_every_n(self, tmp_path, capsys):
-        summaries = []
+    def test_overflowing_norm_fails_the_same_way_at_every_n(self, tmp_path, capsys):
         for n in (256, 1024):
             out = tmp_path / str(n)
             code = main(["control", "--n", str(n), "--a", "1e308", "--b", "1e308",
                          "--out", str(out)])
             captured = capsys.readouterr()
             assert code == EXIT_NUMERICAL
-            assert captured.err == ""
-            assert not out.exists() or list(out.iterdir()) == []
-            summaries.append(captured.out.split(":", 1)[1].split(" residual=")[0])
-        assert summaries[0] == summaries[1]
-        assert summaries[0] == " J_star=inf norm_f=inf active=none grad_norm=inf"
+            assert captured.out == ""
+            assert captured.err == (f"numerical failure: non-finite norm_f at grid spacing "
+                                    f"h={2.0 / (n + 1):.3e}\n")
+            assert not out.exists()
 
     def test_sweep_exits_numerical_without_csv_or_warning(self, tmp_path, capsys):
         code = main(["sweep", "--n", "64", "--a", "1e200", "--b", "1e200",
@@ -831,3 +835,77 @@ class TestOverflowIsNotConverged:
         assert captured.err.startswith("numerical failure: ")
         assert "Warning" not in captured.err and len(captured.err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        # A valid annulus whose h-norms square past the double range: it exited 1, after
+        # numpy's overflow warning, as if the control lay outside the annulus.
+        ["gamma", "--a", "1e154", "--b", "1e155"],
+        # a + b overflowed, and the run exited 1.
+        ["gamma", "--a", "1e308", "--b", "1e308"],
+        # It read "classical reference solve did not converge".
+        ["sweep", "--n", "64", "--a", "1e200", "--b", "1e200"],
+    ], ids=["gamma-1e154", "gamma-1e308", "sweep-1e200"])
+    def test_one_line_naming_h(self, args, tmp_path, capsys):
+        code = main(args + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert re.fullmatch(r"numerical failure: non-finite norm_f at grid spacing "
+                            r"h=\d\.\d{3}e-\d\d\n", captured.err)
+        assert not (tmp_path / "out").exists()
+
+
+def _log_uniform(lo, hi):
+    """10^U(lo, hi): a float whose decimal exponent is uniform on [lo, hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _extreme_runs(draw):
+    """A subcommand's arguments and config text, with a, mu and the domain length anywhere."""
+    a = draw(st.just(0.0) | _log_uniform(-300, 300))
+    b = a * 10.0 ** draw(st.floats(min_value=0.0, max_value=3.0))
+    length = draw(_log_uniform(-200, 200))
+    left = draw(st.sampled_from([0.0, -0.5 * length, -1.0]))
+    s = draw(st.none() | _log_uniform(-12, -1e-4)
+             | _log_uniform(-12, -0.5).map(lambda d: 1.0 - d))
+    text = f"x_left = {left!r}\nx_right = {left + length!r}\n" + ("" if s is None else f"s = {s!r}\n")
+    args = [draw(st.sampled_from(["solve", "control", "sweep", "gamma"])),
+            "--n", str(draw(st.integers(min_value=3, max_value=64))),
+            "--a", repr(a), "--b", repr(b), "--mu", repr(draw(_log_uniform(-300, 300)))]
+    return args, text
+
+
+def _floats(texts):
+    """The texts that parse as floats, as floats."""
+    for text in texts:
+        try:
+            yield float(text)
+        except ValueError:
+            pass
+
+
+class TestExitContract:
+    """Every run ends in exit 0 with finite numbers, or in 1, 2 or 3 with one line."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_extreme_runs())
+    def test_documented_exit_one_line_and_finite_numbers(self, run):
+        args, text = run
+        with tempfile.TemporaryDirectory() as directory:
+            cfg_path, out_dir = os.path.join(directory, "run.cfg"), os.path.join(directory, "out")
+            with open(cfg_path, "w") as handle:
+                handle.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                warnings.simplefilter("error")
+                code = main(args + ["--config", cfg_path, "--out", out_dir])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_CHECK_FAILED)
+            assert len(err.getvalue().splitlines()) <= 1
+            if code != EXIT_OK:
+                return
+            cells = [value.rstrip(":") for value in re.findall(r"\w=(\S+)", out.getvalue())]
+            for name in os.listdir(out_dir):
+                cells += [cell for row in read_csv(os.path.join(out_dir, name))[1] for cell in row]
+            assert all(map(math.isfinite, _floats(cells)))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,16 +232,13 @@ class TestPgd:
         assert r.iters == 50
         assert np.all(np.isfinite(r.f_star))
 
-    def test_overflowing_cost_is_not_converged(self):
-        # The loop meets tol at unit scale, but J_star ~ 1e600 overflows to inf;
-        # it used to read converged=True, with numpy's overflow warning escaping.
-        r = pgd_solve(make_op(n=64, s=0.5),
-                      ControlConfig(mu=0.1, a=1e300, b=1e300, tol=1e294))
-        assert np.all(np.isfinite(r.f_star)) and r.grad_norm <= 1e294
-        assert r.J_star == math.inf and not r.converged
-        # f_star's h-norm overflows too.  The slack max(tol, 1e-12) * b used
-        # to overflow with it, and the norm read as on the lower bound.
-        assert r.active_bound == "none"
+    def test_overflowing_cost_raises_naming_h(self):
+        # The loop meets tol at unit scale, but J_star ~ 1e600 and f_star's
+        # h-norm overflow to inf: OverflowError naming h, with no numpy warning.
+        op = make_op(n=64, s=0.5)
+        with pytest.raises(OverflowError, match=re.escape(
+                f"non-finite J_star and norm_f at grid spacing h={op.grid.h:.3e}")):
+            pgd_solve(op, ControlConfig(mu=0.1, a=1e300, b=1e300, tol=1e294))
 
     def test_subnormal_bounds(self, monkeypatch):
         # f_star's entries are about 1e-320; its state solve used to fail the
@@ -523,20 +521,30 @@ class TestEigenSolveControl:
         assert r.grad_norm <= 1e-8
 
     @pytest.mark.parametrize("n", [64, 1024])
-    def test_overflowing_cost_is_not_converged(self, n):
-        # a = 1e200 squares past the double range: J_star is inf, not a converged answer.
-        r = eigen_solve_control(make_op(n=n), ControlConfig(mu=0.1, a=1e200, b=1e200))
-        assert r.J_star == math.inf
-        assert not r.converged
+    def test_overflowing_cost_raises_naming_h(self, n):
+        # a = 1e200 squares past the double range, in the h-norm first: OverflowError naming h.
+        op = make_op(n=n)
+        with pytest.raises(OverflowError, match=re.escape(
+                f"non-finite norm_f at grid spacing h={op.grid.h:.3e}")):
+            eigen_solve_control(op, ControlConfig(mu=0.1, a=1e200, b=1e200))
 
     @pytest.mark.parametrize("n", [256, 1024])
-    def test_overflowing_norm_skips_the_state_solve(self, n):
+    def test_overflowing_norm_skips_the_state_solve(self, n, monkeypatch):
         # 1e308 * v is finite but its h-norm is not; at n = 1024 a Levinson
-        # solve on it used to overflow and raise SolveError.
-        r = eigen_solve_control(make_op(n=n), ControlConfig(mu=0.1, a=1e308, b=1e308))
-        assert np.all(np.isfinite(r.f_star))
-        assert r.J_star == math.inf and r.grad_norm == math.inf
-        assert r.active_bound == "none" and not r.converged
+        # solve on it used to overflow and raise SolveError.  The norm is
+        # refused before the solve.
+        op = make_op(n=n)
+        monkeypatch.setattr(linalg, "toeplitz_solve", lambda col, b: pytest.fail("solved"))
+        with pytest.raises(OverflowError, match=re.escape(
+                f"non-finite norm_f at grid spacing h={op.grid.h:.3e}")):
+            eigen_solve_control(op, ControlConfig(mu=0.1, a=1e308, b=1e308))
+
+    def test_cost_that_overflows_after_the_solve_names_the_spacing(self):
+        # ||f_star||_h = 1e150 is finite, but mu/2 ||f_star||^2 ~ 1e600 is not.
+        op = make_op(n=64)
+        with pytest.raises(OverflowError, match=re.escape(
+                f"non-finite J_star and grad_norm at grid spacing h={op.grid.h:.3e}")):
+            eigen_solve_control(op, ControlConfig(mu=1e300, a=1e150, b=1e150))
 
     def test_large_but_finite_cost_still_converges(self):
         r = eigen_solve_control(make_op(n=64), ControlConfig(mu=0.1, a=1e100, b=1e100))

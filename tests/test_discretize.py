@@ -91,6 +91,21 @@ class TestStencilWeights:
         assert sw.w[0] * 0.25**2 == pytest.approx(1.0, abs=0.02)
         assert sw.w[1] * 0.25**2 <= 0.01
 
+    def test_first_order_term_of_the_classical_limit(self):
+        # dW/ds at s = 1-, in closed form since C(1, s) = 2(1 - s) + O((1 - s)^2), against
+        # (W(1) - W(s)) / (1 - s), W(1) the three-point stencil: w_1 = 1/h^2, the rest 0.
+        # Measured: 5.4e-7 relative for w_1, 0.9-1.0e-6 for w_2..w_4, 5.4e-8 for the tail.
+        n, s = 256, 1.0 - 1e-7
+        h = 2.0 / (n + 1)
+        sw = stencil_weights(s, h, n)
+        classical = np.zeros(n)
+        classical[0] = 1.0 / h**2
+        k = np.arange(2, n + 1)
+        slope = np.concatenate(([3.0 - 2.0 * np.euler_gamma - 2.0 * math.log(h) - 5.0 / 9.0],
+                                -((k - 0.5) ** -2.0 - (k + 0.5) ** -2.0))) / h**2
+        np.testing.assert_allclose((classical - sw.w) / (1.0 - s), slope, rtol=2e-6)
+        assert -sw.tail / (1.0 - s) == pytest.approx(-(n + 0.5) ** -2.0 / h**2, rel=2e-6)
+
     @pytest.mark.parametrize("bad", [(-0.1, 0.1, 5), (1.0, 0.1, 5), (0.5, 0.0, 5), (0.5, 0.1, 1)])
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):

@@ -85,14 +85,14 @@ class TestSolvePoisson:
             solve_poisson(op, np.full(8, np.nan))
 
 
-    @pytest.mark.parametrize("right, named", [(1e120, "seminorm_sq=3.696e+239, l2_norm_u=inf"),
-                                              (1e160, "seminorm_sq=inf, l2_norm_u=inf")])
+    @pytest.mark.parametrize("right, named", [(1e120, "l2_norm_u"),
+                                              (1e160, "seminorm_sq and l2_norm_u")])
     def test_overflowing_norms_name_the_spacing(self, right, named):
         # u grows like h^(2s) times f; on a wide domain its h-norm, then its
         # energy, pass the double range.  No numpy warning on the way.
         g = Grid(0.0, right, 16)
-        with pytest.raises(OverflowError, match=re.escape(f"state norms overflow at grid "
-                                                          f"spacing h={g.h:.3e}: {named}")):
+        with pytest.raises(OverflowError, match=re.escape(f"non-finite {named} at grid "
+                                                          f"spacing h={g.h:.3e}")):
             solve_poisson(assemble_fractional(g, 0.5), np.ones(16))
 
 def assert_nonnegative_state(op, f):

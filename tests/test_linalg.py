@@ -562,6 +562,15 @@ class TestToeplitzSolve:
         with pytest.raises(SolveError, match="non-finite"):
             op.solve(np.ones(op.n))
 
+    @pytest.mark.parametrize("n", [2, 700])
+    def test_answer_that_overflows_is_refused_without_a_warning(self, n):
+        # x peaks at 1.3e608 (Levinson, n = 2) and 2e608 (CG, n = 700).  It is finite at
+        # unit scale, and scaling it back overflowed with numpy's warning.
+        col = np.zeros(n)
+        col[:2] = 1e-300, -2.5e-301
+        with pytest.raises(SolveError, match="^Toeplitz solve returned non-finite values$"):
+            toeplitz_solve(col, np.full(n, 1e308))
+
     @pytest.mark.parametrize("path", SOLVERS)
     def test_large_backward_error(self, path, monkeypatch):
         # Each answer 0.1 % too large: the relative error of 1e-3 stays far
