@@ -33,10 +33,6 @@ RHS_PRESETS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     x_left: float = -1.0
@@ -71,19 +67,9 @@ def _float_list(value: str) -> list[float]:
     return [float(p) for p in items]
 
 
-_KEY_PARSERS = {
-    "x_left": float,
-    "x_right": float,
-    "n": int,
-    "s": float,
-    "s_list": _float_list,
-    "mu": float,
-    "a": float,
-    "b": float,
-    "tol": float,
-    "rhs": str,
-    "out": str,
-}
+# Each config key's parser, from the type of its RunConfig field: adding a key is adding a field.
+_KEY_PARSERS = {f.name: {float: float, int: int, str: str, float | None: float,
+                         list[float]: _float_list}[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(text: str, overrides=None) -> RunConfig:
@@ -91,7 +77,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
 
     overrides maps keys to already parsed values that take precedence over
     the file's; the library's objects validate the merged config once.  Unknown
-    keys, malformed values and constraint violations raise a ConfigError, with
+    keys, malformed values and constraint violations raise a ValueError, with
     the line of the key to blame when its value came from the file.
     """
     values = {}
@@ -101,15 +87,15 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _KEY_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+            raise ValueError(f"line {lineno}: unknown key '{key}'")
         try:
             values[key] = _KEY_PARSERS[key](value.strip())
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: malformed value for key '{key}': {exc}")
+            raise ValueError(f"line {lineno}: malformed value for key '{key}': {exc}")
         lines[key] = lineno
     for key, value in (overrides or {}).items():
         values[key] = value
@@ -127,7 +113,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         except ValueError as exc:
             keys = getattr(exc, "fields", keys)
             where = next((f"line {lines[k]}: " for k in keys if k in lines), "")
-            raise ConfigError(f"{where}{exc}") from None
+            raise ValueError(f"{where}{exc}") from None
     return cfg
 
 
@@ -354,7 +340,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConfigError as exc:
+    except ValueError as exc:  # caught after UnicodeDecodeError, itself a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return dispatch(cfg, args.subcommand)

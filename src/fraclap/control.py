@@ -26,6 +26,7 @@ import numpy as np
 from . import linalg
 from .discretize import (FieldError, Grid, GridFunction, Operator, inner_product_h, norm_h,
                          require_finite)
+from .forward import poincare_constant
 
 _EPS = float(np.finfo(float).eps)
 
@@ -81,7 +82,7 @@ def _cost(f: GridFunction, u: GridFunction, mu: float, grid: Grid) -> float:
 
 def _step(op: Operator, mu: float) -> float:
     """1 / (1/lambda_min(A) + mu), the reciprocal of the gradient's Lipschitz constant."""
-    return 1.0 / (1.0 / op.bottom_pair.value + mu)
+    return 1.0 / (poincare_constant(op) + mu)
 
 
 def reduced_cost(op: Operator, f: GridFunction, mu: float) -> float:
@@ -182,16 +183,13 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     sits on one mode other than q_ref's; when its rounding bound exceeds
     1e-8 of its value, the step is summed elementwise instead.
 
-    A non-positive-definite operator (lambda_min <= 0 in the even half or
-    in op.bottom_pair, or a non-finite eigenvalue) raises linalg.SolveError.
+    An operator that is not positive definite raises linalg.SolveError,
+    from forward.poincare_constant.
     """
     grid = op.grid
+    step = _step(op, cfg.mu)
     basis = linalg.even_basis(op.col)
     lam = basis.values
-    spectrum = np.append(lam, op.bottom_pair.value)
-    if not (np.all(np.isfinite(spectrum)) and spectrum.min() > 0.0):
-        raise linalg.SolveError(f"matrix is not positive definite: eigenvalues span "
-                                f"[{spectrum.min():.3e}, {spectrum.max():.3e}]")
     n, h, a, b, tol = grid.n, grid.h, cfg.a, cfg.b, cfg.tol
     q = 1.0 / lam + cfg.mu
     q_ref = float(q.min())  # the step's sums are expanded about it
@@ -199,7 +197,6 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     g2 = g * g
     # The iterate is f = B (tau / sqrt(h)) sign * sqrt(w): ||f||_h = tau sqrt(sum w).
     w, tau = g2.copy(), min(max(math.sqrt(h * n), a), b)
-    step = _step(op, cfg.mu)
     first, floor = 4.0 * step, 1e-12 * step
 
     # Trial m has length first * 2**-m, down to the first below floor, which the
@@ -321,9 +318,12 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
     converged reports whether that eigenpair meets cfg.tol.  A norm,
-    cost or residual that overflows raises OverflowError naming h.
+    cost or residual that overflows raises OverflowError naming h, and an
+    operator that is not positive definite, whatever a, raises
+    linalg.SolveError from forward.poincare_constant.
     """
     grid = op.grid
+    step = _step(op, cfg.mu)  # before the a = 0 return: it refuses an indefinite A
     if cfg.a == 0.0:
         z = np.zeros(grid.n)
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
@@ -335,7 +335,6 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         require_finite(grid, norm_f=nrm)  # before the state solve, which such an f can overflow
         u = op.solve(f)
         J = _cost(f, u, cfg.mu, grid)
-        step = _step(op, cfg.mu)
         f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
         pg_res = norm_h(f - f_next, grid) / step  # the projected optimality residual
     require_finite(grid, J_star=J, grad_norm=pg_res)

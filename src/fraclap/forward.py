@@ -1,10 +1,12 @@
 """Forward Poisson solves, seminorm evaluation, Poincare constant."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import GridFunction, Operator, inner_product_h, norm_h, require_finite
+from .linalg import SolveError
 
 
 @dataclass(frozen=True)
@@ -37,5 +39,12 @@ def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
 
 
 def poincare_constant(op: Operator) -> float:
-    """Smallest constant with ||u||_h^2 <= C <A u, u>_h on the grid: 1/lambda_min."""
-    return 1.0 / op.bottom_pair.value
+    """Smallest constant with ||u||_h^2 <= C <A u, u>_h on the grid: 1/lambda_min.
+
+    An operator that is not positive definite has none: unless lambda_min > 0
+    and lambda_max is finite, this raises SolveError.
+    """
+    lo, hi = op.bottom_pair.value, op.top_pair.value
+    if not (lo > 0.0 and math.isfinite(hi)):
+        raise SolveError(f"matrix is not positive definite: eigenvalues span [{lo:.3e}, {hi:.3e}]")
+    return 1.0 / lo

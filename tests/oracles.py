@@ -6,7 +6,9 @@ once per matrix in a process.  A dense Cholesky solve refined with
 long-double residuals is the reference for Toeplitz solves, and the
 long-double direct sum behind those residuals the reference for Toeplitz
 products.  The unit-load state is the
-closed form the forward solver is measured against.  Projected gradient descent in nodal
+closed form the forward solver is measured against, and the classical top
+eigenpair with its derivative in the order, both closed form, give the
+slope of the classical limit.  Projected gradient descent in nodal
 values, one Cholesky solve per trial, checks the eigenbasis iteration of
 fraclap.control.pgd_solve; so does the same eigenbasis iteration written
 with the checked helpers of fraclap.control and fraclap.discretize, on the
@@ -34,7 +36,6 @@ from fraclap.control import (
     project_annulus,
 )
 from fraclap import control, linalg
-from fraclap.cli import ConfigError
 from fraclap.discretize import inner_product_h, norm_h
 from fraclap.linalg import SolveError
 
@@ -43,6 +44,39 @@ def unit_rhs_exact_state(x, s):
     """Closed-form state for a unit load on (-1, 1): c_s (1 - x^2)^s."""
     c = math.sqrt(math.pi) * 4.0 ** (-s) / (math.gamma(s + 0.5) * math.gamma(s + 1.0))
     return c * (1.0 - x**2) ** s
+
+
+def classical_top_derivative(grid):
+    """The classical top eigenvalue lambda and its derivative in s at s = 1-, in closed form.
+
+    lambda = (4/h^2) sin^2(n pi / (2 (n + 1))), with the unit eigenvector
+    v_k proportional to (-1)^(k+1) sin(k pi / (n + 1)).  By Hellmann-Feynman
+    d lambda/ds = v^T A' v, A' = dA_s/ds at s = 1-.  Since C(1, s) =
+    2 (1 - s) + O((1 - s)^2), the weights' derivatives are closed form:
+    h^2 w_1' = 3 - 2 gamma - 2 log h - 5/9, h^2 w_k' = -((k - 1/2)^-2 -
+    (k + 1/2)^-2) for k >= 2 and h^2 tail' = -(n + 1/2)^-2, so A' has the
+    first column [2 (sum w' + tail'), -w_1', ..., -w_(n-1)'].  One
+    linalg.toeplitz_product takes v^T A' v; no eigen solve runs, at any n.
+    """
+    n, h = grid.n, grid.h
+    k = np.arange(1, n + 1)
+    v = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi / (n + 1))
+    v /= np.linalg.norm(v)
+    lam = 4.0 / h**2 * math.sin(n * math.pi / (2 * (n + 1))) ** 2
+    w = np.concatenate(([3.0 - 2.0 * np.euler_gamma - 2.0 * math.log(h) - 5.0 / 9.0],
+                        -((k[1:] - 0.5) ** -2.0 - (k[1:] + 0.5) ** -2.0))) / h**2
+    tail = -(n + 0.5) ** -2.0 / h**2
+    col = np.concatenate(([2.0 * (w.sum() + tail)], -w[:n - 1]))
+    return lam, float(linalg.toeplitz_product(col)(v) @ v)
+
+
+def classical_limit_slope(grid, cfg) -> float:
+    """(a^2/2) v^T A' v / lambda^2, the limit of (J_s - J_1)/(1 - s) as s -> 1-.
+
+    J_s = (a^2/2)(1/lambda_max(A_s) + mu), so this is Hellmann-Feynman's first-order term.
+    """
+    lam, dlam = classical_top_derivative(grid)
+    return 0.5 * cfg.a**2 * dlam / lam**2
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -309,7 +343,7 @@ RHS_PRESETS = ("one", "sine", "hat")
 
 def _fail(key, lines, message):
     where = f"line {lines[key]}: " if key in lines else ""
-    raise ConfigError(f"{where}{message}")
+    raise ValueError(f"{where}{message}")
 
 
 def validate_config(cfg, lines):

@@ -24,7 +24,6 @@ from fraclap.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    ConfigError,
     RunConfig,
     dispatch,
     exact_unit_ball_solution,
@@ -52,7 +51,7 @@ class TestParseConfig:
         assert cfg.sweep_s_list() == [0.5]
 
     def test_reversed_bounds_name_line(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValueError) as err:
             parse_config("a = 2\nb = 1")
         assert "a > b" in str(err.value)
         assert "line 2" in str(err.value)
@@ -71,17 +70,17 @@ class TestParseConfig:
         assert cfg.n == 64
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValueError) as err:
             parse_config("order = 0.5")
         assert "line 1" in str(err.value) and "order" in str(err.value)
 
     def test_malformed_number(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValueError) as err:
             parse_config("n = 12\nmu = lots")
         assert "line 2" in str(err.value) and "mu" in str(err.value)
 
     def test_missing_equals(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config("just words")
 
     def test_s_list_parsing(self):
@@ -89,41 +88,41 @@ class TestParseConfig:
         assert cfg.s_list == [0.25, 0.5, 0.75]
 
     def test_s_out_of_range(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValueError) as err:
             parse_config("s = 1.5")
         assert "s" in str(err.value)
 
     def test_too_small_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config("n = 2")
 
     def test_unknown_rhs(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config("rhs = gaussian")
 
     def test_nonfinite_values_name_line(self):
         for text in ("mu = nan", "n = 16\na = inf", "b = inf", "tol = inf",
                      "x_left = -inf", "n = 16\nx_right = inf", "x_right = nan"):
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(ValueError) as err:
                 parse_config(text)
             assert "finite" in str(err.value) and "line" in str(err.value)
 
     def test_seed_is_not_a_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_config("seed = 5")
 
     @pytest.mark.parametrize("text", ["workers = 2", "max_iter = 1", "scheme = monotone"])
     def test_removed_keys_are_unknown(self, text):
-        with pytest.raises(ConfigError, match="line 1: unknown key"):
+        with pytest.raises(ValueError, match="line 1: unknown key"):
             parse_config(text)
 
     def test_empty_s_list_names_line_and_key(self):
-        with pytest.raises(ConfigError, match="^line 1: malformed value for key 's_list': "):
+        with pytest.raises(ValueError, match="^line 1: malformed value for key 's_list': "):
             parse_config("s_list = ,")
 
     def test_overrides_win_and_drop_the_line_number(self):
         assert parse_config("a = 3", {"b": 5.0}) == RunConfig(a=3.0, b=5.0)
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ValueError) as err:
             parse_config("a = 3\nb = 2.5", {"a": 4.0})
         assert str(err.value) == "line 2: a > b (4.0 > 2.5)"
 
@@ -213,11 +212,11 @@ class TestConfigRulesMatchReference:
         try:
             oracles.validate_config(RunConfig(**merged), lines)
             expected = None
-        except ConfigError as exc:
+        except ValueError as exc:
             expected = str(exc)
         try:
             cfg, got = parse_config(text, overrides), None
-        except ConfigError as exc:
+        except ValueError as exc:
             got = str(exc)
         assert (got is None) == (expected is None), (expected, got)
         if expected is None:
@@ -230,7 +229,7 @@ class TestConfigRulesMatchReference:
 
     def test_reversed_endpoints_fall_back_to_the_x_left_line(self):
         # The reference blamed the default x_right and printed no line.
-        with pytest.raises(ConfigError, match=r"^line 1: need x_left < x_right, got \[5.0, 1.0\]$"):
+        with pytest.raises(ValueError, match=r"^line 1: need x_left < x_right, got \[5.0, 1.0\]$"):
             parse_config("x_left = 5")
 
 

@@ -550,3 +550,13 @@ class TestEigenSolveControl:
         r = eigen_solve_control(make_op(n=64), ControlConfig(mu=0.1, a=1e100, b=1e100))
         assert math.isfinite(r.J_star) and math.isfinite(r.grad_norm)
         assert r.converged
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_indefinite_operator_raises(self, a):
+        # tridiag(2, 1, 2) has the eigenvalue -1, whose unit mode costs J = 1/(2 lambda) + mu/2
+        # = -0.45 at a = 1, and -1.8 at the norm b = 2: neither 0 nor a times the top mode.
+        col = np.zeros(8)
+        col[:2] = 1.0, 2.0
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 8))
+        with pytest.raises(SolveError, match="not positive definite"):
+            eigen_solve_control(op, ControlConfig(mu=0.1, a=a, b=2.0))

@@ -6,6 +6,7 @@ import pytest
 
 from fraclap.discretize import (
     Grid,
+    Operator,
     assemble_classical,
     assemble_fractional,
     inner_product_h,
@@ -147,6 +148,13 @@ class TestPoincare:
         values = [poincare_constant(assemble_fractional(g, float(s))) for s in ladder]
         for c1, c2 in zip(values, values[1:]):
             assert abs(c2 - c1) <= 0.2 * max(c1, c2)
+
+    def test_indefinite_operator_has_none(self):
+        col = np.zeros(8)
+        col[:2] = 1.0, 2.0  # tridiag(2, 1, 2): eigenvalues 1 + 4 cos(k pi / 9), from -2.76
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 8))
+        with pytest.raises(SolveError, match=r"not positive definite: eigenvalues span \[-"):
+            poincare_constant(op)
 
 
 class TestCrossSeminorm:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fraclap.linalg
+import oracles
 from fraclap.cli import parse_config
 from fraclap.control import ControlConfig, eigen_solve_control
 from fraclap.discretize import (
@@ -124,6 +125,39 @@ class TestClassicalLimitRate:
         richardson = abs(2.0 * last - before - J1)
         assert richardson <= 2e-9
         assert 50.0 * richardson <= abs(last - J1)
+
+
+class TestClassicalLimitSlope:
+    """J_s - J_1 = (1 - s) slope + O((1 - s)^2), the slope in closed form at s = 1.
+
+    oracles.classical_limit_slope needs no eigen solve.  Along s_k = 1 - 2^-k,
+    k = 8..14, the distance d_k = (J_s - J_1)/(1 - s) - slope is second order, so it
+    halves per rung.  The bands were set from a measurement and are not to be widened.
+    """
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_distance_from_the_slope_halves_per_rung(self, n):
+        # Measured: slope 8.24686e-5 at n = 256 and 6.50105e-6 at n = 1024; ratios 2.000-2.018.
+        grid = Grid(-1.0, 1.0, n)
+        slope = oracles.classical_limit_slope(grid, CONTROL)
+        J1 = eigen_solve_control(assemble_classical(grid), CONTROL).J_star
+        d = []
+        for k in range(8, 15):
+            s = 1.0 - 2.0**-k
+            J_s = eigen_solve_control(assemble_fractional(grid, s), CONTROL).J_star
+            d.append((J_s - J1) / (1.0 - s) - slope)
+        ratios = [a / b for a, b in zip(d, d[1:])]
+        assert all(1.99 <= q <= 2.03 for q in ratios), ratios
+
+    def test_slope_grows_like_the_log_of_the_spacing(self):
+        # d lambda_max/ds over lambda_max log(1/h); measured 2.243, 2.131 and 2.090.  So at a
+        # fixed 1 - s a finer grid sits further from the classical answer.
+        figures = []
+        for n in (256, 16384, 2**20):
+            grid = Grid(-1.0, 1.0, n)
+            lam, dlam = oracles.classical_top_derivative(grid)
+            figures.append(dlam / (lam * math.log(1.0 / grid.h)))
+        assert 2.30 >= figures[0] > figures[1] > figures[2] >= 2.05, figures
 
 
 class TestStateLimit:
