@@ -185,13 +185,10 @@ def exact_unit_ball_solution(x: np.ndarray, s: float) -> np.ndarray:
 def _cmd_validate(cfg: RunConfig) -> int:
     """Forward-solver check against the closed-form unit-ball solution at n//4, n//2, n and 2n."""
     if not (cfg.x_left, cfg.x_right) == (-1.0, 1.0):
-        print("validate requires the domain (-1, 1) where the closed form holds",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("validate requires the domain (-1, 1) where the closed form holds")
     if cfg.n // 4 < 3:
-        print(f"validate runs n//4, n//2, n and 2n nodes and needs n >= 12, got n={cfg.n}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("validate runs n//4, n//2, n and 2n nodes and needs n >= 12, "
+                         f"got n={cfg.n}")
     s = cfg.single_s()
     sizes = [cfg.n // 4, cfg.n // 2, cfg.n, 2 * cfg.n]
     errors = []
@@ -239,7 +236,9 @@ def _cmd_control(cfg: RunConfig) -> int:
           f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
           f"gap={op.top_pair.gap:.3e} converged={result.converged}"
           + (" -> control.csv" if result.converged else ""))
-    return EXIT_OK if result.converged else EXIT_NUMERICAL
+    if not result.converged:
+        raise SolveError(f"control solve did not converge at s={s}")
+    return EXIT_OK
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -285,10 +284,9 @@ OVERRIDES = ("out", "n", "s", "mu", "a", "b", "tol")
 
 def dispatch(cfg: RunConfig, subcommand: str) -> int:
     """Run one subcommand; exit codes: 0 ok, 1 config, 2 numerical, 3 check failed."""
-    if subcommand not in HANDLERS:
-        print(f"unknown subcommand '{subcommand}'", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if subcommand not in HANDLERS:
+            raise ValueError(f"unknown subcommand '{subcommand}'")
         return HANDLERS[subcommand](cfg)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -313,22 +311,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="fraclap",
-        description="Fractional-Laplacian forward solves, norm-constrained "
-                    "optimal control, and classical-limit sweeps on an interval.",
-    )
-    parser.add_argument("subcommand", choices=HANDLERS)
-    parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    for key in OVERRIDES:
-        parser.add_argument(f"--{key}", type=_KEY_PARSERS[key],
-                            help=f"override config key '{key}'")
-    return parser
+# Built once at import: in-process callers of main reuse it.
+_PARSER = _ArgumentParser(
+    prog="fraclap",
+    description="Fractional-Laplacian forward solves, norm-constrained "
+                "optimal control, and classical-limit sweeps on an interval.",
+)
+_PARSER.add_argument("subcommand", choices=HANDLERS)
+_PARSER.add_argument("--config", metavar="PATH", help="key = value config file")
+for _key in OVERRIDES:
+    _PARSER.add_argument(f"--{_key}", type=_KEY_PARSERS[_key],
+                         help=f"override config key '{_key}'")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     overrides = {key: getattr(args, key) for key in OVERRIDES
                  if getattr(args, key) is not None}
     try:

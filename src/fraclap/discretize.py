@@ -209,8 +209,18 @@ def inner_product_h(v: GridFunction, w: GridFunction, grid: Grid) -> float:
 
 
 def norm_h(v: GridFunction, grid: Grid) -> float:
-    """Discrete L2 norm induced by inner_product_h."""
-    return float(np.sqrt(inner_product_h(v, v, grid)))
+    """Discrete L2 norm induced by inner_product_h.
+
+    When the h-weighted sum of squares underflows below the smallest normal
+    float while some entry is nonzero, it is taken once more on v scaled
+    exactly by a power of two, with sqrt(h) taken out, since h can be tiny too.
+    """
+    sq = inner_product_h(v, v, grid)
+    if not sq < sys.float_info.min or not np.any(v):
+        return float(np.sqrt(sq))
+    exponent = math.frexp(float(np.abs(v).max()))[1]
+    w = np.ldexp(np.asarray(v, dtype=float), -exponent)
+    return math.ldexp(math.sqrt(grid.h) * math.sqrt(float(w @ w)), exponent)
 
 
 def require_finite(grid: Grid, where: str = "", **values: float) -> None:

@@ -420,7 +420,8 @@ class TestDispatch:
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "validate requires the domain (-1, 1) where the closed form holds\n"
+        assert captured.err == ("configuration error: validate requires the domain (-1, 1) "
+                                "where the closed form holds\n")
 
     def test_validate_failure_exit_code(self, monkeypatch):
         import fraclap.cli as cli_module
@@ -487,8 +488,9 @@ class TestDispatch:
         assert clauses == {"recovery", "liminf"}
         assert len(rows) == 20
 
-    def test_unknown_subcommand(self):
+    def test_unknown_subcommand(self, capsys):
         assert dispatch(RunConfig(), "plot") == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: unknown subcommand 'plot'\n"
 
     def test_unknown_rhs_past_parse_config_exits_config(self, tmp_path, capsys):
         assert dispatch(RunConfig(rhs="gaussian", out=str(tmp_path)), "solve") == EXIT_CONFIG
@@ -657,8 +659,9 @@ class TestMain:
     def test_control_failure_leaves_no_csv(self, tmp_path, capsys):
         code = main(["control", "--n", "32", "--tol", "1e-300", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "converged=False" in out and "control.csv" not in out
+        assert err == "numerical failure: control solve did not converge at s=0.5\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_control_at_large_n(self, tmp_path, capsys):
@@ -885,7 +888,7 @@ def _floats(texts):
 
 
 class TestExitContract:
-    """Every run ends in exit 0 with finite numbers, or in 1, 2 or 3 with one line."""
+    """Every run ends in exit 0 with finite numbers, 1 or 2 with one stderr line, or 3 with none."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_extreme_runs())
@@ -901,7 +904,8 @@ class TestExitContract:
                 warnings.simplefilter("error")
                 code = main(args + ["--config", cfg_path, "--out", out_dir])
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_CHECK_FAILED)
-            assert len(err.getvalue().splitlines()) <= 1
+            refused = code in (EXIT_CONFIG, EXIT_NUMERICAL)
+            assert len(err.getvalue().splitlines()) == (1 if refused else 0)
             if code != EXIT_OK:
                 return
             cells = [value.rstrip(":") for value in re.findall(r"\w=(\S+)", out.getvalue())]

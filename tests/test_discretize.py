@@ -424,3 +424,12 @@ def test_norm_h_matches_inner_product():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(10)
     assert norm_h(v, g) == pytest.approx(math.sqrt(inner_product_h(v, v, g)), rel=1e-14)
+
+
+def test_norm_h_of_a_vector_whose_squares_underflow():
+    # ||v||_h = 1e-300: every square underflows to 0, but the norm is a normal float.
+    g = Grid(0.0, 1.0, 3)  # h = 1/4
+    v = np.array([2e-300, 0.0, 0.0])
+    assert norm_h(v, g) == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+    w = np.random.default_rng(1).standard_normal(3)
+    assert norm_h(1e-300 * w, g) == pytest.approx(1e-300 * norm_h(w, g), rel=1e-14, abs=0.0)

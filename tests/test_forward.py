@@ -85,6 +85,16 @@ class TestSolvePoisson:
         with pytest.raises(SolveError, match="^right-hand side is not finite$"):
             solve_poisson(op, np.full(8, np.nan))
 
+    def test_tiny_state_norm_does_not_underflow(self):
+        # On (0, 1e-200) u is about h times f, and ||u||_h about 4e-301: the squares
+        # of u underflow, but its h-norm does not.
+        g = Grid(0.0, 1e-200, 16)
+        sol = solve_poisson(assemble_fractional(g, 0.5), np.ones(16))
+        peak = float(sol.u.max())
+        expected = math.sqrt(g.h) * float(np.linalg.norm(sol.u / peak)) * peak
+        assert 1e-301 < expected < 1e-300
+        assert sol.l2_norm_u == pytest.approx(expected, rel=1e-14, abs=0.0)
+
 
     @pytest.mark.parametrize("right, named", [(1e120, "l2_norm_u"),
                                               (1e160, "seminorm_sq and l2_norm_u")])
