@@ -181,7 +181,10 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     the half's smallest q, q_ref = min q: F = F_ref + G with G <= 0, so
     each sum is one-signed.  The expansion still cancels when the iterate
     sits on one mode other than q_ref's; when its rounding bound exceeds
-    1e-8 of its value, the step is summed elementwise instead.
+    1e-8 of its value, the step is summed elementwise instead.  These
+    sums, and the basis's products, stay on BLAS, unlike every sum fraclap
+    reports (linalg.pairwise_dot): they steer the iteration in the even
+    half, and f_star reaches the caller only through the final _cost.
 
     An operator that is not positive definite raises linalg.SolveError,
     from forward.poincare_constant.

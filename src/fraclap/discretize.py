@@ -200,12 +200,15 @@ def assemble_classical(grid: Grid) -> Operator:
 
 
 def inner_product_h(v: GridFunction, w: GridFunction, grid: Grid) -> float:
-    """Discrete L2 pairing h * sum(v_i w_i); exact trapezoid for zero boundary."""
+    """Discrete L2 pairing h * sum(v_i w_i), summed by linalg.pairwise_dot.
+
+    The exact trapezoid rule for a zero boundary.
+    """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     if v.shape != (grid.n,) or w.shape != (grid.n,):
         raise ValueError(f"expected two vectors of shape ({grid.n},), got {v.shape} and {w.shape}")
-    return grid.h * float(v @ w)
+    return grid.h * linalg.pairwise_dot(v, w)
 
 
 def norm_h(v: GridFunction, grid: Grid) -> float:
@@ -220,7 +223,7 @@ def norm_h(v: GridFunction, grid: Grid) -> float:
         return float(np.sqrt(sq))
     exponent = math.frexp(float(np.abs(v).max()))[1]
     w = np.ldexp(np.asarray(v, dtype=float), -exponent)
-    return math.ldexp(math.sqrt(grid.h) * math.sqrt(float(w @ w)), exponent)
+    return math.ldexp(math.sqrt(grid.h) * math.sqrt(linalg.pairwise_dot(w, w)), exponent)
 
 
 def require_finite(grid: Grid, where: str = "", **values: float) -> None:
@@ -236,4 +239,4 @@ def quadratic_form(op: Operator, v: GridFunction) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"expected a vector of shape ({op.n},), got {v.shape}")
-    return op.grid.h * float(v @ linalg.toeplitz_product(op.col)(v))
+    return inner_product_h(v, linalg.toeplitz_product(op.col)(v), op.grid)

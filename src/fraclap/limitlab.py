@@ -9,7 +9,7 @@ the normalizing constant vanishes, proportionally to 1 - s.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
             seminorm_sq=seminorm_sq,
             poincare_c=poincare_constant(op),
         )
-        require_finite(grid, where=f"s={s}, ", **asdict(row))
+        require_finite(grid, where=f"s={s}, ", **vars(row))
         rows.append(row)
     return SweepReport(
         rows=rows,

@@ -78,6 +78,17 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a_i b_i) as numpy's pairwise sum: the one summation rule behind every reported sum.
+
+    BLAS ddot splits its sum by the thread count from some n between 10 000 and 32 768, so
+    its last bit depends on the machine; numpy's pairwise sum of the products does not, and
+    its error bound grows like log n, not n (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002).
+    """
+    return float(np.sum(a * b))
+
+
 def toeplitz_product(col: np.ndarray):
     """v -> A v for the symmetric Toeplitz matrix A of col, summed directly below PCG_MIN_N.
 
@@ -101,8 +112,7 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
 
     The preconditioner is R C^-1 R^T, C Strang's circulant of fast order k >= n and R the
     restriction to the first n entries; it is SPD because C is.  Each inner product and norm
-    is numpy's pairwise sum, not BLAS ddot or dnrm2, whose split depends on the thread count,
-    so x has the same bytes on any number of BLAS threads.
+    is pairwise_dot, so x has the same bytes on any number of BLAS threads.
     """
     n = len(col)
     if not b.any():
@@ -119,20 +129,20 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
     r = b.copy()
     z = precondition(r)
     p = z
-    rz = float(np.sum(r * z))
-    stop = PCG_RTOL * math.sqrt(np.sum(b * b))
+    rz = pairwise_dot(r, z)
+    stop = PCG_RTOL * math.sqrt(pairwise_dot(b, b))
     for _ in range(PCG_MAX_ITER):
         q = product(p)
-        pq = float(np.sum(p * q))
+        pq = pairwise_dot(p, q)
         if not 0.0 < pq < math.inf:
             raise SolveError(f"conjugate gradients broke down: p^T A p = {pq:.3e}")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        if math.sqrt(np.sum(r * r)) <= stop:
+        if math.sqrt(pairwise_dot(r, r)) <= stop:
             return x
         z = precondition(r)
-        rz, rz_old = float(np.sum(r * z)), rz
+        rz, rz_old = pairwise_dot(r, z), rz
         p = z + (rz / rz_old) * p
     raise SolveError(f"conjugate gradients did not reach relative residual {PCG_RTOL:g} "
                      f"in {PCG_MAX_ITER} iterations")
@@ -160,8 +170,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
         raise ValueError(f"expected right-hand side of shape {col.shape}, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise SolveError("right-hand side is not finite")
-    e_col = int(np.frexp(np.abs(col).max(initial=0.0))[1])
-    e_b = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    e_col = math.frexp(float(np.abs(col).max(initial=0.0)))[1]
+    e_b = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
     col, b = np.ldexp(col, -e_col), np.ldexp(b, -e_b)
     product = toeplitz_product(col)
     if len(col) < PCG_MIN_N:
@@ -176,7 +186,8 @@ def toeplitz_solve(col, b) -> np.ndarray:
     if not np.all(np.isfinite(result)):
         raise SolveError("Toeplitz solve returned non-finite values")
     r_norm = float(np.abs(b - product(x)).max(initial=0.0))
-    a_norm = abs(float(col[0])) + 2.0 * float(np.abs(col[1:]).sum())
+    abs_col = np.abs(col)
+    a_norm = float(abs_col[0]) + 2.0 * float(abs_col[1:].sum())
     bound = BACKWARD_ERROR_TOL * a_norm * float(np.abs(x).max(initial=0.0))
     if not r_norm <= bound:
         raise SolveError(f"Toeplitz solve residual {r_norm:.3e} exceeds "
@@ -227,11 +238,14 @@ def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
     m = n // 2
     k = m + 1 if n % 2 and parity > 0 else m
     M = np.empty((k, k))
-    # Strided views, no copies: A[i, j] = mirrored[m - 1 - i + j], H[i, j] = reversed[i + j].
-    windows = np.lib.stride_tricks.sliding_window_view
+    # Read-only strided views, no copies:
+    # A[i, j] = mirrored[m - 1 - i + j] = col[|i - j|] and H[i, j] = col[n - 1 - i - j].
+    view = np.lib.stride_tricks.as_strided
     mirrored = np.concatenate((col[m - 1:0:-1], col[:m]))
-    combine = np.add if parity > 0 else np.subtract
-    combine(windows(mirrored, m)[::-1], windows(col[::-1][:2 * m - 1], m), out=M[:m, :m])
+    step, col_step = mirrored.strides[0], col.strides[0]
+    A = view(mirrored[m - 1:], (m, m), (-step, step), writeable=False)
+    H = view(col[n - 1:], (m, m), (-col_step, -col_step), writeable=False)
+    (np.add if parity > 0 else np.subtract)(A, H, out=M[:m, :m])
     if k > m:
         M[m, :m] = M[:m, m] = math.sqrt(2.0) * col[m:0:-1]
         M[m, m] = col[0]
@@ -349,12 +363,13 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     def pair(end: int, inward: int) -> EigenPair:
         lam, parity, z = candidates[end]
         v = _lift(z, parity, n)
-        # v is sqrt(2) times as long as z.  BLAS dnrm2 scales as it sums, so a residual
-        # near the top of the double range stays finite.
+        # v is sqrt(2) times as long as z.  The residual is the one sum left on BLAS: dnrm2
+        # scales as it sums, so a residual near the top of the double range stays finite.
         r = product(v) - lam * v
         residual = float(scipy.linalg.norm(r, check_finite=False)) / math.sqrt(2.0)
         gap = abs(candidates[inward][0] - lam) / abs(lam) if lam != 0.0 else math.inf
-        return EigenPair(value=lam, vector=v / math.sqrt(h * float(v @ v)), residual=residual, gap=gap)
+        return EigenPair(value=lam, vector=v / math.sqrt(h * pairwise_dot(v, v)), residual=residual,
+                         gap=gap)
 
     return ExtremePairs(bottom=pair(0, 1), top=pair(-1, -2))
 
@@ -368,7 +383,9 @@ class EvenBasis:
     the unit even eigenvector B[:, j] = lift(Q Z[:, j]) / sqrt(2), where
     Q holds the half's dsytrd reflectors (reflectors, tau) and Z the
     tridiagonal's eigenvectors (vectors).  B is never formed:
-    coefficients and nodal apply B^T and B to one vector each.
+    coefficients and nodal apply B^T and B to one vector each, by BLAS
+    products rather than pairwise_dot: the gradient iteration of
+    fraclap.control is their one caller, and it reports only its final cost.
     """
 
     values: np.ndarray

@@ -19,6 +19,7 @@ from fraclap.discretize import (
     quadratic_form,
     stencil_weights,
 )
+from fraclap.linalg import toeplitz_product
 from oracles import direct_toeplitz_product
 
 
@@ -348,6 +349,15 @@ class TestQuadraticForm:
         op = assemble_classical(Grid(-1.0, 1.0, 8))
         with pytest.raises(ValueError):
             quadratic_form(op, np.ones(9))
+
+    @pytest.mark.parametrize("n", [3, 128, 4096, 65537])
+    @pytest.mark.parametrize("s", [0.5, None])
+    def test_is_the_h_pairing_of_v_with_a_v(self, n, s):
+        # One summation rule: the energy is inner_product_h's pairwise sum, to the last bit.
+        g = Grid(-1.0, 1.0, n)
+        op = assemble_classical(g) if s is None else assemble_fractional(g, s)
+        v = np.random.default_rng(n).standard_normal(n)
+        assert quadratic_form(op, v) == inner_product_h(v, toeplitz_product(op.col)(v), g)
 
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.99, 0.999, None])

@@ -352,10 +352,12 @@ class TestNoIdleBlasWorker:
 
 
 class TestSameBytesOnOneAndTwoBlasThreads:
-    # The commands whose CSVs README states do not depend on the BLAS thread count.
+    # The commands whose CSVs README states do not depend on the BLAS thread count.  BLAS ddot
+    # splits its sum by thread count from some n between 10 000 and 32 768, so gamma at
+    # n = 32768 and the energies at n = 65537 check that no reported h-sum goes through it.
     COMMANDS = (["solve", "--n", "4096"], ["solve", "--n", "16384", "--s", "0.9"],
                 ["solve", "--n", "65537", "--s", "0.9"], ["control"], ["control", "--n", "400"],
-                ["sweep"], ["gamma"])
+                ["sweep"], ["gamma"], ["gamma", "--n", "32768"])
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs at least 2 CPUs")
@@ -364,21 +366,40 @@ class TestSameBytesOnOneAndTwoBlasThreads:
     def test_csv_bytes(self, tmp_path):
         # Each child runs every command; only the child's environment names a thread count.
         script = ("import os, sys\n"
+                  "import numpy as np\n"
                   "from fraclap.cli import main\n"
+                  "from fraclap.discretize import Grid, assemble_fractional\n"
+                  "from fraclap.forward import solve_poisson\n"
                   f"for i, argv in enumerate({list(self.COMMANDS)!r}):\n"
-                  "    assert main(argv + ['--out', os.path.join(sys.argv[1], str(i))]) == 0\n")
+                  "    assert main(argv + ['--out', os.path.join(sys.argv[1], str(i))]) == 0\n"
+                  "sol = solve_poisson(assemble_fractional(Grid(-1.0, 1.0, 65537), 0.9), np.ones(65537))\n"
+                  "print(repr(sol.seminorm_sq), repr(sol.l2_norm_u))\n")
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         src = os.path.dirname(os.path.dirname(linalg.__file__))
         env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+        energies = {}
         for out, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
             done = subprocess.run([sys.executable, "-c", script, str(tmp_path / out)],
                                   env={**env, **extra}, capture_output=True, text=True,
                                   timeout=300)
             assert done.returncode == 0, done.stderr
+            energies[out] = done.stdout.splitlines()[-1]
+        assert energies["one"] == energies["default"], \
+            f"seminorm_sq and l2_norm_u at n = 65537 differ between 1 and 2 threads: {energies}"
         for i, argv in enumerate(self.COMMANDS):
             (csv,) = os.listdir(tmp_path / "one" / str(i))
             one, default = ((tmp_path / out / str(i) / csv).read_bytes() for out in ("one", "default"))
             assert one == default, f"{' '.join(argv)}: {csv} differs between 1 and 2 threads"
+
+
+class TestPairwiseDot:
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 10000, 32768, 65537])
+    def test_is_numpys_pairwise_sum_of_the_products(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        dot = linalg.pairwise_dot(a, b)
+        assert type(dot) is float
+        assert dot == float(np.sum(a * b))
 
 
 class TestLapackWrappers:
