@@ -1,7 +1,7 @@
 """Fractional Laplacian on an interval: discretization, optimal control,
 and the approach to the classical problem as the order tends to 1."""
 
-from .control import ControlConfig, OptimResult, eigen_solve_control, pgd_solve
+from .control import ControlConfig, OptimResult, eigen_solve_control
 from .discretize import (
     Grid,
     Operator,
@@ -32,7 +32,6 @@ __all__ = [
     "frac_constant",
     "inner_product_h",
     "norm_h",
-    "pgd_solve",
     "quadratic_form",
     "run_sweep",
     "solve_poisson",

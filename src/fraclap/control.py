@@ -320,26 +320,40 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     J(t f) = t^2 J(f) grows in t, so for a > 0 the lower bound is active
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
-    converged reports whether that eigenpair meets cfg.tol.  A norm,
-    cost or residual that overflows raises OverflowError naming h, and an
-    operator that is not positive definite, whatever a, raises
-    linalg.SolveError from forward.poincare_constant.
+    converged reports whether that eigenpair meets cfg.tol.
+
+    grad_norm is the projected gradient in closed form.  On the active
+    sphere it is the part of g = u + mu f orthogonal to f, and mu f is
+    radial, so it is u's orthogonal part.  That part is taken on lambda u,
+    lambda the top eigenvalue, which is about f in size, and divided by
+    lambda, so that it overflows only where f does:
+
+        grad_norm = ||lambda u - <lambda u, v>_h v||_h / lambda,   v = f / ||f||_h.
+
+    A norm, cost or residual that overflows raises OverflowError naming h.
+    An operator that is not positive definite, whatever a, raises
+    linalg.SolveError from forward.poincare_constant, and so, for a > 0,
+    does a top eigenvalue whose relative gap is at most 4 eps: its
+    eigenvector is not determined.
     """
     grid = op.grid
-    step = _step(op, cfg.mu)  # before the a = 0 return: it refuses an indefinite A
+    poincare_constant(op)  # before the a = 0 return: it refuses an indefinite A
     if cfg.a == 0.0:
         z = np.zeros(grid.n)
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
                            converged=True, active_bound="none")
     pair = op.top_pair
+    if pair.gap <= 4.0 * _EPS:
+        raise linalg.SolveError(f"top eigenvalue is not separated at s={op.s}: "
+                                f"relative gap {pair.gap:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge a can overflow each value
         f = _sign_normalize(cfg.a * pair.vector)
         nrm = norm_h(f, grid)
         require_finite(grid, norm_f=nrm)  # before the state solve, which such an f can overflow
         u = op.solve(f)
         J = _cost(f, u, cfg.mu, grid)
-        f_next = project_annulus(f - step * (u + cfg.mu * f), cfg.a, cfg.b, grid)
-        pg_res = norm_h(f - f_next, grid) / step  # the projected optimality residual
+        v, lu = f / nrm, pair.value * u
+        pg_res = norm_h(lu - inner_product_h(lu, v, grid) * v, grid) / pair.value
     require_finite(grid, J_star=J, grad_norm=pg_res)
     return OptimResult(
         f_star=f,

@@ -479,6 +479,15 @@ class TestDispatch:
         assert err == "numerical failure: control solve did not converge at s=0.75\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_control_without_a_top_gap_exits_numerical(self, tmp_path, capsys):
+        # At s = 1e-12 the top eigenvalue's relative gap reads 0: no eigenvector is the answer.
+        code = main(["control", "--s", "1e-12", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL and captured.out == ""
+        assert captured.err == ("numerical failure: top eigenvalue is not separated at "
+                                "s=1e-12: relative gap 0.000e+00\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_gamma_writes_both_clauses(self, tmp_path):
         cfg = parse_config(f"n = 64\nout = {tmp_path}")
         assert dispatch(cfg, "gamma") == EXIT_OK

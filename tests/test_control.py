@@ -295,11 +295,12 @@ class TestPgdMatchesHelperLoop:
     """
 
     @staticmethod
-    def assert_close(op, cfg):
+    def assert_close(op, cfg, optimum=None):
         r, ref = pgd_solve(op, cfg), pgd_eigenbasis_reference(op, cfg)
         assert r.converged and ref.converged
         assert r.J_star == pytest.approx(ref.J_star, rel=1e-6, abs=0.0)
-        optimum = eigen_solve_control(op, cfg).J_star
+        if optimum is None:
+            optimum = eigen_solve_control(op, cfg).J_star
         assert min(r.J_star, ref.J_star) >= optimum - 1e-12
         return r
 
@@ -383,7 +384,11 @@ class TestPgdMatchesHelperLoop:
             rot, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
             rotated = dataclasses.replace(basis, vectors=basis.vectors @ rot)
             monkeypatch.setattr(linalg, "even_basis", lambda c: rotated)
-        r = self.assert_close(op, ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5))
+        # Every eigenvalue is equal, so eigen_solve_control refuses the top pair; the
+        # optimum is still a^2/2 (1/lambda_max + mu).
+        cfg = ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5)
+        optimum = 0.5 * a * a * (1.0 / op.top_pair.value + cfg.mu)
+        r = self.assert_close(op, cfg, optimum)
         # The zero trial lands on 0, or restarts from the constant direction on the inner sphere.
         assert r.converged and r.iters <= 3
         assert np.allclose(r.f_star, a / math.sqrt(op.grid.h * 16), rtol=1e-13, atol=0.0)
@@ -543,8 +548,53 @@ class TestEigenSolveControl:
         # ||f_star||_h = 1e150 is finite, but mu/2 ||f_star||^2 ~ 1e600 is not.
         op = make_op(n=64)
         with pytest.raises(OverflowError, match=re.escape(
-                f"non-finite J_star and grad_norm at grid spacing h={op.grid.h:.3e}")):
+                f"non-finite J_star at grid spacing h={op.grid.h:.3e}")):
             eigen_solve_control(op, ControlConfig(mu=1e300, a=1e150, b=1e150))
+
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.999])
+    def test_residual_does_not_grow_with_mu(self, n, s):
+        # mu f is radial, so mu does not enter the projected gradient: it stays at
+        # round-off however large mu is.
+        op = make_op(n=n, s=s)
+        for mu in (0.1, 1e3, 1e6):
+            assert eigen_solve_control(op, ControlConfig(mu=mu, a=1.0, b=2.0)).grad_norm <= 1e-15
+
+    @pytest.mark.parametrize("right", [1e-200, 1e-5, 1e150])
+    def test_residual_on_extreme_domains(self, right):
+        # Relative to the state, which scales with the domain.  Measured: <= 2e-15.
+        op = assemble_fractional(Grid(0.0, right, 16), 0.5)
+        r = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0))
+        assert r.grad_norm <= 1e-13 * norm_h(r.u_star, op.grid)
+
+    @pytest.mark.parametrize("n", [64, 257])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_residual_is_the_projected_gradient(self, n, eps):
+        # The top vector turned by eps toward an h-orthogonal direction: the closed
+        # form against a short projected step, ||f - P(f - t g)||_h / t with g = u + mu f.
+        # Measured: 1.2e-5 relative.
+        op, cfg = make_op(n=n), ControlConfig(mu=0.1, a=1.0, b=2.0)
+        pairs, g = op.extreme_pairs, op.grid
+        v = pairs.top.vector
+        w = np.random.default_rng(7).standard_normal(n)
+        w -= inner_product_h(w, v, g) * v
+        w /= norm_h(w, g)
+        top = dataclasses.replace(pairs.top, vector=math.cos(eps) * v + math.sin(eps) * w)
+        op.__dict__["extreme_pairs"] = dataclasses.replace(pairs, top=top)
+        r = eigen_solve_control(op, cfg)
+        f = r.f_star
+        t = 1e-4 * control._step(op, cfg.mu)
+        trial = project_annulus(f - t * (r.u_star + cfg.mu * f), cfg.a, cfg.b, g)
+        assert r.grad_norm == pytest.approx(norm_h(f - trial, g) / t, rel=1e-4)
+
+    def test_top_eigenvalue_without_a_gap_is_refused(self):
+        # At s = 1e-12 the operator is the identity to round-off: the top eigenvalue's
+        # relative gap reads 0 at n = 256, so its eigenvector is any vector.  a = 0 needs none.
+        op = make_op(n=256, s=1e-12)
+        assert eigen_solve_control(op, ControlConfig(mu=0.1, a=0.0, b=2.0)).J_star == 0.0
+        with pytest.raises(SolveError, match=re.escape(
+                "top eigenvalue is not separated at s=1e-12: relative gap 0.000e+00")):
+            eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0))
 
     def test_large_but_finite_cost_still_converges(self):
         r = eigen_solve_control(make_op(n=64), ControlConfig(mu=0.1, a=1e100, b=1e100))
