@@ -14,7 +14,7 @@ import numpy as np
 
 from . import limitlab
 from .control import ControlConfig, eigen_solve_control
-from .discretize import Grid, assemble_fractional, norm_h
+from .discretize import Grid, assemble_fractional, norm_h, scale_back, scaled_norm
 from .forward import solve_poisson
 from .limitlab import default_s_ladder, validate_s_list
 from .linalg import SolveError
@@ -183,13 +183,15 @@ def exact_unit_ball_solution(x: np.ndarray, s: float) -> np.ndarray:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    """Forward-solver check against the closed-form unit-ball solution at n//4, n//2, n and 2n."""
-    if not (cfg.x_left, cfg.x_right) == (-1.0, 1.0):
-        raise ValueError("validate requires the domain (-1, 1) where the closed form holds")
+    """Forward-solver check against the closed-form solution at n//4, n//2, n and 2n.
+
+    On centre m and half-length R it is R^(2s) times the unit-ball one at (x - m) / R.
+    """
     if cfg.n // 4 < 3:
         raise ValueError("validate runs n//4, n//2, n and 2n nodes and needs n >= 12, "
                          f"got n={cfg.n}")
     s = cfg.single_s()
+    mid, R = 0.5 * cfg.x_left + 0.5 * cfg.x_right, 0.5 * cfg.x_right - 0.5 * cfg.x_left
     sizes = [cfg.n // 4, cfg.n // 2, cfg.n, 2 * cfg.n]
     errors = []
     print(f"validate: s={s}, f = 1, exact solution c*(1-x^2)^s")
@@ -197,7 +199,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     for n in sizes:
         grid = Grid(cfg.x_left, cfg.x_right, n)
         sol = solve_poisson(assemble_fractional(grid, s), np.ones(n))
-        exact = exact_unit_ball_solution(grid.nodes(), s)
+        exact = R ** (2.0 * s) * exact_unit_ball_solution((grid.nodes() - mid) / R, s)
         err = norm_h(sol.u - exact, grid) / norm_h(exact, grid)
         # Observed order of convergence: log2 of the error ratio per doubling of n.
         rate = f" {math.log2(errors[-1] / err):8.2f}" if errors else ""
@@ -227,13 +229,14 @@ def _cmd_control(cfg: RunConfig) -> int:
     s = cfg.single_s()
     op = assemble_fractional(grid, s)
     result = eigen_solve_control(op, cfg.control())
-    norm_f = norm_h(result.f_star, grid)
+    norm_f, residual = scale_back(grid, norm_f=scaled_norm(result.f_star, grid),
+                                  residual=(op.top_pair.residual, op.exponent))
     if result.converged:
         write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
                   (grid.nodes(), result.f_star, result.u_star))
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
           f"norm_f={norm_f:.12g} active={result.active_bound} "
-          f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
+          f"grad_norm={result.grad_norm:.3e} residual={residual:.3e} "
           f"gap={op.top_pair.gap:.3e} converged={result.converged}"
           + (" -> control.csv" if result.converged else ""))
     if not result.converged:
@@ -297,8 +300,8 @@ def dispatch(cfg: RunConfig, subcommand: str) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # ArithmeticError: Python float overflow or division by zero, e.g. from
-    # a grid spacing so small that h^(-2s) overflows.
+    # ArithmeticError: the OverflowError of discretize.scale_back, naming a value that
+    # leaves the double range, or a Python float's overflow or division by zero.
     except (SolveError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

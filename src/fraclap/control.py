@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .discretize import (FieldError, Grid, GridFunction, Operator, inner_product_h, norm_h,
-                         require_finite)
-from .forward import poincare_constant
+from .discretize import (FieldError, Grid, GridFunction, Operator, inner_product_h, scale_back,
+                         scaled_inner_product, scaled_norm)
+from .forward import check_positive_definite, poincare_constant
 
 _EPS = float(np.finfo(float).eps)
 
@@ -75,9 +75,11 @@ class OptimResult:
     active_bound: str  # "none" | "lower" | "upper"
 
 
-def _cost(f: GridFunction, u: GridFunction, mu: float, grid: Grid) -> float:
-    """J = 1/2 <u, f>_h + mu/2 ||f||_h^2 for a control f and its state u."""
-    return 0.5 * inner_product_h(u, f, grid) + 0.5 * mu * inner_product_h(f, f, grid)
+def _cost(f: GridFunction, u: GridFunction, mu: float, grid: Grid) -> tuple[float, int]:
+    """J = 1/2 <u, f>_h + mu/2 ||f||_h^2 as (value, exponent), at the pairings' larger exponent."""
+    (uf, e_uf), (ff, e_ff) = scaled_inner_product(u, f, grid), scaled_inner_product(f, f, grid)
+    e = max(e_uf, e_ff)
+    return 0.5 * math.ldexp(uf, e_uf - e) + 0.5 * mu * math.ldexp(ff, e_ff - e), e
 
 
 def _step(op: Operator, mu: float) -> float:
@@ -86,30 +88,8 @@ def _step(op: Operator, mu: float) -> float:
 
 
 def reduced_cost(op: Operator, f: GridFunction, mu: float) -> float:
-    """J(f) = 1/2 <u_f, f>_h + mu/2 ||f||_h^2."""
-    f = np.asarray(f, dtype=float)
-    return _cost(f, op.solve(f), mu, op.grid)
-
-
-def project_annulus(f: GridFunction, a: float, b: float, grid: Grid) -> GridFunction:
-    """Radial projection of f onto {a <= ||.||_h <= b}.
-
-    The zero vector with a > 0 has no nearest point; the canonical choice
-    is the constant direction scaled to the lower bound.
-    """
-    if not 0.0 <= a <= b:
-        raise ValueError(f"annulus bounds must satisfy 0 <= a <= b, got a={a}, b={b}")
-    f = np.asarray(f, dtype=float)
-    nrm = norm_h(f, grid)
-    if nrm == 0.0:
-        if a == 0.0:
-            return f.copy()
-        ones = np.ones(grid.n)
-        return a * ones / norm_h(ones, grid)
-    clamped = min(max(nrm, a), b)
-    if clamped == nrm:
-        return f.copy()
-    return f * (clamped / nrm)
+    """J(f) = 1/2 <u_f, f>_h + mu/2 ||f||_h^2, scaled back once as cost."""
+    return scale_back(op.grid, cost=_cost(f, op.solve(f), mu, op.grid))[0]
 
 
 def _sign_normalize(f: GridFunction) -> GridFunction:
@@ -186,12 +166,13 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
     reports (linalg.pairwise_dot): they steer the iteration in the even
     half, and f_star reaches the caller only through the final _cost.
 
-    An operator that is not positive definite raises linalg.SolveError,
-    from forward.poincare_constant.
+    even_basis takes the true-scale column np.ldexp(op.col, op.exponent), whose bits it keeps
+    (at unit scale it did not): a spacing whose true column overflows raises OverflowError.
+    An indefinite operator raises linalg.SolveError, from forward.check_positive_definite.
     """
     grid = op.grid
     step = _step(op, cfg.mu)
-    basis = linalg.even_basis(op.col)
+    basis = linalg.even_basis(scale_back(grid, column=(op.col, op.exponent))[0])
     lam = basis.values
     n, h, a, b, tol = grid.n, grid.h, cfg.a, cfg.b, cfg.tol
     q = 1.0 / lam + cfg.mu
@@ -299,10 +280,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     f = _sign_normalize(basis.nodal(coefficients() * (tau / math.sqrt(h))))
     u = op.solve(f)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge b can overflow both
-        J = _cost(f, u, cfg.mu, grid)
-        nrm = norm_h(f, grid)
-    require_finite(grid, J_star=J, norm_f=nrm)
+    J, nrm = scale_back(grid, J_star=_cost(f, u, cfg.mu, grid), norm_f=scaled_norm(f, grid))
     return OptimResult(
         f_star=f,
         u_star=u,
@@ -330,14 +308,14 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
 
         grad_norm = ||lambda u - <lambda u, v>_h v||_h / lambda,   v = f / ||f||_h.
 
-    A norm, cost or residual that overflows raises OverflowError naming h.
+    Each value is taken at unit scale and scaled back once, naming any that overflows.
     An operator that is not positive definite, whatever a, raises
-    linalg.SolveError from forward.poincare_constant, and so, for a > 0,
+    linalg.SolveError from forward.check_positive_definite, and so, for a > 0,
     does a top eigenvalue whose relative gap is at most 4 eps: its
     eigenvector is not determined.
     """
     grid = op.grid
-    poincare_constant(op)  # before the a = 0 return: it refuses an indefinite A
+    check_positive_definite(op)  # before the a = 0 return
     if cfg.a == 0.0:
         z = np.zeros(grid.n)
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
@@ -346,15 +324,15 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     if pair.gap <= 4.0 * _EPS:
         raise linalg.SolveError(f"top eigenvalue is not separated at s={op.s}: "
                                 f"relative gap {pair.gap:.3e}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge a can overflow each value
-        f = _sign_normalize(cfg.a * pair.vector)
-        nrm = norm_h(f, grid)
-        require_finite(grid, norm_f=nrm)  # before the state solve, which such an f can overflow
-        u = op.solve(f)
-        J = _cost(f, u, cfg.mu, grid)
-        v, lu = f / nrm, pair.value * u
-        pg_res = norm_h(lu - inner_product_h(lu, v, grid) * v, grid) / pair.value
-    require_finite(grid, J_star=J, grad_norm=pg_res)
+    a, e_a = math.frexp(cfg.a)
+    f = _sign_normalize(a * pair.vector)
+    nrm, e_nrm = scaled_norm(f, grid)
+    f, nrm = scale_back(grid, f_star=(f, e_a), norm_f=(nrm, e_nrm + e_a))
+    u = op.solve(f)
+    v, lu = f / nrm, pair.value * np.ldexp(u, op.exponent)
+    r, e_r = scaled_norm(lu - inner_product_h(lu, v, grid) * v, grid)
+    J, pg_res = scale_back(grid, J_star=_cost(f, u, cfg.mu, grid),
+                           grad_norm=(r / pair.value, e_r - op.exponent))
     return OptimResult(
         f_star=f,
         u_star=u,

@@ -3,9 +3,7 @@
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .discretize import GridFunction, Operator, inner_product_h, norm_h, require_finite
+from .discretize import GridFunction, Operator, scale_back, scaled_inner_product, scaled_norm
 from .linalg import SolveError
 
 
@@ -25,26 +23,24 @@ class ForwardSolution:
 def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
     """Solve the (fractional or classical) Poisson problem on the grid.
 
-    An energy or norm that overflows raises OverflowError naming the
-    spacing, from discretize.require_finite.  op.solve refuses an f not of
-    shape (n,) with ValueError and one that is not finite with
-    linalg.SolveError.
+    u, its energy and its norm are each scaled back once, naming any that
+    overflows.  op.solve refuses an f not of shape (n,) with ValueError and
+    one that is not finite with linalg.SolveError.
     """
     u = op.solve(f)
-    with np.errstate(over="ignore"):  # a wide domain can overflow both
-        seminorm_sq = inner_product_h(f, u, op.grid)
-        l2_norm_u = norm_h(u, op.grid)
-    require_finite(op.grid, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
+    seminorm_sq, l2_norm_u = scale_back(op.grid, seminorm_sq=scaled_inner_product(f, u, op.grid),
+                                        l2_norm_u=scaled_norm(u, op.grid))
     return ForwardSolution(u=u, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
 
 
-def poincare_constant(op: Operator) -> float:
-    """Smallest constant with ||u||_h^2 <= C <A u, u>_h on the grid: 1/lambda_min.
-
-    An operator that is not positive definite has none: unless lambda_min > 0
-    and lambda_max is finite, this raises SolveError.
-    """
+def check_positive_definite(op: Operator) -> None:
+    """SolveError, with the unit-scale span, unless lambda_min > 0 and lambda_max is finite."""
     lo, hi = op.bottom_pair.value, op.top_pair.value
     if not (lo > 0.0 and math.isfinite(hi)):
         raise SolveError(f"matrix is not positive definite: eigenvalues span [{lo:.3e}, {hi:.3e}]")
-    return 1.0 / lo
+
+
+def poincare_constant(op: Operator) -> float:
+    """Smallest C with ||u||_h^2 <= C <A u, u>_h: 1/lambda_min, after check_positive_definite."""
+    check_positive_definite(op)
+    return scale_back(op.grid, poincare_c=(1.0 / op.bottom_pair.value, -op.exponent))[0]

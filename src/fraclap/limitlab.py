@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlConfig, eigen_solve_control, reduced_cost
-from .discretize import (
-    Grid,
-    GridFunction,
-    assemble_classical,
-    assemble_fractional,
-    inner_product_h,
-    norm_h,
-    require_finite,
-)
+from .discretize import (Grid, GridFunction, assemble_classical, assemble_fractional, norm_h,
+                         scale_back, scaled_inner_product, scaled_norm)
 from .forward import poincare_constant
 from .linalg import SolveError
 
@@ -69,38 +62,28 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
     The first control solve that does not converge, the classical
     reference's or that of one order s, raises SolveError naming it, and
     no later order is solved.  A value that overflows raises OverflowError
-    naming the spacing, and the order too if it is in a row.
+    naming the spacing, and the order too if it is one of the row's pairings.
     """
     s_list = validate_s_list(s_list)
     ref = eigen_solve_control(assemble_classical(grid), control)
     if not ref.converged:
         raise SolveError("classical reference solve did not converge")
 
-    rows = []
+    rows, (n2, e2) = [], scaled_norm(ref.f_star, grid)
     for s in s_list:
         op = assemble_fractional(grid, s)
         result = eigen_solve_control(op, control)
         if not result.converged:
             raise SolveError(f"control solve did not converge at s={s}")
-        fs, us = result.f_star, result.u_star
-        with np.errstate(over="ignore", invalid="ignore"):  # a wide domain can overflow a norm
-            nf = norm_h(fs, grid) * norm_h(ref.f_star, grid)
-            align = abs(inner_product_h(fs, ref.f_star, grid)) / nf if nf > 0 else 1.0
-            dist_f = norm_h(fs - ref.f_star, grid)
-            dist_u = norm_h(us - ref.u_star, grid)
-            seminorm_sq = inner_product_h(fs, us, grid)
-        row = SweepRow(
-            s=s,
-            J_star=result.J_star,
-            dist_f=dist_f,
-            dist_u=dist_u,
-            align=align,
-            lambda_max=op.top_pair.value,
-            seminorm_sq=seminorm_sq,
-            poincare_c=poincare_constant(op),
-        )
-        require_finite(grid, where=f"s={s}, ", **vars(row))
-        rows.append(row)
+        fs, us, rf = result.f_star, result.u_star, ref.f_star
+        (i, e_i), (n1, e1) = scaled_inner_product(fs, rf, grid), scaled_norm(fs, grid)
+        pairs = dict(dist_f=scaled_norm(fs - rf, grid),
+                     dist_u=scaled_norm(us - ref.u_star, grid),
+                     align=(abs(i) / (n1 * n2), e_i - e1 - e2) if n1 * n2 > 0 else (1.0, 0),
+                     lambda_max=(op.top_pair.value, op.exponent),
+                     seminorm_sq=scaled_inner_product(fs, us, grid))
+        rows.append(SweepRow(s=s, J_star=result.J_star, poincare_c=poincare_constant(op),
+                             **dict(zip(pairs, scale_back(grid, f"s={s}, ", **pairs)))))
     return SweepReport(
         rows=rows,
         J_star_classical=ref.J_star,
@@ -132,15 +115,11 @@ LIMINF_TOLERANCE = 1e-3
 
 def _extended_cost(op, f, cfg: ControlConfig) -> float:
     """Cost extended by +inf outside the annulus; a norm or cost that overflows raises."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge f can overflow both
-        nrm = norm_h(f, op.grid)
-        require_finite(op.grid, norm_f=nrm)
-        slack = 1e-12 * max(1.0, cfg.b)
-        if nrm < cfg.a - slack or nrm > cfg.b + slack:
-            return math.inf
-        cost = reduced_cost(op, f, cfg.mu)
-    require_finite(op.grid, cost=cost)
-    return cost
+    nrm = scale_back(op.grid, norm_f=scaled_norm(f, op.grid))[0]
+    slack = 1e-12 * max(1.0, cfg.b)
+    if nrm < cfg.a - slack or nrm > cfg.b + slack:
+        return math.inf
+    return reduced_cost(op, f, cfg.mu)
 
 
 def _gamma_clause(clause: str, grid: Grid, f: GridFunction, c: float, s_list,

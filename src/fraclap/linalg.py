@@ -36,9 +36,9 @@ class SolveError(Exception):
     Toeplitz solve failed: Levinson met a singular leading minor, conjugate
     gradients broke down or reached its iteration cap, the right-hand side
     or the result is not finite, or the backward error is too large.  Or a
-    LAPACK routine (dsytrd, dstemr, dormqr) reported failure, pgd_solve
-    found the operator not positive definite, or run_sweep met a control
-    solve that did not converge.
+    LAPACK routine (dsytrd, dstemr, dormqr) reported failure, the operator
+    is not positive definite (forward.check_positive_definite), or run_sweep
+    met a control solve that did not converge.
     """
 
 
@@ -86,7 +86,7 @@ def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:
     its error bound grows like log n, not n (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002).
     """
-    return float(np.sum(a * b))
+    return float(np.add.reduce(a * b))  # np.sum's reduction, without its wrapper's 1.5 us
 
 
 def toeplitz_product(col: np.ndarray):

@@ -5,15 +5,19 @@ fraclap.linalg, so agreement between the two is evidence for both; it runs
 once per matrix in a process.  A dense Cholesky solve refined with
 long-double residuals is the reference for Toeplitz solves, and the
 long-double direct sum behind those residuals the reference for Toeplitz
-products.  The unit-load state is the
+products.  The first column assembled at true scale, entry by entry as it
+was before operators held a unit column and a power of two, pins the
+assembled column's bits.  The unit-load state is the
 closed form the forward solver is measured against, and the classical top
 eigenpair with its derivative in the order, both closed form, give the
 slope of the classical limit.  Projected gradient descent in nodal
 values, one Cholesky solve per trial, checks the eigenbasis iteration of
 fraclap.control.pgd_solve; so does the same eigenbasis iteration written
 with the checked helpers of fraclap.control and fraclap.discretize, on the
-coefficients themselves rather than their squares.  The row-at-a-time CSV writer, one format call per value,
-is the byte reference for the column writer fraclap.cli.write_csv.  The
+coefficients themselves rather than their squares.  Both project onto the
+annulus by project_annulus, the radial projection, which no library path
+needs.  The row-at-a-time CSV writer, one format call per value, is the
+byte reference for the column writer fraclap.cli.write_csv.  The
 CLI's former list of config rules is the reference for which configs
 fraclap.cli.parse_config rejects, now that the library objects check them.
 """
@@ -27,17 +31,37 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from fraclap.control import (
-    OptimResult,
-    _active_bound,
-    _cost,
-    _sign_normalize,
-    _step,
-    project_annulus,
-)
+from fraclap.control import OptimResult, _active_bound, _sign_normalize, _step
 from fraclap import control, linalg
 from fraclap.discretize import inner_product_h, norm_h
 from fraclap.linalg import SolveError
+from fraclap.specfun import frac_constant
+
+
+def project_annulus(f, a, b, grid):
+    """Radial projection of f onto {a <= ||.||_h <= b}.
+
+    The zero vector with a > 0 has no nearest point; the canonical choice
+    is the constant direction scaled to the lower bound.
+    """
+    if not 0.0 <= a <= b:
+        raise ValueError(f"annulus bounds must satisfy 0 <= a <= b, got a={a}, b={b}")
+    f = np.asarray(f, dtype=float)
+    nrm = norm_h(f, grid)
+    if nrm == 0.0:
+        if a == 0.0:
+            return f.copy()
+        ones = np.ones(grid.n)
+        return a * ones / norm_h(ones, grid)
+    clamped = min(max(nrm, a), b)
+    if clamped == nrm:
+        return f.copy()
+    return f * (clamped / nrm)
+
+
+def _cost(f, u, mu, grid):
+    """The reduced cost J = 1/2 <u, f>_h + mu/2 ||f||_h^2 as a float: control._cost scaled back."""
+    return math.ldexp(*control._cost(f, u, mu, grid))
 
 
 def unit_rhs_exact_state(x, s):
@@ -82,6 +106,30 @@ def classical_limit_slope(grid, cfg) -> float:
 def _as_matrix(A) -> np.ndarray:
     """Accept an assembled operator or a bare symmetric ndarray."""
     return np.asarray(getattr(A, "matrix", A), dtype=float)
+
+
+def true_scale_column(grid, s=None) -> np.ndarray:
+    """First column of the order-s operator (the classical one for s=None), computed at true scale.
+
+    The weights C(1, s) h^(-2s) (...) and the three-point (2, -1) / h^2 in
+    the order of operations of an assembly that held no exponent, so that a
+    spacing it could assemble gives the same bits.  Python's h ** p raises
+    OverflowError where the power overflows.
+    """
+    n, h = grid.n, grid.h
+    col = np.zeros(n)
+    if s is None:
+        h2 = h**2
+        col[:2] = 2.0 / h2, -1.0 / h2
+        return col
+    scale = frac_constant(s) * h ** (-2.0 * s)
+    k = np.arange(2, n + 1, dtype=float)
+    w = np.empty(n)
+    w[0] = scale / (2.0 - 2.0 * s) + (scale / (2.0 * s)) * (1.0 - 1.5 ** (-2.0 * s))
+    w[1:] = (scale / (2.0 * s)) * ((k - 0.5) ** (-2.0 * s) - (k + 0.5) ** (-2.0 * s))
+    tail = (scale / (2.0 * s)) * (n + 0.5) ** (-2.0 * s)
+    col[0], col[1:] = 2.0 * (w.sum() + tail), -w[: n - 1]
+    return col
 
 
 def direct_toeplitz_product(col, v) -> np.ndarray:
@@ -253,8 +301,9 @@ def pgd_eigenbasis_reference(op, cfg) -> OptimResult:
     """
     grid = op.grid
     n, m = grid.n, grid.n // 2
-    basis = linalg.even_basis(op.col)
-    lam_odd, V_odd = scipy.linalg.eigh(linalg._half_matrix(op.col, -1))
+    col = np.ldexp(op.col, op.exponent)  # the true-scale column, as pgd_solve's basis takes it
+    basis = linalg.even_basis(col)
+    lam_odd, V_odd = scipy.linalg.eigh(linalg._half_matrix(col, -1))
     lam = np.concatenate((basis.values, lam_odd))
     if not (np.all(np.isfinite(lam)) and lam.min() > 0.0):
         raise SolveError(f"matrix is not positive definite: eigenvalues span "

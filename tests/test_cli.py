@@ -32,7 +32,7 @@ from fraclap.cli import (
     rhs_preset,
     write_csv,
 )
-from fraclap.discretize import Grid
+from fraclap.discretize import Grid, norm_h
 from fraclap.limitlab import default_s_ladder
 
 
@@ -414,14 +414,27 @@ class TestDispatch:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert f"n={n}" in captured.err
 
-    def test_validate_refuses_another_domain(self, tmp_path, capsys):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("x_left = 0\nx_right = 1\n")
-        assert main(["validate", "--config", str(cfg_path)]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("configuration error: validate requires the domain (-1, 1) "
-                                "where the closed form holds\n")
+    @pytest.mark.parametrize("left, right", [(0.0, 2.0), (-1e-100, 1e-100)])
+    def test_validate_on_another_domain_matches_the_unit_ball(self, left, right, monkeypatch,
+                                                              capsys):
+        # The closed form scaled to the domain: the relative errors are those on (-1, 1).
+        # On (0, 2) the spacing and so the operator are (-1, 1)'s; on (-1e-100, 1e-100)
+        # h rounds otherwise, and the solves' round-off, some 1e-14 of u, moved the
+        # errors, near 1e-2, by up to 1.4e-12 of themselves here.
+        def errors(lo, hi):
+            norms = []
+
+            def recorded_norm_h(v, grid):  # the error's norm, then the closed form's
+                norms.append(norm_h(v, grid))
+                return norms[-1]
+
+            monkeypatch.setattr(fraclap.cli, "norm_h", recorded_norm_h)
+            cfg = parse_config(f"x_left = {lo!r}\nx_right = {hi!r}\nn = 64\n")
+            assert dispatch(cfg, "validate") == EXIT_OK
+            capsys.readouterr()
+            return np.divide(norms[0::2], norms[1::2])
+
+        np.testing.assert_allclose(errors(left, right), errors(-1.0, 1.0), rtol=1e-11)
 
     def test_validate_failure_exit_code(self, monkeypatch):
         import fraclap.cli as cli_module
@@ -581,33 +594,50 @@ class TestMain:
         assert "finite" in err and "line 2" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("subcommand", ["solve", "control", "sweep", "gamma"])
-    def test_underflowing_spacing_exits_numerical(self, subcommand, tmp_path, capsys):
-        # h ~ 6e-202: h^(-2s) overflows and h^2 underflows to 0 in Python floats.
+    @pytest.mark.parametrize("subcommand, named", [
+        # h ~ 6e-202: h^(-1.8) ~ 1e363 is beyond the double range, and so is every value
+        # that carries it: u ~ 1e-363 underflows whole, lambda_max and the top pair's
+        # residual overflow.  The gamma checks' costs are about mu/2 ||f||^2 and finite.
+        ("solve", "underflowing u at"),
+        ("control", "non-finite residual at"),
+        ("sweep", "non-finite lambda_max at s=0.9,"),
+        ("gamma", None),
+    ])
+    def test_tiny_spacing_names_the_value_that_leaves_the_range(self, subcommand, named,
+                                                                 tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("x_left = 0\nx_right = 1e-200\nn = 16\ns = 0.9\n")
         out_dir = tmp_path / "out"
         code = main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        if named is None:
+            assert code == EXIT_OK and err == "" and "recovery=pass liminf=pass" in out
+            return
         assert code == EXIT_NUMERICAL
-        # The message names what overflowed and the spacing it overflowed at.
-        named = ("h^(-2s)", ", s=0.9") if subcommand in ("solve", "control") else ("1/h^2", "")
-        assert err == (f"numerical failure: {named[0]} overflows at grid spacing "
-                       f"h=5.882e-202{named[1]}\n")
-        assert not out_dir.exists()
+        assert err == f"numerical failure: {named} grid spacing h=5.882e-202\n"
+        assert out == "" and not out_dir.exists()
 
-    @pytest.mark.parametrize("subcommand", ["solve", "control"])
-    def test_overflowing_diagonal_exits_numerical(self, subcommand, tmp_path, capsys):
-        # The weights are finite on (0, 1e-153) at s = 0.999, their doubled sum is not.
+    @pytest.mark.parametrize("right, s", [("1e-170", 0.9), ("1e-153", 0.999)])
+    def test_control_beyond_the_range_of_the_diagonal(self, right, s, tmp_path, capsys):
+        # The diagonal, twice the weights' sum, overflows at true scale: the control's
+        # cost is a^2 (1/lambda_max + mu) / 2 = 0.05, as 1/lambda_max < 1e-300.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"x_left = 0\nx_right = {right}\nn = 16\ns = {s}\n")
+        assert main(["control", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and "converged=True" in out
+        J_star = float(re.search(r"J_star=(\S+)", out).group(1))
+        assert J_star == pytest.approx(0.05, rel=1e-12)
+
+    def test_solve_beyond_the_range_of_the_diagonal(self, tmp_path, capsys):
+        # u ~ 1e-309 is subnormal, and its h-norm and energy read 0 as in IEEE arithmetic.
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("x_left = 0\nx_right = 1e-153\nn = 16\ns = 0.999\n")
-        out_dir = tmp_path / "out"
-        code = main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
         out, err = capsys.readouterr()
-        assert code == EXIT_NUMERICAL
-        assert err == ("numerical failure: the diagonal overflows at grid spacing "
-                       "h=5.882e-155, s=0.999\n")
-        assert out == "" and not out_dir.exists()
+        assert err == "" and "seminorm_sq=0 l2_norm_u=0 " in out
+        _, rows = read_csv(tmp_path / "solution.csv")
+        assert any(float(row[1]) > 0.0 for row in rows)
 
     def test_control_on_a_tiny_spacing_is_finite_or_fails_cleanly(self, tmp_path, capsys):
         # Entries near 1e201 at s = 0.5: the eigen residual's squares overflow, its norm need not.
@@ -626,23 +656,24 @@ class TestMain:
         assert len(rows) == 16 and all(math.isfinite(float(x)) for row in rows for x in row)
 
     @pytest.mark.parametrize("subcommand, left, right, s, code, named", [
-        ("sweep", 0.0, 1e160, None, EXIT_NUMERICAL, "1/h^2 underflows at grid spacing h="),
-        ("gamma", 0.0, 1e160, None, EXIT_NUMERICAL, "1/h^2 underflows at grid spacing h="),
-        ("solve", 0.0, 1e174, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
-        ("solve", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
-        ("control", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "C h^(-2s) underflows at grid spacing h="),
+        # The classical reference's J_star, about L^2, and the gamma checks' costs.
+        ("sweep", 0.0, 1e160, None, EXIT_NUMERICAL, "non-finite J_star at grid spacing h="),
+        ("gamma", 0.0, 1e160, None, EXIT_NUMERICAL, "non-finite cost at grid spacing h="),
+        # u grows like L^1.8 at s = 0.9; the control's cost like 1/lambda_max.
+        ("solve", 0.0, 1e174, 0.9, EXIT_NUMERICAL, "non-finite u at grid spacing h=5.882e+172\n"),
+        ("solve", 0.0, 1e182, 0.9, EXIT_NUMERICAL, "non-finite u at grid spacing h="),
+        ("control", 0.0, 1e182, 0.9, EXIT_NUMERICAL,
+         "non-finite J_star and grad_norm at grid spacing h=5.882e+180\n"),
+        # The energy, about L^2, overflows; ||u||_h, about L^1.5, does not.
         ("solve", 0.0, 1e160, None, EXIT_NUMERICAL,
-         "non-finite seminorm_sq and l2_norm_u at grid spacing h="),
-        ("solve", 0.0, 1e150, None, EXIT_NUMERICAL,
-         "non-finite l2_norm_u at grid spacing h=5.882e+148\n"),
-        ("sweep", 0.0, 1e150, None, EXIT_NUMERICAL, "non-finite dist_u at s=0.5, grid spacing h="),
+         "non-finite seminorm_sq at grid spacing h=5.882e+158\n"),
         ("solve", -1e308, 1e308, None, EXIT_CONFIG, "line 2: domain length"),
         ("control", -1e308, 1e308, None, EXIT_CONFIG, "line 2: domain length"),
     ])
     def test_huge_spacing_fails_with_one_line(self, subcommand, left, right, s, code, named,
                                               tmp_path, capsys):
-        # Where h^2 overflows, h^(-2s) or 1/h^2 underflows, or a reported norm
-        # overflows: one line naming h (or the endpoints' line), no CSV, no warning.
+        # Where a reported value overflows: one line naming it and h (or the endpoints'
+        # line), no CSV, no warning.
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(f"x_left = {left!r}\nx_right = {right!r}\nn = 16\n"
                             + ("" if s is None else f"s = {s}\n"))
@@ -651,6 +682,18 @@ class TestMain:
         out, err = capsys.readouterr()
         assert len(err.splitlines()) == 1 and named in err
         assert out == "" and not out_dir.exists()
+
+    @pytest.mark.parametrize("subcommand, printed", [
+        ("solve", "l2_norm_u=3.91172576262e+224 "),
+        ("sweep", "classical J_star=4.36239857844e+296 "),
+    ])
+    def test_wide_domain_prints_its_finite_values(self, subcommand, printed, tmp_path, capsys):
+        # On (0, 1e150) ||u||_h and the sweep's distances are finite; their squares are not.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e150\nn = 16\n")
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and printed in out
 
     def test_gamma_on_a_huge_domain_completes(self, tmp_path, capsys):
         # The oscillation is scaled to the domain's centre and half-length, so its
@@ -819,14 +862,17 @@ class TestOverflowNamesTheSpacing:
     """A reported value that overflows exits 2 with one stderr line naming h, and no CSV."""
 
     def test_control_exits_numerical_without_csv_or_warning(self, tmp_path, capsys):
+        # ||f_star||_h = 1e200 is finite; J_star ~ 1e399 is the value that overflows.
         code = main(["control", "--a", "1e200", "--b", "1e200", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert captured.out == ""
-        assert captured.err == "numerical failure: non-finite norm_f at grid spacing h=7.782e-03\n"
+        assert captured.err == "numerical failure: non-finite J_star at grid spacing h=7.782e-03\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_norm_fails_the_same_way_at_every_n(self, tmp_path, capsys):
+    def test_overflowing_cost_fails_the_same_way_at_every_n(self, tmp_path, capsys):
+        # ||f_star||_h = 1e308 is finite, and its state is solved at unit scale by
+        # Levinson (n = 256) or CG (n = 1024); J_star ~ 1e615 overflows.
         for n in (256, 1024):
             out = tmp_path / str(n)
             code = main(["control", "--n", str(n), "--a", "1e308", "--b", "1e308",
@@ -834,7 +880,7 @@ class TestOverflowNamesTheSpacing:
             captured = capsys.readouterr()
             assert code == EXIT_NUMERICAL
             assert captured.out == ""
-            assert captured.err == (f"numerical failure: non-finite norm_f at grid spacing "
+            assert captured.err == (f"numerical failure: non-finite J_star at grid spacing "
                                     f"h={2.0 / (n + 1):.3e}\n")
             assert not out.exists()
 
@@ -847,23 +893,35 @@ class TestOverflowNamesTheSpacing:
         assert "Warning" not in captured.err and len(captured.err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("args", [
-        # A valid annulus whose h-norms square past the double range: it exited 1, after
-        # numpy's overflow warning, as if the control lay outside the annulus.
-        ["gamma", "--a", "1e154", "--b", "1e155"],
+    @pytest.mark.parametrize("args, named", [
+        # ||f||_h = 5.5e154 is finite, and so is its mu/2 ||f||^2 = 1.5e308, but
+        # the cost F = 1/2 <u, f>_h + mu/2 ||f||^2 of the classical limit is 6.6e308.
+        # Before, a valid annulus exited 1, after numpy's overflow warning, as if the
+        # control lay outside it.
+        (["gamma", "--a", "1e154", "--b", "1e155"], "cost"),
         # a + b overflowed, and the run exited 1.
-        ["gamma", "--a", "1e308", "--b", "1e308"],
+        (["gamma", "--a", "1e308", "--b", "1e308"], "cost"),
         # It read "classical reference solve did not converge".
-        ["sweep", "--n", "64", "--a", "1e200", "--b", "1e200"],
+        (["sweep", "--n", "64", "--a", "1e200", "--b", "1e200"], "J_star"),
     ], ids=["gamma-1e154", "gamma-1e308", "sweep-1e200"])
-    def test_one_line_naming_h(self, args, tmp_path, capsys):
+    def test_one_line_naming_h(self, args, named, tmp_path, capsys):
         code = main(args + ["--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
         assert captured.out == ""
-        assert re.fullmatch(r"numerical failure: non-finite norm_f at grid spacing "
+        assert re.fullmatch(rf"numerical failure: non-finite {named} at grid spacing "
                             r"h=\d\.\d{3}e-\d\d\n", captured.err)
         assert not (tmp_path / "out").exists()
+
+    def test_gamma_whose_squares_overflow_completes(self, tmp_path, capsys):
+        # ||f||_h = 1.25e154: h sum f_i^2 is 1.6e308, but the sum alone overflowed,
+        # and the run exited 2 naming norm_f.  Each cost is scaled back once.
+        code = main(["gamma", "--a", "1e154", "--b", "1.5e154", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and err == ""
+        assert out == "gamma checks: recovery=pass liminf=pass -> gamma.csv\n"
+        _, rows = read_csv(tmp_path / "gamma.csv")
+        assert all(math.isfinite(float(x)) for row in rows for x in row[1:])
 
 
 def _log_uniform(lo, hi):

@@ -10,7 +10,6 @@ from fraclap.control import (
     ControlConfig,
     eigen_solve_control,
     pgd_solve,
-    project_annulus,
     reduced_cost,
 )
 from fraclap.discretize import (
@@ -24,7 +23,7 @@ from fraclap.discretize import (
 )
 from fraclap import control, linalg
 from fraclap.linalg import SolveError
-from oracles import eig_full_jacobi, pgd_eigenbasis_reference, pgd_reference
+from oracles import eig_full_jacobi, pgd_eigenbasis_reference, pgd_reference, project_annulus
 
 
 def make_op(n=64, s=0.5):
@@ -118,7 +117,7 @@ class TestReducedGradient:
         op = make_op(n=32, s=0.5)
         g = op.grid
         from fraclap.linalg import eig_extreme
-        lam_min = eig_extreme(op.col, h=g.h).bottom.value
+        lam_min = eig_extreme(np.ldexp(op.col, op.exponent), h=g.h).bottom.value
         mu = 1e4 / lam_min  # 1e4 times the norm of the solution operator
         rng = np.random.default_rng(3)
         f = rng.standard_normal(32)
@@ -233,11 +232,11 @@ class TestPgd:
         assert np.all(np.isfinite(r.f_star))
 
     def test_overflowing_cost_raises_naming_h(self):
-        # The loop meets tol at unit scale, but J_star ~ 1e600 and f_star's
-        # h-norm overflow to inf: OverflowError naming h, with no numpy warning.
+        # The loop meets tol at unit scale, and f_star's h-norm, 1e300, is finite,
+        # but J_star ~ 1e600 is not: OverflowError naming h, with no numpy warning.
         op = make_op(n=64, s=0.5)
         with pytest.raises(OverflowError, match=re.escape(
-                f"non-finite J_star and norm_f at grid spacing h={op.grid.h:.3e}")):
+                f"non-finite J_star at grid spacing h={op.grid.h:.3e}")):
             pgd_solve(op, ControlConfig(mu=0.1, a=1e300, b=1e300, tol=1e294))
 
     def test_subnormal_bounds(self, monkeypatch):
@@ -428,7 +427,7 @@ class TestPgdMatchesHelperLoop:
         op, cfg = self.without_top_mode(monkeypatch)
         r = self.assert_close(op, cfg)
         assert r.converged
-        basis = even_basis(op.col)
+        basis = even_basis(np.ldexp(op.col, op.exponent))
         assert r.J_star == pytest.approx(0.5 * (1.0 / basis.values[-2] + cfg.mu), rel=1e-9)
         c = basis.coefficients(r.f_star)
         assert np.linalg.norm(np.delete(c, -2)) <= 1e-10 * abs(c[-2])
@@ -527,22 +526,34 @@ class TestEigenSolveControl:
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_overflowing_cost_raises_naming_h(self, n):
-        # a = 1e200 squares past the double range, in the h-norm first: OverflowError naming h.
+        # ||f_star||_h = a = 1e200 is finite, but J_star ~ a^2 is not: OverflowError naming h.
         op = make_op(n=n)
         with pytest.raises(OverflowError, match=re.escape(
-                f"non-finite norm_f at grid spacing h={op.grid.h:.3e}")):
+                f"non-finite J_star at grid spacing h={op.grid.h:.3e}")):
             eigen_solve_control(op, ControlConfig(mu=0.1, a=1e200, b=1e200))
 
     @pytest.mark.parametrize("n", [256, 1024])
-    def test_overflowing_norm_skips_the_state_solve(self, n, monkeypatch):
-        # 1e308 * v is finite but its h-norm is not; at n = 1024 a Levinson
-        # solve on it used to overflow and raise SolveError.  The norm is
-        # refused before the solve.
+    def test_norm_at_the_top_of_the_range_is_solved_and_the_cost_named(self, n, monkeypatch):
+        # ||f_star||_h = 1e308 is finite, so the state is solved, at unit scale: at
+        # n = 1024 a Levinson solve at true scale used to overflow and raise SolveError.
+        # Only J_star ~ 1e616 leaves the double range.
         op = make_op(n=n)
-        monkeypatch.setattr(linalg, "toeplitz_solve", lambda col, b: pytest.fail("solved"))
+        solves, solve = [], linalg.toeplitz_solve
+        monkeypatch.setattr(linalg, "toeplitz_solve", lambda col, b: solves.append(1) or solve(col, b))
         with pytest.raises(OverflowError, match=re.escape(
-                f"non-finite norm_f at grid spacing h={op.grid.h:.3e}")):
+                f"non-finite J_star at grid spacing h={op.grid.h:.3e}")):
             eigen_solve_control(op, ControlConfig(mu=0.1, a=1e308, b=1e308))
+        assert solves == [1]
+
+    @pytest.mark.parametrize("right", [1e-200, 1e-170])
+    def test_tiny_domain_cost_is_the_regularization(self, right):
+        # On (0, 1e-200) h^(-1.8) ~ 1e363 is beyond the double range, on (0, 1e-170)
+        # the diagonal is: J_star = a^2 (1/lambda_max + mu) / 2 with 1/lambda_max < 1e-300.
+        op = assemble_fractional(Grid(0.0, right, 16), 0.9)
+        r = eigen_solve_control(op, ControlConfig(mu=0.1, a=1.0, b=2.0))
+        assert r.converged and r.active_bound == "lower"
+        assert r.J_star == pytest.approx(0.05, rel=1e-12)
+        assert norm_h(r.f_star, op.grid) == pytest.approx(1.0, rel=1e-14)
 
     def test_cost_that_overflows_after_the_solve_names_the_spacing(self):
         # ||f_star||_h = 1e150 is finite, but mu/2 ||f_star||^2 ~ 1e600 is not.

@@ -20,7 +20,17 @@ from fraclap.discretize import (
     stencil_weights,
 )
 from fraclap.linalg import toeplitz_product
-from oracles import direct_toeplitz_product
+from oracles import direct_toeplitz_product, true_scale_column
+
+
+def _true_col(op):
+    """The operator's true-scale first column: its unit column times 2^exponent."""
+    return np.ldexp(op.col, op.exponent)
+
+
+def _true_weights(sw):
+    """The true-scale weights and tail of a StencilWeights."""
+    return np.ldexp(sw.w, sw.exponent), math.ldexp(sw.tail, sw.exponent)
 
 
 class TestGrid:
@@ -62,8 +72,8 @@ class TestStencilWeights:
     def test_far_weight_closed_form(self):
         # Exact power-law integral over (1.5 h, 2.5 h) with the half-order
         # constant equal to 1/pi: w_2 = (1/pi) * 10 * (1/1.5 - 1/2.5).
-        sw = stencil_weights(0.5, 0.1, 10)
-        assert sw.w[1] == pytest.approx(0.8488263631567752, rel=1e-12)
+        w, _ = _true_weights(stencil_weights(0.5, 0.1, 10))
+        assert w[1] == pytest.approx(0.8488263631567752, rel=1e-12)
 
     def test_far_weights_match_quadrature(self):
         # Independent route: numerically integrate r^(-1-2s) over each cell.
@@ -77,8 +87,8 @@ class TestStencilWeights:
     def test_tail_closed_form(self):
         # Telescoping the far weights beyond K = 10 at s = 1/2, h = 0.1
         # leaves (1/pi) * 10 / 10.5.
-        sw = stencil_weights(0.5, 0.1, 10)
-        assert sw.tail == pytest.approx(0.30315227255599106, rel=1e-12)
+        _, tail = _true_weights(stencil_weights(0.5, 0.1, 10))
+        assert tail == pytest.approx(0.30315227255599106, rel=1e-12)
 
     def test_tail_equals_residual_weight_sum(self):
         s, h = 0.7, 0.05
@@ -88,9 +98,9 @@ class TestStencilWeights:
         assert short.tail == pytest.approx(residual, rel=1e-12)
 
     def test_classical_limit_of_weights(self):
-        sw = stencil_weights(0.999, 0.25, 50)
-        assert sw.w[0] * 0.25**2 == pytest.approx(1.0, abs=0.02)
-        assert sw.w[1] * 0.25**2 <= 0.01
+        w, _ = _true_weights(stencil_weights(0.999, 0.25, 50))
+        assert w[0] * 0.25**2 == pytest.approx(1.0, abs=0.02)
+        assert w[1] * 0.25**2 <= 0.01
 
     def test_first_order_term_of_the_classical_limit(self):
         # dW/ds at s = 1-, in closed form since C(1, s) = 2(1 - s) + O((1 - s)^2), against
@@ -98,30 +108,36 @@ class TestStencilWeights:
         # Measured: 5.4e-7 relative for w_1, 0.9-1.0e-6 for w_2..w_4, 5.4e-8 for the tail.
         n, s = 256, 1.0 - 1e-7
         h = 2.0 / (n + 1)
-        sw = stencil_weights(s, h, n)
+        w, tail = _true_weights(stencil_weights(s, h, n))
         classical = np.zeros(n)
         classical[0] = 1.0 / h**2
         k = np.arange(2, n + 1)
         slope = np.concatenate(([3.0 - 2.0 * np.euler_gamma - 2.0 * math.log(h) - 5.0 / 9.0],
                                 -((k - 0.5) ** -2.0 - (k + 0.5) ** -2.0))) / h**2
-        np.testing.assert_allclose((classical - sw.w) / (1.0 - s), slope, rtol=2e-6)
-        assert -sw.tail / (1.0 - s) == pytest.approx(-(n + 0.5) ** -2.0 / h**2, rel=2e-6)
+        np.testing.assert_allclose((classical - w) / (1.0 - s), slope, rtol=2e-6)
+        assert -tail / (1.0 - s) == pytest.approx(-(n + 0.5) ** -2.0 / h**2, rel=2e-6)
 
-    @pytest.mark.parametrize("bad", [(-0.1, 0.1, 5), (1.0, 0.1, 5), (0.5, 0.0, 5), (0.5, 0.1, 1)])
+    @pytest.mark.parametrize("bad", [(-0.1, 0.1, 5), (1.0, 0.1, 5), (0.5, 0.0, 5), (0.5, 0.1, 1),
+                                     (0.5, math.inf, 5)])
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):
             stencil_weights(*bad)
 
-    def test_overflowing_scale_names_the_spacing(self):
-        with pytest.raises(OverflowError, match=r"h=1\.000e-200, s=0\.9"):
-            stencil_weights(0.9, 1e-200, 4)
+    def test_overflowing_scale_is_carried_by_the_exponent(self):
+        # (1e-200)^(-1.8) = 1e360 is beyond the double range; the weights are those at
+        # h = 1 times it, held as a unit mantissa and a power of two.
+        self.assert_scaled_by_the_power_of_h(1e-200)
 
-    @pytest.mark.parametrize("h, named", [(1e180, "h=1.000e+180"), (math.inf, "h=inf")])
-    def test_underflowing_scale_names_the_spacing(self, h, named):
-        # (1e180)^(-1.8) = 1e-324 is below the smallest normal double; inf^(-1.8) is 0.
-        with pytest.raises(OverflowError, match=re.escape(f"C h^(-2s) underflows at grid "
-                                                          f"spacing {named}, s=0.9")):
-            stencil_weights(0.9, h, 4)
+    @pytest.mark.parametrize("h", [1e180, 1e300])
+    def test_underflowing_scale_is_carried_by_the_exponent(self, h):
+        # (1e180)^(-1.8) = 1e-324 is below the smallest normal double.
+        self.assert_scaled_by_the_power_of_h(h)
+
+    @staticmethod
+    def assert_scaled_by_the_power_of_h(h, s=0.9):
+        sw, ref = stencil_weights(s, h, 4), stencil_weights(s, 1.0, 4)
+        log2_w, log2_ref = (np.log2(np.append(x.w, x.tail)) + x.exponent for x in (sw, ref))
+        np.testing.assert_allclose(log2_w, log2_ref - 2.0 * s * math.log2(h), rtol=0.0, atol=1e-12)
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=1e-3, max_value=10.0),
@@ -179,15 +195,21 @@ class TestFractionalOperator:
         op = assemble_fractional(Grid(-1.0, 1.0, 64), 0.5)
         assert "matrix" not in op.__dict__
         assert op.matrix is op.matrix
-        assert np.array_equal(op.matrix[:, 0], op.col)
+        assert np.array_equal(op.matrix[:, 0], _true_col(op))
 
-    def test_overflowing_diagonal_names_the_spacing(self):
-        # Every weight is finite (w_1 = 1.42e308), but twice their sum is not.
+    def test_overflowing_diagonal_is_carried_by_the_exponent(self):
+        # Every true weight is finite (w_1 = 1.42e308), but twice their sum is not: the
+        # unit column holds it, and only the true-scale dense matrix overflows.
         g = Grid(0.0, 1e-153, 16)
-        assert np.all(np.isfinite(stencil_weights(0.999, g.h, 16).w))
-        with pytest.raises(OverflowError, match=re.escape(f"the diagonal overflows at grid "
-                                                          f"spacing h={g.h:.3e}, s=0.999")):
-            assemble_fractional(g, 0.999)
+        sw = stencil_weights(0.999, g.h, 16)
+        assert np.all(np.isfinite(_true_weights(sw)[0]))
+        op = assemble_fractional(g, 0.999)
+        assert 0.5 <= op.col[0] < 1.0
+        assert math.ldexp(op.col[0], op.exponent - sw.exponent) == 2.0 * (sw.w.sum() + sw.tail)
+        assert np.array_equal(np.ldexp(op.col[1:], op.exponent - sw.exponent), -sw.w[:15])
+        with pytest.raises(OverflowError, match=re.escape(f"non-finite column at grid "
+                                                          f"spacing h={g.h:.3e}")):
+            op.matrix
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.integers(min_value=3, max_value=24))
@@ -209,14 +231,19 @@ class TestClassicalOperator:
         assert op.matrix[0, 2] == 0.0
 
     @pytest.mark.parametrize("right", [1e-200, 1.7e-154])  # h^2 underflows to 0; 2/h^2 overflows
-    def test_overflowing_entries_name_the_spacing(self, right):
-        with pytest.raises(OverflowError, match=r"1/h\^2 overflows at grid spacing h="):
-            assemble_classical(Grid(0.0, right, 16))
+    def test_overflowing_entries_are_carried_by_the_exponent(self, right):
+        self.assert_three_point(Grid(0.0, right, 16))
 
     @pytest.mark.parametrize("right", [1e160, 1.5e155])  # h^2 overflows; 1/h^2 is subnormal
-    def test_underflowing_entries_name_the_spacing(self, right):
-        with pytest.raises(OverflowError, match=r"1/h\^2 underflows at grid spacing h="):
-            assemble_classical(Grid(0.0, right, 16))
+    def test_underflowing_entries_are_carried_by_the_exponent(self, right):
+        self.assert_three_point(Grid(0.0, right, 16))
+
+    @staticmethod
+    def assert_three_point(g):
+        op = assemble_classical(g)
+        assert 0.5 <= op.col[0] < 1.0 and op.col[1] == -0.5 * op.col[0] and not op.col[2:].any()
+        assert math.log2(op.col[0]) + op.exponent == pytest.approx(1.0 - 2.0 * math.log2(g.h),
+                                                                   abs=1e-12)
 
     def test_largest_eigenvalue_formula(self):
         n = 64
@@ -251,7 +278,8 @@ class TestToeplitzAssembly:
     def test_fractional_is_bitwise_the_toeplitz_of_its_weights(self, s, n):
         grid = Grid(-1.0, 1.0, n)
         sw = stencil_weights(s, grid.h, n)
-        col = [2.0 * (sw.w.sum() + sw.tail)] + [-w for w in sw.w[: n - 1]]
+        w, tail = _true_weights(sw)
+        col = [2.0 * (w.sum() + tail)] + [-x for x in w[: n - 1]]
         matrix = assemble_fractional(grid, s).matrix
         assert matrix.tobytes() == _hand_built_toeplitz(col).tobytes()
 
@@ -262,6 +290,17 @@ class TestToeplitzAssembly:
         col = [2.0 / grid.h**2, -1.0 / grid.h**2] + [0.0] * (n - 2)
         matrix = assemble_classical(grid).matrix
         assert matrix.tobytes() == _hand_built_toeplitz(col).tobytes()
+
+    @pytest.mark.parametrize("h", [1e-150, 7.8e-3, 1e150])
+    @pytest.mark.parametrize("s", [1e-6, 0.1, 0.5, 0.999, None])
+    @pytest.mark.parametrize("n", [3, 16, 256, 4099])
+    def test_unit_column_times_its_power_of_two_keeps_the_true_scale_bits(self, n, s, h):
+        # The unit column and its exponent hold the true-scale column exactly, bit for bit.
+        grid = Grid(0.0, h * (n + 1), n)
+        op = assemble_classical(grid) if s is None else assemble_fractional(grid, s)
+        reference = true_scale_column(grid, s)
+        assert np.all(np.isfinite(reference)) and 0.5 <= op.col[0] < 1.0
+        assert _true_col(op).tobytes() == reference.tobytes()
 
     def test_fractional_assembly_allocates_only_the_matrix(self):
         # An n-by-n index array on top of the matrix would double the peak.
@@ -357,7 +396,7 @@ class TestQuadraticForm:
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g) if s is None else assemble_fractional(g, s)
         v = np.random.default_rng(n).standard_normal(n)
-        assert quadratic_form(op, v) == inner_product_h(v, toeplitz_product(op.col)(v), g)
+        assert quadratic_form(op, v) == inner_product_h(v, toeplitz_product(_true_col(op))(v), g)
 
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.99, 0.999, None])
@@ -376,7 +415,8 @@ class TestQuadraticForm:
             v = op.solve(np.ones(g.n))
         energy = quadratic_form(op, v)
         assert "matrix" not in op.__dict__
-        reference = g.h * float(np.asarray(v, dtype=np.longdouble) @ direct_toeplitz_product(op.col, v))
+        reference = g.h * float(np.asarray(v, dtype=np.longdouble)
+                                @ direct_toeplitz_product(_true_col(op), v))
         assert energy == pytest.approx(reference, rel=5e-11)
 
     @pytest.mark.parametrize("s", [0.5, None])
@@ -385,8 +425,7 @@ class TestQuadraticForm:
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g) if s is None else assemble_fractional(g, s)
         v = np.random.default_rng(n).standard_normal(n)
-        assert quadratic_form(op, v) == pytest.approx(g.h * float(v @ (toeplitz(op.col) @ v)),
-                                                      rel=1e-12)
+        assert quadratic_form(op, v) == pytest.approx(g.h * float(v @ (op.matrix @ v)), rel=1e-12)
 
 
 class TestSpectrum:
@@ -395,8 +434,8 @@ class TestSpectrum:
         # Kwasnicki, Malecki & Stos, Proc. London Math. Soc. 101 (2010).  The
         # error must halve with each doubling of n: a monotone first-order decrease.
         lam1 = 1.1577738836977
-        errors = [abs(assemble_fractional(Grid(-1.0, 1.0, n), 0.5).bottom_pair.value - lam1) / lam1
-                  for n in (128, 256, 512, 1024, 2048)]
+        errors = [abs(_true_value(assemble_fractional(Grid(-1.0, 1.0, n), 0.5), "bottom_pair")
+                      - lam1) / lam1 for n in (128, 256, 512, 1024, 2048)]
         ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
         assert all(1.9 <= r <= 2.1 for r in ratios), (errors, ratios)
 
@@ -408,7 +447,7 @@ class TestSpectrum:
         lam2 = 2.7547542
         errors = []
         for n in (128, 256, 512, 1024, 2048):
-            col = assemble_fractional(Grid(-1.0, 1.0, n), 0.5).col
+            col = _true_col(assemble_fractional(Grid(-1.0, 1.0, n), 0.5))
             value = eigh(toeplitz(col), subset_by_index=[1, 1], eigvals_only=True)[0]
             errors.append(abs(value - lam2) / lam2)
         ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
@@ -425,8 +464,13 @@ class TestSpectrum:
         unit = assemble_fractional(Grid(-1.0, 1.0, n), s)
         scaled = assemble_fractional(Grid(-r, r, n), s)
         for pair in ("bottom_pair", "top_pair"):
-            expected = getattr(unit, pair).value * r ** (-2.0 * s)
-            assert getattr(scaled, pair).value == pytest.approx(expected, rel=1e-12)
+            expected = _true_value(unit, pair) * r ** (-2.0 * s)
+            assert _true_value(scaled, pair) == pytest.approx(expected, rel=1e-12)
+
+
+def _true_value(op, pair):
+    """The true-scale eigenvalue of op's bottom_pair or top_pair."""
+    return math.ldexp(getattr(op, pair).value, op.exponent)
 
 
 def test_norm_h_matches_inner_product():

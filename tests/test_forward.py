@@ -96,13 +96,24 @@ class TestSolvePoisson:
         assert sol.l2_norm_u == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-    @pytest.mark.parametrize("right, named", [(1e120, "l2_norm_u"),
-                                              (1e160, "seminorm_sq and l2_norm_u")])
-    def test_overflowing_norms_name_the_spacing(self, right, named):
-        # u grows like h^(2s) times f; on a wide domain its h-norm, then its
-        # energy, pass the double range.  No numpy warning on the way.
-        g = Grid(0.0, right, 16)
-        with pytest.raises(OverflowError, match=re.escape(f"non-finite {named} at grid "
+    @pytest.mark.parametrize("right", [1e120, 1e150])
+    def test_wide_domain_norms_scale_with_the_length(self, right):
+        # u grows like L^(2s) times f and its h-norm like L^(2s + 1/2): about 1e180 and
+        # 3.9e224 at s = 1/2, whose squares the parent summed and overflowed on.
+        sol = solve_poisson(assemble_fractional(Grid(0.0, right, 16), 0.5), np.ones(16))
+        unit = solve_poisson(assemble_fractional(Grid(0.0, 1.0, 16), 0.5), np.ones(16))
+        assert sol.l2_norm_u == pytest.approx(unit.l2_norm_u * right**1.5, rel=1e-12)
+        assert sol.seminorm_sq == pytest.approx(unit.seminorm_sq * right**2, rel=1e-12)
+
+    def test_l2_norm_on_a_1e150_domain(self):
+        sol = solve_poisson(assemble_fractional(Grid(0.0, 1e150, 16), 0.5), np.ones(16))
+        assert f"{sol.l2_norm_u:.12g}" == "3.91172576262e+224"
+
+    def test_overflowing_energy_names_the_spacing(self):
+        # On (0, 1e160) the energy <f, u>_h, about L^2, passes the double range;
+        # ||u||_h, about L^1.5, does not.  No numpy warning on the way.
+        g = Grid(0.0, 1e160, 16)
+        with pytest.raises(OverflowError, match=re.escape(f"non-finite seminorm_sq at grid "
                                                           f"spacing h={g.h:.3e}")):
             solve_poisson(assemble_fractional(g, 0.5), np.ones(16))
 

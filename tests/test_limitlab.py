@@ -79,11 +79,26 @@ class TestRunSweep:
         assert dense_matrices == []
         assert len(per_operator) == len(eigs) == 11
 
-    def test_overflowing_distance_names_the_spacing(self):
-        # Every order converges on (0, 1e150), but the classical state's
-        # h-norm passes the double range, and so does each dist_u.
-        g = Grid(0.0, 1e150, 16)
-        with pytest.raises(OverflowError, match=re.escape(f"non-finite dist_u at s=0.5, grid "
+    def test_wide_domain_scales_each_value_by_its_power_of_the_length(self):
+        # On (0, 1e155) each dist_u is about 8.7e306, near the top of the double range:
+        # every row is that of (0, 1) with each value times its power of the length.
+        length = 1e155
+        wide = run_sweep(Grid(0.0, length, 16), [0.5, 0.9], CONTROL).rows
+        unit = run_sweep(Grid(0.0, 1.0, 16), [0.5, 0.9], CONTROL).rows
+        assert 8e306 < wide[0].dist_u < 9e306
+        for w, u in zip(wide, unit):
+            assert w.dist_f == pytest.approx(u.dist_f, rel=1e-9)
+            assert w.align == pytest.approx(u.align, rel=1e-12)
+            assert w.lambda_max == pytest.approx(u.lambda_max * length ** (-2.0 * w.s), rel=1e-12)
+            assert w.poincare_c == pytest.approx(u.poincare_c * length ** (2.0 * w.s), rel=1e-12)
+            assert w.seminorm_sq == pytest.approx(u.seminorm_sq * length ** (2.0 * w.s),
+                                                  rel=1e-12)
+
+    def test_overflowing_reference_cost_names_the_spacing(self):
+        # On (0, 1e160) the classical reference's J_star, about a^2 / (2 lambda_max) with
+        # lambda_max of order L^-2, passes the double range.
+        g = Grid(0.0, 1e160, 16)
+        with pytest.raises(OverflowError, match=re.escape(f"non-finite J_star at grid "
                                                           f"spacing h={g.h:.3e}")):
             run_sweep(g, [0.5, 0.9], CONTROL)
 

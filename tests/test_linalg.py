@@ -39,6 +39,11 @@ def _assemble(n, s):
     return assemble_classical(g) if s is None else assemble_fractional(g, s)
 
 
+def _true_col(op):
+    """The operator's true-scale first column: its unit column times 2^exponent."""
+    return np.ldexp(op.col, op.exponent)
+
+
 def _same_up_to_sign(v, ref, tol):
     """Whether v equals ref or -ref within tol times ref's largest entry."""
     scale = tol * np.abs(ref).max()
@@ -65,7 +70,7 @@ class TestEigExtreme:
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(op.col, h=g.h).bottom
+        pair = eig_extreme(_true_col(op), h=g.h).bottom
         assert pair.meets(1e-10)
         # First Dirichlet eigenvalue of the second derivative on a length-2
         # interval is (pi/2)^2; the discrete value sits within 0.5% at this n.
@@ -75,7 +80,7 @@ class TestEigExtreme:
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(op.col, h=g.h).top
+        pair = eig_extreme(_true_col(op), h=g.h).top
         assert pair.meets(1e-9)
         expected = 4.0 / g.h**2 * math.sin(n * math.pi / (2 * (n + 1))) ** 2
         assert pair.value == pytest.approx(expected, rel=0.005)
@@ -83,7 +88,7 @@ class TestEigExtreme:
     def test_eigenvector_h_normalized_with_small_residual(self):
         g = Grid(-1.0, 1.0, 64)
         op = assemble_fractional(g, 0.5)
-        pair = eig_extreme(op.col, h=g.h).top
+        pair = eig_extreme(_true_col(op), h=g.h).top
         assert g.h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
         res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
         assert res <= 1e-9 * abs(pair.value) * np.linalg.norm(pair.vector)
@@ -101,7 +106,7 @@ class TestEigExtreme:
         g = Grid(-1.0, 1.0, 1024)
         op = assemble_fractional(g, 0.5)
         lam = np.linalg.eigvalsh(op.matrix)
-        pairs = eig_extreme(op.col, h=g.h)
+        pairs = eig_extreme(_true_col(op), h=g.h)
         for pair, value, gap in ((pairs.top, lam[-1], (lam[-1] - lam[-2]) / lam[-1]),
                                  (pairs.bottom, lam[0], (lam[1] - lam[0]) / lam[0])):
             assert pair.meets(1e-9)
@@ -153,13 +158,13 @@ class TestEigExtremeAgainstDense:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_small_orders(self, n, s):
         op = _assemble(n, s)
-        self.check(op.col, op.grid.h)
+        self.check(_true_col(op), op.grid.h)
 
     @pytest.mark.parametrize("s", ORDERS)
     @pytest.mark.parametrize("n", [64, 65, 1024, 1025])
     def test_even_and_odd_orders(self, n, s):
         op = _assemble(n, s)
-        self.check(op.col, op.grid.h)
+        self.check(_true_col(op), op.grid.h)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 33])
     def test_random_indefinite_columns(self, n):
@@ -170,7 +175,7 @@ class TestEigExtremeAgainstDense:
         # lambda_k = (4/h^2) sin^2(k pi / (2(n+1))), v_k(i) ~ sin(k pi i / (n+1)); no dense matrix.
         op = _assemble(n, None)
         h = op.grid.h
-        pairs = eig_extreme(op.col, h=h)
+        pairs = eig_extreme(_true_col(op), h=h)
         i = np.arange(1, n + 1)
 
         def value(k):
@@ -195,7 +200,7 @@ class TestEvenBasis:
     @pytest.mark.parametrize("s", ORDERS)
     @pytest.mark.parametrize("n", [*range(3, 10), 64, 65, 128, 129])
     def test_matches_the_dense_even_modes(self, n, s):
-        col = _assemble(n, s).col
+        col = _true_col(_assemble(n, s))
         basis = even_basis(col)
         k = (n + 1) // 2
         lam, V = scipy.linalg.eigh(scipy.linalg.toeplitz(col))
@@ -301,7 +306,7 @@ class TestEigenPathMemory:
         # copied the half matrix, the residuals kept it and the first dstemr's vectors
         # outlived the call.  For even_basis: 2.03 k^2; 3.03 k^2 when dstemr's vectors were
         # copied into another k x k array.
-        col = _assemble(n, 0.5).col
+        col = _true_col(_assemble(n, 0.5))
         k = (n + 1) // 2
         tracemalloc.start()
         try:
@@ -343,8 +348,8 @@ class TestNoIdleBlasWorker:
         # worker, which spins on through the busy wait: 50-60 ms on other threads.
         time.sleep(0.5)  # let workers woken by earlier tests go back to sleep
         before = _other_threads_cpu_s()
-        eig_extreme(_assemble(256, 0.5).col)
-        even_basis(_assemble(400, 0.5).col)
+        eig_extreme(_true_col(_assemble(256, 0.5)))
+        even_basis(_true_col(_assemble(400, 0.5)))
         end = time.perf_counter() + 0.1
         while time.perf_counter() < end:
             pass
@@ -417,7 +422,7 @@ class TestLapackWrappers:
         monkeypatch.setattr(scipy.linalg.lapack, name,
                             lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 3))
         with pytest.raises(SolveError, match=f"^LAPACK {name} failed with info=3$"):
-            eig_extreme(_assemble(64, 0.5).col)
+            eig_extreme(_true_col(_assemble(64, 0.5)))
 
 
 class TestJacobi:
@@ -447,7 +452,7 @@ class TestJacobi:
         g = Grid(-1.0, 1.0, 48)
         op = assemble_fractional(g, 0.6)
         pairs = eig_full_jacobi(op, h=g.h)
-        extremes = eig_extreme(op.col, h=g.h)
+        extremes = eig_extreme(_true_col(op), h=g.h)
         assert extremes.top.value == pytest.approx(pairs[-1].value, rel=1e-8)
         assert extremes.bottom.value == pytest.approx(pairs[0].value, rel=1e-8)
 
@@ -494,7 +499,7 @@ class TestToeplitzProduct:
     @pytest.mark.parametrize("n", [2, 3, 8, 32, 33, 599, 600, 4099])
     def test_matches_the_direct_sum(self, n, min_n, monkeypatch):
         monkeypatch.setattr(linalg, "PCG_MIN_N", min_n)
-        col = _toeplitz_operator(0.5, max(n, 3)).col[:n]  # a grid has at least 3 nodes
+        col = _true_col(_toeplitz_operator(0.5, max(n, 3)))[:n]  # a grid has at least 3 nodes
         v = np.random.default_rng(n).standard_normal(n)
         error = np.abs(linalg.toeplitz_product(col)(v) - direct_toeplitz_product(col, v)).max()
         assert error <= 1e-14 * np.abs(col).sum() * np.abs(v).max()
@@ -503,7 +508,7 @@ class TestToeplitzProduct:
     @pytest.mark.parametrize("n", [8, 32])
     def test_cg_solves_small_orders(self, n, min_n, monkeypatch):
         monkeypatch.setattr(linalg, "PCG_MIN_N", min_n)
-        col = _toeplitz_operator(0.5, n).col
+        col = _true_col(_toeplitz_operator(0.5, n))
         b = np.ones(n)
         x = linalg._pcg(col, b, linalg.toeplitz_product(col))
         dense = scipy.linalg.solve(scipy.linalg.toeplitz(col), b, assume_a="pos")
@@ -540,7 +545,7 @@ class TestToeplitzSolve:
     def test_backward_error_is_round_off(self, s, n):
         op = _toeplitz_operator(s, n)
         b = np.ones(op.n)
-        x = toeplitz_solve(op.col, b)
+        x = toeplitz_solve(_true_col(op), b)
         residual = np.abs(b - op.matrix @ x).max()
         assert residual <= 1e-13 * np.abs(op.matrix).sum(axis=1).max() * np.abs(x).max()
 
@@ -561,12 +566,12 @@ class TestToeplitzSolve:
         # is a plain FFT product leaves about 1.1e-11 and 2.4e-11.
         op = _toeplitz_operator(s, 1024)
         b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
-        dense = scipy.linalg.solve(scipy.linalg.toeplitz(op.col), b, assume_a="pos")
+        dense = scipy.linalg.solve(scipy.linalg.toeplitz(_true_col(op)), b, assume_a="pos")
         assert np.linalg.norm(op.solve(b) - dense) <= 5e-12 * np.linalg.norm(dense)
 
     def test_zero_right_hand_side(self):
         op = _toeplitz_operator(0.5)
-        assert np.all(toeplitz_solve(op.col, np.zeros(op.n)) == 0.0)
+        assert np.all(toeplitz_solve(_true_col(op), np.zeros(op.n)) == 0.0)
 
     def test_singular_leading_minor(self):
         # [[1, 1], [1, 1]] leads an indefinite matrix (eigenvalues 1, 1 +- sqrt 2 at n = 3).
@@ -609,7 +614,7 @@ class TestToeplitzSolve:
         # s = 0.999999, so the reference is refined with long-double residuals.
         op = _toeplitz_operator(s, n)
         b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
-        reference = refined_toeplitz_solve(op.col, b)
+        reference = refined_toeplitz_solve(_true_col(op), b)
         assert np.linalg.norm(op.solve(b) - reference) <= 5e-12 * np.linalg.norm(reference)
 
     # Relative max-norm errors of 2.2e-14 and 1.8e-11 were measured here
@@ -620,7 +625,7 @@ class TestToeplitzSolve:
         # 4099 is prime: the padded FFT lengths, with no dense reference.
         op = _toeplitz_operator(s, 4099)
         x = np.random.default_rng(4099).standard_normal(op.n)
-        b = direct_toeplitz_product(op.col, x).astype(float)
+        b = direct_toeplitz_product(_true_col(op), x).astype(float)
         assert np.abs(op.solve(b) - x).max() <= bound * np.abs(x).max()
 
     # Relative max-norm errors of 5.9e-13, 2.0e-13, 2.3e-12 and 2.2e-10 were
@@ -656,14 +661,14 @@ class TestToeplitzSolve:
         b = np.ones(n)
         b[n // 2] = bad
         with pytest.raises(SolveError, match="^right-hand side is not finite$"):
-            toeplitz_solve(_toeplitz_operator(0.5, n).col, b)
+            toeplitz_solve(_true_col(_toeplitz_operator(0.5, n)), b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [PCG_MIN_N - 1, PCG_MIN_N])
     def test_non_finite_first_column(self, n, bad):
         # Both solve paths refuse col before scaling it, and the eigen pass before its
         # reduction, with the same message.
-        col = _toeplitz_operator(0.5, n).col.copy()
+        col = _true_col(_toeplitz_operator(0.5, n)).copy()
         col[3] = bad
         with pytest.raises(SolveError, match="^first column is not finite$"):
             toeplitz_solve(col, np.ones(n))
@@ -675,14 +680,14 @@ class TestToeplitzSolve:
     def test_power_of_two_scaling_is_exact(self, b_exp, col_exp, path):
         op = _toeplitz_operator(0.5, SOLVERS[path][0])
         b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
-        x = toeplitz_solve(op.col, b)
-        scaled = toeplitz_solve(np.ldexp(op.col, col_exp), np.ldexp(b, b_exp))
+        x = toeplitz_solve(_true_col(op), b)
+        scaled = toeplitz_solve(np.ldexp(_true_col(op), col_exp), np.ldexp(b, b_exp))
         assert np.array_equal(scaled, np.ldexp(x, b_exp - col_exp))
 
     @pytest.mark.parametrize("n", [64, PCG_MIN_N])
     def test_subnormal_right_hand_side(self, n):
         # The check's bound ||A|| ||x|| used to underflow to 0 here and fail the solve.
-        col = _toeplitz_operator(0.5, n).col
+        col = _true_col(_toeplitz_operator(0.5, n))
         x = toeplitz_solve(col, np.full(n, 1e-320))
         # Within two units in the last place of the subnormal range.
         assert np.abs(x - 1e-320 * toeplitz_solve(col, np.ones(n))).max() <= 2.0 ** -1073
@@ -690,7 +695,7 @@ class TestToeplitzSolve:
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_rejects_a_right_hand_side_of_another_shape(self, n):
-        col = _toeplitz_operator(0.5, n).col
+        col = _true_col(_toeplitz_operator(0.5, n))
         for shape in [(n + 1,), (n, 1), ()]:
             with pytest.raises(ValueError, match=re.escape(f"shape ({n},), got {shape}")):
                 toeplitz_solve(col, np.ones(shape))
