@@ -14,7 +14,7 @@ import numpy as np
 
 from . import limitlab
 from .control import ControlConfig, eigen_solve_control
-from .discretize import Grid, assemble_fractional, norm_h, scale_back, scaled_norm
+from .discretize import Grid, assemble_fractional, norm_h
 from .forward import solve_poisson
 from .limitlab import default_s_ladder, validate_s_list
 from .linalg import SolveError
@@ -229,8 +229,9 @@ def _cmd_control(cfg: RunConfig) -> int:
     s = cfg.single_s()
     op = assemble_fractional(grid, s)
     result = eigen_solve_control(op, cfg.control())
-    norm_f, residual = scale_back(grid, norm_f=scaled_norm(result.f_star, grid),
-                                  residual=(op.top_pair.residual, op.exponent))
+    norm_f = norm_h(result.f_star, grid)
+    # The top pair's relative residual, the number EigenPair.meets compares with tol.
+    residual = op.top_pair.residual / op.top_pair.value
     if result.converged:
         write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
                   (grid.nodes(), result.f_star, result.u_star))

@@ -56,7 +56,7 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of n interior nodes on the open interval (x_left, x_right)."""
+    """Uniform grid of n interior nodes on the open interval (x_left, x_right), h a normal float."""
 
     x_left: float
     x_right: float
@@ -74,6 +74,9 @@ class Grid:
                              "x_right", "x_left")
         if self.n < 3:
             raise FieldError(f"need at least 3 interior nodes, got n={self.n}", "n")
+        if self.h < sys.float_info.min:  # every h-pairing multiplies by h, which keeps few bits
+            raise FieldError(f"grid spacing h={self.h:.3e} is below the normal double range, got "
+                             f"[{self.x_left}, {self.x_right}] with n={self.n}", "x_right", "x_left")
 
     @property
     def h(self) -> float:
@@ -98,11 +101,11 @@ class Operator:
     """Symmetric Toeplitz operator 2^exponent toeplitz(col) on the interior nodes of a grid.
 
     kind is "fractional" (order s in (0,1)) or "classical" (s stored as 1.0).
-    The first column col is at unit scale (an assembled one has its diagonal
-    in [0.5, 1)) and frozen read-only; rebuild rather than mutate.  Solves
-    and the extreme eigenpairs run on col alone: both pairs come from one
-    linalg.eig_extreme pass on first use, at unit scale, and are kept for
-    the operator's lifetime.  The dense matrix is built only when a caller asks for it.
+    Construction takes col exactly to unit scale (largest entry, an assembled
+    one's diagonal, in [0.5, 1)), adds that power of two to exponent and freezes
+    col read-only; rebuild rather than mutate.  Solves and the extreme eigenpairs
+    run on col alone, both pairs from one linalg.eig_extreme pass on first use,
+    kept for the operator's lifetime.  The dense matrix is built only on request.
     """
 
     kind: str
@@ -112,7 +115,10 @@ class Operator:
     exponent: int = 0
 
     def __post_init__(self):
-        self.col.flags.writeable = False
+        col, e = _unit(np.asarray(self.col, dtype=float))
+        col.flags.writeable = False
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "exponent", self.exponent + e)
 
     @property
     def n(self) -> int:
@@ -167,12 +173,6 @@ def _power(h: float, p: float) -> tuple[float, int]:
     return m ** p * 2.0 ** float(x - math.floor(x)), math.floor(x)
 
 
-def _operator(kind: str, s: float, col: np.ndarray, exponent: int, grid: Grid) -> Operator:
-    """The Operator 2^exponent toeplitz(col), col scaled exactly to a diagonal in [0.5, 1)."""
-    e = math.frexp(float(col[0]))[1]
-    return Operator(kind=kind, s=float(s), col=np.ldexp(col, -e), grid=grid, exponent=exponent + e)
-
-
 def stencil_weights(s: float, h: float, K: int) -> StencilWeights:
     """Quadrature weights of the order-s operator at spacing h, truncated at K."""
     if not 0.0 < h < math.inf:
@@ -204,7 +204,7 @@ def assemble_fractional(grid: Grid, s: float) -> Operator:
     diag = 2.0 * (sw.w.sum() + sw.tail)
     # First column of the Toeplitz matrix: [diag, -w_1, ..., -w_{n-1}].
     col = np.concatenate(([diag], -sw.w[: grid.n - 1]))
-    return _operator("fractional", s, col, sw.exponent, grid)
+    return Operator(kind="fractional", s=float(s), col=col, grid=grid, exponent=sw.exponent)
 
 
 def assemble_classical(grid: Grid) -> Operator:
@@ -212,7 +212,7 @@ def assemble_classical(grid: Grid) -> Operator:
     h2, exponent = _power(grid.h, 2.0)
     col = np.zeros(grid.n)
     col[:2] = 2.0 / h2, -1.0 / h2
-    return _operator("classical", 1.0, col, -exponent, grid)
+    return Operator(kind="classical", s=1.0, col=col, grid=grid, exponent=-exponent)
 
 
 def scale_back(grid: Grid, where: str = "", **values) -> list:

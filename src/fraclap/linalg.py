@@ -157,12 +157,12 @@ def toeplitz_solve(col, b) -> np.ndarray:
     backward error at most BACKWARD_ERROR_TOL, taking
     ||A||_inf <= |c_0| + 2 sum |c_k| and the residual from toeplitz_product;
     otherwise SolveError, as for a col or a b that is not finite, which both
-    paths refuse before scaling.  A col that _checked_col refuses for its
+    paths refuse before solving.  A col that _checked_col refuses for its
     shape, or a b whose shape is not col's, raises ValueError.
 
-    col and b are first scaled exactly, by powers of two, to unit scale, so
-    that neither the preconditioner nor the check's bound underflows; x is
-    scaled back once at the end.
+    It solves at the scale it is given.  Operator.solve, its one caller in
+    fraclap, passes col and b at unit scale (largest entry in [0.5, 1)), where
+    neither the preconditioner nor the check's bound underflows.
     """
     col = _checked_col(col)
     b = np.asarray(b, dtype=float)
@@ -170,9 +170,6 @@ def toeplitz_solve(col, b) -> np.ndarray:
         raise ValueError(f"expected right-hand side of shape {col.shape}, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise SolveError("right-hand side is not finite")
-    e_col = math.frexp(float(np.abs(col).max(initial=0.0)))[1]
-    e_b = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
-    col, b = np.ldexp(col, -e_col), np.ldexp(b, -e_b)
     product = toeplitz_product(col)
     if len(col) < PCG_MIN_N:
         try:
@@ -181,9 +178,7 @@ def toeplitz_solve(col, b) -> np.ndarray:
             raise SolveError(f"Levinson recursion failed: {exc}") from exc
     else:
         x = _pcg(col, b, product=product)
-    with np.errstate(over="ignore"):  # an x that overflows is refused just below
-        result = np.ldexp(x, e_b - e_col)
-    if not np.all(np.isfinite(result)):
+    if not np.all(np.isfinite(x)):
         raise SolveError("Toeplitz solve returned non-finite values")
     r_norm = float(np.abs(b - product(x)).max(initial=0.0))
     abs_col = np.abs(col)
@@ -192,7 +187,7 @@ def toeplitz_solve(col, b) -> np.ndarray:
     if not r_norm <= bound:
         raise SolveError(f"Toeplitz solve residual {r_norm:.3e} exceeds "
                          f"{BACKWARD_ERROR_TOL:g} * ||A|| * ||x|| = {bound:.3e}")
-    return result
+    return x
 
 
 @dataclass(frozen=True)

@@ -596,10 +596,9 @@ class TestMain:
 
     @pytest.mark.parametrize("subcommand, named", [
         # h ~ 6e-202: h^(-1.8) ~ 1e363 is beyond the double range, and so is every value
-        # that carries it: u ~ 1e-363 underflows whole, lambda_max and the top pair's
-        # residual overflow.  The gamma checks' costs are about mu/2 ||f||^2 and finite.
+        # that carries it: u ~ 1e-363 underflows whole, lambda_max overflows.  The gamma
+        # checks' costs are about mu/2 ||f||^2 and finite.
         ("solve", "underflowing u at"),
-        ("control", "non-finite residual at"),
         ("sweep", "non-finite lambda_max at s=0.9,"),
         ("gamma", None),
     ])
@@ -616,6 +615,41 @@ class TestMain:
         assert code == EXIT_NUMERICAL
         assert err == f"numerical failure: {named} grid spacing h=5.882e-202\n"
         assert out == "" and not out_dir.exists()
+
+    def test_control_on_a_tiny_spacing_prints_its_finite_cost(self, tmp_path, capsys):
+        # lambda_max ~ 1e363 on (0, 1e-200) at s = 0.9, but J_star = a^2 (1/lambda_max + mu) / 2
+        # and the printed residual, relative to lambda_max, are finite.  The absolute
+        # residual, about 1.8e347, was printed and overflowed, and the run exited 2.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e-200\nn = 16\ns = 0.9\n")
+        out_dir = tmp_path / "out"
+        assert main(["control", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and " J_star=0.05 " in out and "converged=True" in out
+        assert float(re.search(r" residual=(\S+)", out).group(1)) <= 1e-14
+        _, rows = read_csv(out_dir / "control.csv")
+        assert len(rows) == 16
+
+    @pytest.mark.parametrize("right", ["1e-317", "1e-320"])
+    @pytest.mark.parametrize("subcommand", ["solve", "control"])
+    def test_spacing_below_the_normal_range_exits_config(self, subcommand, right, tmp_path,
+                                                         capsys):
+        # Every h-pairing multiplies by h, which keeps only a few bits below 2.2e-308:
+        # control printed J_star=0.05078125 on (0, 1e-320) with exit 0.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"x_left = 0\nx_right = {right}\nn = 16\n")
+        out_dir = tmp_path / "out"
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and not out_dir.exists()
+        assert re.fullmatch(r"configuration error: line 2: grid spacing h=\S+ is below the "
+                            r"normal double range, got \[0\.0, \S+\] with n=16\n", err)
+
+    def test_spacing_at_the_foot_of_the_normal_range_is_finite(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 4e-306\nn = 16\n")
+        assert main(["control", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        assert " J_star=0.05 " in capsys.readouterr().out
 
     @pytest.mark.parametrize("right, s", [("1e-170", 0.9), ("1e-153", 0.999)])
     def test_control_beyond_the_range_of_the_diagonal(self, right, s, tmp_path, capsys):
@@ -843,6 +877,30 @@ class TestSolvesNeedNoDenseMatrix:
         assert captured.err.startswith("numerical failure: ")
         assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSolvesRunAtUnitScale:
+    """Operator.solve, the one caller of toeplitz_solve, hands it a unit column and a unit b."""
+
+    @pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 1e-200), (0.0, 1e150)])
+    @pytest.mark.parametrize("subcommand", ["solve", "control", "sweep", "gamma"])
+    def test_every_solve_is_at_unit_scale(self, subcommand, domain, tmp_path, monkeypatch,
+                                          capsys):
+        calls, solve = [], fraclap.linalg.toeplitz_solve
+
+        def recorded(col, b):
+            calls.append((float(np.abs(col).max()), float(np.abs(b).max())))
+            return solve(col, b)
+
+        monkeypatch.setattr(fraclap.linalg, "toeplitz_solve", recorded)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"x_left = {domain[0]!r}\nx_right = {domain[1]!r}\nn = 64\n")
+        # On (0, 1e-200) solve and sweep exit 2 on a value that leaves the double range.
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) in (
+            EXIT_OK, EXIT_NUMERICAL)
+        capsys.readouterr()
+        assert calls
+        assert all(0.5 <= c < 1.0 and (b == 0.0 or 0.5 <= b < 1.0) for c, b in calls), calls
 
 
 class TestLapackFailure:

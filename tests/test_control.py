@@ -384,9 +384,10 @@ class TestPgdMatchesHelperLoop:
             rotated = dataclasses.replace(basis, vectors=basis.vectors @ rot)
             monkeypatch.setattr(linalg, "even_basis", lambda c: rotated)
         # Every eigenvalue is equal, so eigen_solve_control refuses the top pair; the
-        # optimum is still a^2/2 (1/lambda_max + mu).
+        # optimum is still a^2/2 (1/lambda_max + mu), lambda_max = 1 the true-scale value
+        # of the unit column's 0.5 (diagonal 0.5, exponent 1).
         cfg = ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5)
-        optimum = 0.5 * a * a * (1.0 / op.top_pair.value + cfg.mu)
+        optimum = 0.5 * a * a * (1.0 / np.ldexp(op.top_pair.value, op.exponent) + cfg.mu)
         r = self.assert_close(op, cfg, optimum)
         # The zero trial lands on 0, or restarts from the constant direction on the inner sphere.
         assert r.converged and r.iters <= 3

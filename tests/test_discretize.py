@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.linalg import eigh, toeplitz
 from fraclap.discretize import (
     FieldError,
     Grid,
+    Operator,
     assemble_classical,
     assemble_fractional,
     inner_product_h,
@@ -60,12 +62,22 @@ class TestGrid:
     @pytest.mark.parametrize("left, right, n, fields", [
         (math.nan, math.inf, 16, ("x_left",)), (-1.0, math.nan, 16, ("x_right",)),
         (1.0, -1.0, 16, ("x_right", "x_left")), (-1e308, 1e308, 16, ("x_right", "x_left")),
-        (-1.0, 1.0, 2, ("n",)),
+        (-1.0, 1.0, 2, ("n",)), (0.0, 1e-320, 16, ("x_right", "x_left")),
     ])
     def test_rejection_names_the_fields_to_blame(self, left, right, n, fields):
         with pytest.raises(FieldError) as err:
             Grid(left, right, n)
         assert err.value.fields == fields
+
+    def test_rejects_a_spacing_below_the_normal_range(self):
+        # h = 5.9e-322 keeps a few bits, and so does every h-pairing, h times a sum.
+        with pytest.raises(ValueError, match=r"^grid spacing h=5\.879e-322 is below the "
+                                             r"normal double range"):
+            Grid(0.0, 1e-320, 16)
+
+    def test_accepts_the_smallest_normal_spacing(self):
+        g = Grid(0.0, 17.0 * sys.float_info.min, 16)
+        assert g.h == sys.float_info.min
 
 
 class TestStencilWeights:
@@ -190,6 +202,16 @@ class TestFractionalOperator:
                    assemble_classical(Grid(-1.0, 1.0, 8))):
             with pytest.raises(ValueError):
                 op.col[0] = 0.0
+
+    @pytest.mark.parametrize("scale, exponent", [(3.0, 2), (1e300, 997), (1e-300, -996),
+                                                 (0.75, 0)])
+    def test_hand_built_column_is_taken_to_unit_scale(self, scale, exponent):
+        col = scale * np.array([1.0, -0.25, 0.0, 0.0])
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 4), exponent=5)
+        assert 0.5 <= op.col[0] < 1.0 and op.exponent == 5 + exponent
+        assert np.array_equal(np.ldexp(op.col, exponent), col)
+        with pytest.raises(ValueError):
+            op.col[0] = 0.0
 
     def test_matrix_is_built_on_first_use_from_the_column(self):
         op = assemble_fractional(Grid(-1.0, 1.0, 64), 0.5)

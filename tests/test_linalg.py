@@ -14,7 +14,7 @@ import pytest
 import scipy
 import scipy.linalg
 
-from fraclap.discretize import Grid, assemble_classical, assemble_fractional
+from fraclap.discretize import Grid, Operator, assemble_classical, assemble_fractional
 from fraclap import linalg
 from fraclap.linalg import PCG_MIN_N, SolveError, eig_extreme, even_basis, toeplitz_solve
 from oracles import direct_toeplitz_product, eig_full_jacobi, refined_toeplitz_solve
@@ -588,14 +588,24 @@ class TestToeplitzSolve:
         with pytest.raises(SolveError, match="non-finite"):
             op.solve(np.ones(op.n))
 
-    @pytest.mark.parametrize("n", [2, 700])
+    @pytest.mark.parametrize("n", [2])
     def test_answer_that_overflows_is_refused_without_a_warning(self, n):
-        # x peaks at 1.3e608 (Levinson, n = 2) and 2e608 (CG, n = 700).  It is finite at
-        # unit scale, and scaling it back overflowed with numpy's warning.
+        # x peaks at 1.3e608: toeplitz_solve solves at the scale it is given.
         col = np.zeros(n)
         col[:2] = 1e-300, -2.5e-301
         with pytest.raises(SolveError, match="^Toeplitz solve returned non-finite values$"):
             toeplitz_solve(col, np.full(n, 1e308))
+
+    @pytest.mark.parametrize("path", SOLVERS)
+    def test_operator_answer_that_overflows_names_u(self, path):
+        # u peaks near 1e608.  It is finite at unit scale, where the solve runs, and
+        # scale_back names it, with no numpy warning.
+        n = SOLVERS[path][0]
+        col = np.zeros(n)
+        col[:2] = 1e-300, -2.5e-301
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, n))
+        with pytest.raises(OverflowError, match=r"^non-finite u at grid spacing h=\S+$"):
+            op.solve(np.full(n, 1e308))
 
     @pytest.mark.parametrize("path", SOLVERS)
     def test_large_backward_error(self, path, monkeypatch):
@@ -676,21 +686,28 @@ class TestToeplitzSolve:
             eig_extreme(col)
 
     @pytest.mark.parametrize("path", SOLVERS)
-    @pytest.mark.parametrize("b_exp, col_exp", [(600, 0), (0, -900), (-900, 0), (600, 600)])
+    @pytest.mark.parametrize("b_exp, col_exp", [(600, 0), (0, -900), (-900, 0), (600, 600),
+                                                (0, 900)])
     def test_power_of_two_scaling_is_exact(self, b_exp, col_exp, path):
+        # A hand-built column 2^col_exp times the assembled one is taken back to unit
+        # scale on construction, so the solve runs on the same bits.
         op = _toeplitz_operator(0.5, SOLVERS[path][0])
+        scaled_op = Operator(kind="fractional", s=0.5, col=np.ldexp(op.col, col_exp),
+                             grid=op.grid, exponent=op.exponent)
+        assert np.array_equal(scaled_op.col, op.col)
+        assert scaled_op.exponent == op.exponent + col_exp
         b = np.sin(np.linspace(0.0, 7.0, op.n)) + 1.0
-        x = toeplitz_solve(_true_col(op), b)
-        scaled = toeplitz_solve(np.ldexp(_true_col(op), col_exp), np.ldexp(b, b_exp))
-        assert np.array_equal(scaled, np.ldexp(x, b_exp - col_exp))
+        scaled = scaled_op.solve(np.ldexp(b, b_exp))
+        assert np.array_equal(scaled, np.ldexp(op.solve(b), b_exp - col_exp))
 
     @pytest.mark.parametrize("n", [64, PCG_MIN_N])
     def test_subnormal_right_hand_side(self, n):
-        # The check's bound ||A|| ||x|| used to underflow to 0 here and fail the solve.
-        col = _true_col(_toeplitz_operator(0.5, n))
-        x = toeplitz_solve(col, np.full(n, 1e-320))
+        # Operator.solve takes b to unit scale, so the check's bound ||A|| ||x|| cannot
+        # underflow to 0 and fail the solve; the answer rounds once, when scaled back.
+        op = _toeplitz_operator(0.5, n)
+        x = op.solve(np.full(n, 1e-320))
         # Within two units in the last place of the subnormal range.
-        assert np.abs(x - 1e-320 * toeplitz_solve(col, np.ones(n))).max() <= 2.0 ** -1073
+        assert np.abs(x - 1e-320 * op.solve(np.ones(n))).max() <= 2.0 ** -1073
         assert x.min() > 0.0
 
     @pytest.mark.parametrize("n", [64, 1024])
