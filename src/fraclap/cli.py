@@ -230,14 +230,12 @@ def _cmd_control(cfg: RunConfig) -> int:
     op = assemble_fractional(grid, s)
     result = eigen_solve_control(op, cfg.control())
     norm_f = norm_h(result.f_star, grid)
-    # The top pair's relative residual, the number EigenPair.meets compares with tol.
-    residual = op.top_pair.residual / op.top_pair.value
     if result.converged:
         write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
                   (grid.nodes(), result.f_star, result.u_star))
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
           f"norm_f={norm_f:.12g} active={result.active_bound} "
-          f"grad_norm={result.grad_norm:.3e} residual={residual:.3e} "
+          f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
           f"gap={op.top_pair.gap:.3e} converged={result.converged}"
           + (" -> control.csv" if result.converged else ""))
     if not result.converged:

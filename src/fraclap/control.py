@@ -298,7 +298,7 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     J(t f) = t^2 J(f) grows in t, so for a > 0 the lower bound is active
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
-    converged reports whether that eigenpair meets cfg.tol.
+    converged reports whether that eigenpair's relative residual is at most cfg.tol.
 
     grad_norm is the projected gradient in closed form.  On the active
     sphere it is the part of g = u + mu f orthogonal to f, and mu f is
@@ -339,6 +339,6 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         J_star=J,
         grad_norm=pg_res,
         iters=0,
-        converged=pair.meets(cfg.tol),
+        converged=pair.residual <= cfg.tol,
         active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
     )

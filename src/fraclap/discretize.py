@@ -103,9 +103,10 @@ class Operator:
     kind is "fractional" (order s in (0,1)) or "classical" (s stored as 1.0).
     Construction takes col exactly to unit scale (largest entry, an assembled
     one's diagonal, in [0.5, 1)), adds that power of two to exponent and freezes
-    col read-only; rebuild rather than mutate.  Solves and the extreme eigenpairs
-    run on col alone, both pairs from one linalg.eig_extreme pass on first use,
-    kept for the operator's lifetime.  The dense matrix is built only on request.
+    col read-only; rebuild rather than mutate.  Solves and the spectral ends run
+    on col alone: lambda_min and top_pair, both at unit scale, come from one
+    linalg.eig_extreme pass on first use, kept for the operator's lifetime.  The
+    dense matrix is built only on request.
     """
 
     kind: str
@@ -146,17 +147,17 @@ class Operator:
 
     @cached_property
     def extreme_pairs(self) -> linalg.ExtremePairs:
-        """Smallest and largest eigenpair of toeplitz(col): 2^-exponent times the true values."""
+        """The spectral ends of toeplitz(col): 2^-exponent times the true eigenvalues."""
         return linalg.eig_extreme(self.col, h=self.grid.h)
 
     @property
-    def bottom_pair(self) -> linalg.EigenPair:
-        """Smallest eigenpair at unit scale: lambda_min and its mode."""
-        return self.extreme_pairs.bottom
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue at unit scale."""
+        return self.extreme_pairs.lambda_min
 
     @property
     def top_pair(self) -> linalg.EigenPair:
-        """Largest eigenpair at unit scale: lambda_max and its mode."""
+        """Largest eigenpair at unit scale: lambda_max, its mode, relative residual and gap."""
         return self.extreme_pairs.top
 
 

@@ -35,7 +35,7 @@ def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
 
 def check_positive_definite(op: Operator) -> None:
     """SolveError, with the unit-scale span, unless lambda_min > 0 and lambda_max is finite."""
-    lo, hi = op.bottom_pair.value, op.top_pair.value
+    lo, hi = op.lambda_min, op.top_pair.value
     if not (lo > 0.0 and math.isfinite(hi)):
         raise SolveError(f"matrix is not positive definite: eigenvalues span [{lo:.3e}, {hi:.3e}]")
 
@@ -43,4 +43,4 @@ def check_positive_definite(op: Operator) -> None:
 def poincare_constant(op: Operator) -> float:
     """Smallest C with ||u||_h^2 <= C <A u, u>_h: 1/lambda_min, after check_positive_definite."""
     check_positive_definite(op)
-    return scale_back(op.grid, poincare_c=(1.0 / op.bottom_pair.value, -op.exponent))[0]
+    return scale_back(op.grid, poincare_c=(1.0 / op.lambda_min, -op.exponent))[0]

@@ -5,8 +5,8 @@ recursion once below n = PCG_MIN_N, and Strang-preconditioned conjugate
 gradients from there up, where O(n log n) iterations beat O(n^2) Levinson.
 Either answer is checked by its backward error through toeplitz_product.
 
-The smallest and the largest eigenpair come from one pass on the same
-first column.  A symmetric Toeplitz matrix is centrosymmetric, so its
+The smallest eigenvalue and the largest eigenpair come from one pass on
+the same first column.  A symmetric Toeplitz matrix is centrosymmetric, so its
 eigenvectors split into even and odd ones, each the eigenvectors of a
 symmetric half matrix of order about n/2 (Cantoni & Butler, Linear
 Algebra Appl. 13, 1976).  One routine, _half_pairs, reduces a half to
@@ -194,9 +194,10 @@ def toeplitz_solve(col, b) -> np.ndarray:
 class EigenPair:
     """Eigenvalue with unit eigenvector (h-weighted norm when h is supplied).
 
-    residual is ||A v - value v|| for the Euclidean-unit v.  gap is the
-    relative distance |value - next| / |value| to the next eigenvalue
-    inwards; the eigenvector's angular error is about residual / (gap |value|).
+    residual is the relative residual ||A v - value v|| / |value| for the
+    Euclidean-unit v, inf when value is 0: the number that a tol is compared
+    with.  gap is the relative distance |value - next| / |value| to the next
+    eigenvalue inwards; the eigenvector's angular error is about residual / gap.
     """
 
     value: float
@@ -204,16 +205,12 @@ class EigenPair:
     residual: float
     gap: float
 
-    def meets(self, tol: float) -> bool:
-        """Whether the pair is finite with residual at most tol * |value|."""
-        return math.isfinite(self.value) and self.residual <= tol * abs(self.value)
-
 
 @dataclass(frozen=True)
 class ExtremePairs:
-    """The smallest and the largest eigenpair of one symmetric Toeplitz matrix."""
+    """The smallest eigenvalue and the largest eigenpair of one symmetric Toeplitz matrix."""
 
-    bottom: EigenPair
+    lambda_min: float
     top: EigenPair
 
 
@@ -276,6 +273,7 @@ def _half_pairs(M: np.ndarray, ends: bool):
     if not ends or k <= 4:  # every pair: dstemr's own arrays, with no copy
         values, vectors = pairs(1, k)
     else:  # each z is dropped before the next call allocates its own
+        # Both pairs at each end, with vectors: a (1, 1) range or values alone moves lambda_min.
         values, vectors = np.empty(4), np.empty((k, 4))
         values[:2], vectors[:, :2] = pairs(1, 2)
         values[2:], vectors[:, 2:] = pairs(k - 1, k)
@@ -330,16 +328,17 @@ def _lift(z: np.ndarray, parity: int, n: int) -> np.ndarray:
 
 
 def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
-    """Smallest and largest eigenpair of the symmetric Toeplitz matrix with first column col.
+    """Smallest eigenvalue and largest eigenpair of the symmetric Toeplitz matrix of column col.
 
     One pass over the matrix's even and odd halves (_half_matrix), each
     half of order about n/2 reduced once (_half_pairs), and no n x n matrix.
-    The two pairs at each end of each half are merged: the extreme one gives
-    the value, the vector lifted to full length (exactly even or exactly
-    odd) and its residual against toeplitz(col) itself, the next one
-    inwards gives the relative gap.  Callers judge each pair with
-    EigenPair.meets(tol).  A col with fewer than 2 entries raises
-    ValueError, and one that is not finite SolveError.
+    The two pairs at each end of each half are merged.  The smallest value
+    is lambda_min, with no vector.  The largest gives the top pair: its
+    vector lifted to full length (exactly even or exactly odd), its relative
+    residual against toeplitz(col) itself, and, from the next value inwards,
+    its relative gap.  Callers compare top.residual with their tol.  A col
+    with fewer than 2 entries raises ValueError, and one that is not finite
+    SolveError.
 
     At most two half-order matrices are alive at once: a half matrix, whose
     memory dsytrd turns into the reflectors, and dstemr's vectors.
@@ -349,24 +348,24 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
     candidates = []  # (value, parity, half vector)
     for parity in (1, -1):
         values, vectors, c, tau = _half_pairs(_half_matrix(col, parity), ends=True)
+        # Every end's vector is mapped back: dormqr on the top columns alone moves their bits.
         _apply_q(c, tau, vectors, "N")
         del c  # the half matrix's memory, before the next half is built
         candidates += zip(values.tolist(), [parity] * len(values), vectors.T)
     candidates.sort(key=lambda c: c[0])
-    product = toeplitz_product(col)
-
-    def pair(end: int, inward: int) -> EigenPair:
-        lam, parity, z = candidates[end]
-        v = _lift(z, parity, n)
+    lam, parity, z = candidates[-1]
+    v = _lift(z, parity, n)
+    if lam == 0.0:
+        residual = gap = math.inf
+    else:
         # v is sqrt(2) times as long as z.  The residual is the one sum left on BLAS: dnrm2
         # scales as it sums, so a residual near the top of the double range stays finite.
-        r = product(v) - lam * v
-        residual = float(scipy.linalg.norm(r, check_finite=False)) / math.sqrt(2.0)
-        gap = abs(candidates[inward][0] - lam) / abs(lam) if lam != 0.0 else math.inf
-        return EigenPair(value=lam, vector=v / math.sqrt(h * pairwise_dot(v, v)), residual=residual,
-                         gap=gap)
-
-    return ExtremePairs(bottom=pair(0, 1), top=pair(-1, -2))
+        r = toeplitz_product(col)(v) - lam * v
+        residual = float(scipy.linalg.norm(r, check_finite=False)) / math.sqrt(2.0) / abs(lam)
+        gap = abs(candidates[-2][0] - lam) / abs(lam)
+    top = EigenPair(value=lam, vector=v / math.sqrt(h * pairwise_dot(v, v)), residual=residual,
+                    gap=gap)
+    return ExtremePairs(lambda_min=candidates[0][0], top=top)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from fraclap.cli import (
     rhs_preset,
     write_csv,
 )
-from fraclap.discretize import Grid, norm_h
+from fraclap.discretize import Grid, assemble_fractional, norm_h
 from fraclap.limitlab import default_s_ladder
 
 
@@ -750,6 +750,16 @@ class TestMain:
         assert err == "numerical failure: control solve did not converge at s=0.5\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_printed_residual_is_the_one_compared_with_tol(self, tmp_path, capsys):
+        # The default operator's top pair: at tol = its relative residual the run converges,
+        # one float below it the run does not, and both print that residual.
+        residual = assemble_fractional(Grid(-1.0, 1.0, 256), 0.5).top_pair.residual
+        for tol, code, converged in ((residual, EXIT_OK, True),
+                                     (math.nextafter(residual, 0.0), EXIT_NUMERICAL, False)):
+            assert main(["control", "--tol", repr(tol), "--out", str(tmp_path)]) == code
+            out = capsys.readouterr().out
+            assert f" residual={residual:.3e} " in out and f"converged={converged}" in out
+
     def test_control_at_large_n(self, tmp_path, capsys):
         assert main(["control", "--n", "1024", "--out", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
@@ -1033,6 +1043,9 @@ class TestExitContract:
             assert len(err.getvalue().splitlines()) == (1 if refused else 0)
             if code != EXIT_OK:
                 return
+            if "converged=True" in out.getvalue():  # control: no run here sets its own tol
+                residual = re.search(r" residual=(\S+)", out.getvalue()).group(1)
+                assert float(residual) <= RunConfig().tol
             cells = [value.rstrip(":") for value in re.findall(r"\w=(\S+)", out.getvalue())]
             for name in os.listdir(out_dir):
                 cells += [cell for row in read_csv(os.path.join(out_dir, name))[1] for cell in row]

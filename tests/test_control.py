@@ -117,7 +117,7 @@ class TestReducedGradient:
         op = make_op(n=32, s=0.5)
         g = op.grid
         from fraclap.linalg import eig_extreme
-        lam_min = eig_extreme(np.ldexp(op.col, op.exponent), h=g.h).bottom.value
+        lam_min = eig_extreme(np.ldexp(op.col, op.exponent), h=g.h).lambda_min
         mu = 1e4 / lam_min  # 1e4 times the norm of the solution operator
         rng = np.random.default_rng(3)
         f = rng.standard_normal(32)
@@ -612,6 +612,19 @@ class TestEigenSolveControl:
         r = eigen_solve_control(make_op(n=64), ControlConfig(mu=0.1, a=1e100, b=1e100))
         assert math.isfinite(r.J_star) and math.isfinite(r.grad_norm)
         assert r.converged
+
+    def test_converged_exactly_when_the_relative_residual_is_within_tol(self):
+        # A hand-built column, positive definite by diagonal dominance: the boundary is the
+        # top pair's relative residual itself, which control prints as residual=.
+        col = np.random.default_rng(7).standard_normal(30)
+        col[0] = 1.0 + 2.0 * np.abs(col[1:]).sum()
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 30))
+        residual = op.top_pair.residual
+        assert 0.0 < residual <= 1e-14
+        cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=residual)
+        assert eigen_solve_control(op, cfg).converged
+        below = dataclasses.replace(cfg, tol=math.nextafter(residual, 0.0))
+        assert not eigen_solve_control(op, below).converged
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_indefinite_operator_raises(self, a):

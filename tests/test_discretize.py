@@ -456,8 +456,8 @@ class TestSpectrum:
         # Kwasnicki, Malecki & Stos, Proc. London Math. Soc. 101 (2010).  The
         # error must halve with each doubling of n: a monotone first-order decrease.
         lam1 = 1.1577738836977
-        errors = [abs(_true_value(assemble_fractional(Grid(-1.0, 1.0, n), 0.5), "bottom_pair")
-                      - lam1) / lam1 for n in (128, 256, 512, 1024, 2048)]
+        errors = [abs(_true_values(assemble_fractional(Grid(-1.0, 1.0, n), 0.5))[0] - lam1) / lam1
+                  for n in (128, 256, 512, 1024, 2048)]
         ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
         assert all(1.9 <= r <= 2.1 for r in ratios), (errors, ratios)
 
@@ -485,14 +485,13 @@ class TestSpectrum:
         r = 10.0**log_r
         unit = assemble_fractional(Grid(-1.0, 1.0, n), s)
         scaled = assemble_fractional(Grid(-r, r, n), s)
-        for pair in ("bottom_pair", "top_pair"):
-            expected = _true_value(unit, pair) * r ** (-2.0 * s)
-            assert _true_value(scaled, pair) == pytest.approx(expected, rel=1e-12)
+        for value, expected in zip(_true_values(scaled), _true_values(unit)):
+            assert value == pytest.approx(expected * r ** (-2.0 * s), rel=1e-12)
 
 
-def _true_value(op, pair):
-    """The true-scale eigenvalue of op's bottom_pair or top_pair."""
-    return math.ldexp(getattr(op, pair).value, op.exponent)
+def _true_values(op):
+    """op's true-scale lambda_min and lambda_max."""
+    return [math.ldexp(value, op.exponent) for value in (op.lambda_min, op.top_pair.value)]
 
 
 def test_norm_h_matches_inner_product():

@@ -58,30 +58,27 @@ class TestEigExtreme:
     def test_three_point_matrix_of_order_three(self):
         # tridiag(-1, 2, -1) of order 3: eigenvalues 2 -/+ sqrt(2), vectors (1, +/-sqrt(2), 1) / 2.
         pairs = eig_extreme([2.0, -1.0, 0.0])
-        assert pairs.bottom.value == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
+        assert pairs.lambda_min == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
         assert pairs.top.value == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
-        assert _same_up_to_sign(pairs.bottom.vector, np.array([0.5, math.sqrt(0.5), 0.5]), 1e-14)
         assert _same_up_to_sign(pairs.top.vector, np.array([0.5, -math.sqrt(0.5), 0.5]), 1e-14)
-        # The inward neighbour of both ends is the eigenvalue 2, of the odd vector (1, 0, -1).
-        assert pairs.bottom.gap == pytest.approx(math.sqrt(2.0) / (2.0 - math.sqrt(2.0)), rel=1e-14)
+        # The top's inward neighbour is the eigenvalue 2, of the odd vector (1, 0, -1).
         assert pairs.top.gap == pytest.approx(math.sqrt(2.0) / (2.0 + math.sqrt(2.0)), rel=1e-14)
 
     def test_smallest_matches_dirichlet_eigenvalue(self):
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(_true_col(op), h=g.h).bottom
-        assert pair.meets(1e-10)
+        lambda_min = eig_extreme(_true_col(op), h=g.h).lambda_min
         # First Dirichlet eigenvalue of the second derivative on a length-2
         # interval is (pi/2)^2; the discrete value sits within 0.5% at this n.
-        assert pair.value == pytest.approx(math.pi**2 / 4.0, rel=0.005)
+        assert lambda_min == pytest.approx(math.pi**2 / 4.0, rel=0.005)
 
     def test_largest_matches_tridiagonal_formula(self):
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
         pair = eig_extreme(_true_col(op), h=g.h).top
-        assert pair.meets(1e-9)
+        assert pair.residual <= 1e-9
         expected = 4.0 / g.h**2 * math.sin(n * math.pi / (2 * (n + 1))) ** 2
         assert pair.value == pytest.approx(expected, rel=0.005)
 
@@ -107,52 +104,82 @@ class TestEigExtreme:
         op = assemble_fractional(g, 0.5)
         lam = np.linalg.eigvalsh(op.matrix)
         pairs = eig_extreme(_true_col(op), h=g.h)
-        for pair, value, gap in ((pairs.top, lam[-1], (lam[-1] - lam[-2]) / lam[-1]),
-                                 (pairs.bottom, lam[0], (lam[1] - lam[0]) / lam[0])):
-            assert pair.meets(1e-9)
-            assert pair.value == pytest.approx(value, rel=1e-10)
-            assert pair.gap == pytest.approx(gap, rel=1e-6)
-            res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
-            assert res <= 1e-9 * pair.value * np.linalg.norm(pair.vector)
+        assert pairs.lambda_min == pytest.approx(lam[0], rel=1e-10)
+        pair = pairs.top
+        assert pair.residual <= 1e-9
+        assert pair.value == pytest.approx(lam[-1], rel=1e-10)
+        assert pair.gap == pytest.approx((lam[-1] - lam[-2]) / lam[-1], rel=1e-6)
+        res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
+        assert res <= 1e-9 * pair.value * np.linalg.norm(pair.vector)
 
     def test_residual_near_the_top_of_the_double_range_is_finite(self):
         # The residual's squared entries overflow, its norm does not; no warning either.
         col = 1e300 * random_spd_toeplitz(30, 7)
         pair = eig_extreme(col).top
-        assert math.isfinite(pair.residual) and pair.meets(1e-9)
-        assert pair.residual > 1e155 and pair.value > 1e301  # the residual's square overflows
+        assert math.isfinite(pair.residual) and pair.residual <= 1e-9
+        # The absolute residual's square overflows.
+        assert pair.residual * pair.value > 1e155 and pair.value > 1e301
 
-    def test_converged_means_residual_within_tol(self):
-        pair = eig_extreme(random_spd_toeplitz(30, 7)).top
-        assert pair.meets(1e-9) and 0.0 < pair.residual <= 1e-9 * pair.value
-        assert not pair.meets(0.5 * pair.residual / pair.value)
-        assert not pair.meets(float("nan"))
+    @pytest.mark.parametrize("n", [2, 30, 1024])
+    def test_residual_is_relative_to_the_eigenvalue(self, n):
+        # A column scaled by 2^900 or 2^-900 keeps a round-off residual; an absolute one
+        # would scale with it.
+        col = random_spd_toeplitz(n, 7)
+        for e in (0, -900, 900):
+            pair = eig_extreme(np.ldexp(col, e)).top
+            assert pair.residual <= 1e-15  # 0 at n = 2, where the lifted vector is exact
+
+    def test_zero_top_eigenvalue_has_no_relative_residual(self):
+        # [[-1, 1], [1, -1]] has the eigenvalues -2 and 0.
+        pairs = eig_extreme([-1.0, 1.0])
+        assert pairs.lambda_min == -2.0 and pairs.top.value == 0.0
+        assert pairs.top.residual == pairs.top.gap == math.inf
+
+    @pytest.mark.parametrize("n", [3, 128, 1024])
+    def test_one_toeplitz_product_per_call(self, n, monkeypatch):
+        # The product is applied once, to the top vector, for its residual.
+        applied, original = [], linalg.toeplitz_product
+
+        def recorded(col):
+            product = original(col)
+
+            def apply(v):
+                applied.append(v.copy())
+                return product(v)
+            return apply
+
+        monkeypatch.setattr(linalg, "toeplitz_product", recorded)
+        top = eig_extreme(_true_col(_assemble(n, 0.5))).top
+        assert len(applied) == 1
+        (v,) = applied
+        assert _same_up_to_sign(v / np.linalg.norm(v), top.vector / np.linalg.norm(top.vector),
+                                1e-15)
 
 
 ORDERS = [0.1, 0.5, 0.99, None]  # None: the classical operator
 
 
 class TestEigExtremeAgainstDense:
-    """Both pairs of each half split against LAPACK on the dense matrix, built here."""
+    """lambda_min and the top pair of each half split against LAPACK on the dense matrix."""
 
     @staticmethod
     def check(col, h):
         n = len(col)
         dense = scipy.linalg.toeplitz(col)
         pairs = eig_extreme(col, h=h)
-        ends = {"bottom": [0, 1], "top": [n - 2, n - 1]}
-        lam_max = max(abs(pairs.bottom.value), abs(pairs.top.value))
-        for end, pair in (("bottom", pairs.bottom), ("top", pairs.top)):
-            lam, vecs = scipy.linalg.eigh(dense, subset_by_index=ends[end])
-            k, inward = (0, 1) if end == "bottom" else (1, 0)
-            assert abs(pair.value - lam[k]) <= 1e-12 * lam_max
-            assert pair.gap == pytest.approx(abs(lam[inward] - lam[k]) / abs(lam[k]), rel=1e-6)
-            v = pair.vector / np.linalg.norm(pair.vector)
-            assert pair.residual <= 1e-9 * abs(pair.value)
-            assert np.linalg.norm(dense @ v - pair.value * v) <= 1e-9 * abs(pair.value)
-            assert _same_up_to_sign(v, vecs[:, k], 1e-9)
-            assert _exactly_even_or_odd(pair.vector)
-            assert h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
+        pair = pairs.top
+        lam_max = max(abs(pairs.lambda_min), abs(pair.value))
+        lam_min = scipy.linalg.eigh(dense, subset_by_index=[0, 0], eigvals_only=True)[0]
+        assert abs(pairs.lambda_min - lam_min) <= 1e-12 * lam_max
+        lam, vecs = scipy.linalg.eigh(dense, subset_by_index=[n - 2, n - 1])
+        assert abs(pair.value - lam[1]) <= 1e-12 * lam_max
+        assert pair.gap == pytest.approx(abs(lam[0] - lam[1]) / abs(lam[1]), rel=1e-6)
+        v = pair.vector / np.linalg.norm(pair.vector)
+        assert pair.residual <= 1e-9
+        assert np.linalg.norm(dense @ v - pair.value * v) <= 1e-9 * abs(pair.value)
+        assert _same_up_to_sign(v, vecs[:, 1], 1e-9)
+        assert _exactly_even_or_odd(pair.vector)
+        assert h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("s", ORDERS)
     @pytest.mark.parametrize("n", range(3, 10))
@@ -181,17 +208,18 @@ class TestEigExtremeAgainstDense:
         def value(k):
             return 4.0 / h**2 * math.sin(k * math.pi / (2 * (n + 1))) ** 2
 
-        for pair, k, inward in ((pairs.bottom, 1, 2), (pairs.top, n, n - 1)):
-            assert abs(pair.value - value(k)) <= 1e-12 * value(n)
-            assert pair.gap == pytest.approx(abs(value(inward) - value(k)) / value(k), rel=1e-6)
-            mode = np.sin(k * math.pi * i / (n + 1))
-            v = pair.vector / np.linalg.norm(pair.vector)
-            assert _same_up_to_sign(v, mode / np.linalg.norm(mode), 1e-9)
-            padded = np.concatenate(([0.0], v, [0.0]))
-            stencil = (2.0 * v - padded[:-2] - padded[2:]) / h**2
-            assert np.linalg.norm(stencil - pair.value * v) <= 1e-9 * pair.value
-            assert pair.residual <= 1e-9 * pair.value
-            assert _exactly_even_or_odd(pair.vector)
+        assert abs(pairs.lambda_min - value(1)) <= 1e-12 * value(n)
+        pair = pairs.top
+        assert abs(pair.value - value(n)) <= 1e-12 * value(n)
+        assert pair.gap == pytest.approx(abs(value(n - 1) - value(n)) / value(n), rel=1e-6)
+        mode = np.sin(n * math.pi * i / (n + 1))
+        v = pair.vector / np.linalg.norm(pair.vector)
+        assert _same_up_to_sign(v, mode / np.linalg.norm(mode), 1e-9)
+        padded = np.concatenate(([0.0], v, [0.0]))
+        stencil = (2.0 * v - padded[:-2] - padded[2:]) / h**2
+        assert np.linalg.norm(stencil - pair.value * v) <= 1e-9 * pair.value
+        assert pair.residual <= 1e-9
+        assert _exactly_even_or_odd(pair.vector)
 
 
 class TestEvenBasis:
@@ -284,8 +312,9 @@ class TestOneReductionPerHalf:
 
         def arrays():
             pairs, basis = eig_extreme(col), even_basis(col)
-            return [np.asarray(getattr(pair, name)) for pair in (pairs.bottom, pairs.top)
-                    for name in ("value", "vector", "residual", "gap")] + \
+            top = pairs.top
+            return [np.asarray(x) for x in (pairs.lambda_min, top.value, top.vector, top.residual,
+                                            top.gap)] + \
                 [basis.values, basis.vectors, basis.reflectors, basis.tau]
 
         ours = arrays()
@@ -454,7 +483,7 @@ class TestJacobi:
         pairs = eig_full_jacobi(op, h=g.h)
         extremes = eig_extreme(_true_col(op), h=g.h)
         assert extremes.top.value == pytest.approx(pairs[-1].value, rel=1e-8)
-        assert extremes.bottom.value == pytest.approx(pairs[0].value, rel=1e-8)
+        assert extremes.lambda_min == pytest.approx(pairs[0].value, rel=1e-8)
 
     def test_agrees_with_lapack(self):
         A = random_spd(30, 17)
