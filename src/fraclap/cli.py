@@ -233,10 +233,11 @@ def _cmd_control(cfg: RunConfig) -> int:
     if result.converged:
         write_csv(os.path.join(cfg.out, "control.csv"), ["x", "f_star", "u_star"],
                   (grid.nodes(), result.f_star, result.u_star))
+    # The top pair's residual and gap, where the answer is built from it: not at a = 0.
+    pair = f"residual={op.spectrum.residual:.3e} gap={op.spectrum.gap:.3e} " if cfg.a else ""
     print(f"control s={s} n={grid.n}: J_star={result.J_star:.12g} "
           f"norm_f={norm_f:.12g} active={result.active_bound} "
-          f"grad_norm={result.grad_norm:.3e} residual={op.top_pair.residual:.3e} "
-          f"gap={op.top_pair.gap:.3e} converged={result.converged}"
+          f"grad_norm={result.grad_norm:.3e} {pair}converged={result.converged}"
           + (" -> control.csv" if result.converged else ""))
     if not result.converged:
         raise SolveError(f"control solve did not converge at s={s}")

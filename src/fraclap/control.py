@@ -12,7 +12,7 @@ bound is active whenever a > 0).  The annulus is nonconvex for a > 0, so
 the direct solver is authoritative and the gradient iteration serves as a
 cross-check that may stop at a non-global stationary point.
 
-The direct solver reads the top eigenpair (Operator.top_pair).  The
+The direct solver reads the top eigenpair (Operator.spectrum).  The
 gradient iteration, with Armijo steps, runs on the coefficients of the
 operator's even half in its own eigenbasis (linalg.even_basis): a start
 that is even stays even.  Neither builds an n x n matrix.
@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .discretize import (FieldError, Grid, GridFunction, Operator, inner_product_h, scale_back,
                          scaled_inner_product, scaled_norm)
-from .forward import check_positive_definite, poincare_constant
+from .forward import poincare_constant
 
 _EPS = float(np.finfo(float).eps)
 
@@ -168,7 +168,7 @@ def pgd_solve(op: Operator, cfg: ControlConfig) -> OptimResult:
 
     even_basis takes the true-scale column np.ldexp(op.col, op.exponent), whose bits it keeps
     (at unit scale it did not): a spacing whose true column overflows raises OverflowError.
-    An indefinite operator raises linalg.SolveError, from forward.check_positive_definite.
+    An indefinite operator raises linalg.SolveError, from op.spectrum.
     """
     grid = op.grid
     step = _step(op, cfg.mu)
@@ -298,7 +298,7 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
     J(t f) = t^2 J(f) grows in t, so for a > 0 the lower bound is active
     and the minimizer over the sphere ||f||_h = a is a times the unit
     eigenvector of A's largest eigenvalue; for a = 0 the minimizer is 0.
-    converged reports whether that eigenpair's relative residual is at most cfg.tol.
+    converged reports whether that eigenpair's relative residual is at most cfg.tol, or a = 0.
 
     grad_norm is the projected gradient in closed form.  On the active
     sphere it is the part of g = u + mu f orthogonal to f, and mu f is
@@ -309,36 +309,33 @@ def eigen_solve_control(op: Operator, cfg: ControlConfig) -> OptimResult:
         grad_norm = ||lambda u - <lambda u, v>_h v||_h / lambda,   v = f / ||f||_h.
 
     Each value is taken at unit scale and scaled back once, naming any that overflows.
-    An operator that is not positive definite, whatever a, raises
-    linalg.SolveError from forward.check_positive_definite, and so, for a > 0,
-    does a top eigenvalue whose relative gap is at most 4 eps: its
-    eigenvector is not determined.
+    op.spectrum is read first, so that an operator that is not positive definite
+    raises linalg.SolveError whatever a.  For a > 0, so does a top eigenvalue
+    whose relative gap is at most 4 eps: its eigenvector is not determined.
     """
-    grid = op.grid
-    check_positive_definite(op)  # before the a = 0 return
+    grid, spectrum = op.grid, op.spectrum
     if cfg.a == 0.0:
         z = np.zeros(grid.n)
         return OptimResult(f_star=z, u_star=z, J_star=0.0, grad_norm=0.0, iters=0,
                            converged=True, active_bound="none")
-    pair = op.top_pair
-    if pair.gap <= 4.0 * _EPS:
+    if spectrum.gap <= 4.0 * _EPS:
         raise linalg.SolveError(f"top eigenvalue is not separated at s={op.s}: "
-                                f"relative gap {pair.gap:.3e}")
+                                f"relative gap {spectrum.gap:.3e}")
     a, e_a = math.frexp(cfg.a)
-    f = _sign_normalize(a * pair.vector)
+    f = _sign_normalize(a * spectrum.vector)
     nrm, e_nrm = scaled_norm(f, grid)
     f, nrm = scale_back(grid, f_star=(f, e_a), norm_f=(nrm, e_nrm + e_a))
     u = op.solve(f)
-    v, lu = f / nrm, pair.value * np.ldexp(u, op.exponent)
+    v, lu = f / nrm, spectrum.lambda_max * np.ldexp(u, op.exponent)
     r, e_r = scaled_norm(lu - inner_product_h(lu, v, grid) * v, grid)
     J, pg_res = scale_back(grid, J_star=_cost(f, u, cfg.mu, grid),
-                           grad_norm=(r / pair.value, e_r - op.exponent))
+                           grad_norm=(r / spectrum.lambda_max, e_r - op.exponent))
     return OptimResult(
         f_star=f,
         u_star=u,
         J_star=J,
         grad_norm=pg_res,
         iters=0,
-        converged=pair.residual <= cfg.tol,
+        converged=spectrum.residual <= cfg.tol,
         active_bound=_active_bound(nrm, cfg.a, cfg.b, cfg.tol),
     )

@@ -104,9 +104,9 @@ class Operator:
     Construction takes col exactly to unit scale (largest entry, an assembled
     one's diagonal, in [0.5, 1)), adds that power of two to exponent and freezes
     col read-only; rebuild rather than mutate.  Solves and the spectral ends run
-    on col alone: lambda_min and top_pair, both at unit scale, come from one
-    linalg.eig_extreme pass on first use, kept for the operator's lifetime.  The
-    dense matrix is built only on request.
+    on col alone: spectrum, at unit scale, comes from one linalg.eig_extreme pass
+    on first use, kept for the operator's lifetime, and refuses an operator that
+    is not positive definite.  The dense matrix is built only on request.
     """
 
     kind: str
@@ -146,19 +146,16 @@ class Operator:
         return scale_back(self.grid, u=(linalg.toeplitz_solve(self.col, b), e - self.exponent))[0]
 
     @cached_property
-    def extreme_pairs(self) -> linalg.ExtremePairs:
-        """The spectral ends of toeplitz(col): 2^-exponent times the true eigenvalues."""
-        return linalg.eig_extreme(self.col, h=self.grid.h)
+    def spectrum(self) -> linalg.Spectrum:
+        """linalg.eig_extreme of col, 2^-exponent times the true spectrum, if positive definite.
 
-    @property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue at unit scale."""
-        return self.extreme_pairs.lambda_min
-
-    @property
-    def top_pair(self) -> linalg.EigenPair:
-        """Largest eigenpair at unit scale: lambda_max, its mode, relative residual and gap."""
-        return self.extreme_pairs.top
+        The one definiteness check: SolveError, with the unit-scale span, unless lambda_min > 0.
+        """
+        spectrum = linalg.eig_extreme(self.col, h=self.grid.h)
+        if not spectrum.lambda_min > 0.0:
+            raise linalg.SolveError(f"matrix is not positive definite: eigenvalues span "
+                                    f"[{spectrum.lambda_min:.3e}, {spectrum.lambda_max:.3e}]")
+        return spectrum
 
 
 def _power(h: float, p: float) -> tuple[float, int]:

@@ -1,10 +1,8 @@
 """Forward Poisson solves, seminorm evaluation, Poincare constant."""
 
-import math
 from dataclasses import dataclass
 
 from .discretize import GridFunction, Operator, scale_back, scaled_inner_product, scaled_norm
-from .linalg import SolveError
 
 
 @dataclass(frozen=True)
@@ -33,14 +31,6 @@ def solve_poisson(op: Operator, f: GridFunction) -> ForwardSolution:
     return ForwardSolution(u=u, seminorm_sq=seminorm_sq, l2_norm_u=l2_norm_u)
 
 
-def check_positive_definite(op: Operator) -> None:
-    """SolveError, with the unit-scale span, unless lambda_min > 0 and lambda_max is finite."""
-    lo, hi = op.lambda_min, op.top_pair.value
-    if not (lo > 0.0 and math.isfinite(hi)):
-        raise SolveError(f"matrix is not positive definite: eigenvalues span [{lo:.3e}, {hi:.3e}]")
-
-
 def poincare_constant(op: Operator) -> float:
-    """Smallest C with ||u||_h^2 <= C <A u, u>_h: 1/lambda_min, after check_positive_definite."""
-    check_positive_definite(op)
-    return scale_back(op.grid, poincare_c=(1.0 / op.lambda_min, -op.exponent))[0]
+    """Smallest C with ||u||_h^2 <= C <A u, u>_h: 1/lambda_min, if op.spectrum finds A definite."""
+    return scale_back(op.grid, poincare_c=(1.0 / op.spectrum.lambda_min, -op.exponent))[0]

@@ -80,7 +80,7 @@ def run_sweep(grid: Grid, s_list, control: ControlConfig) -> SweepReport:
         pairs = dict(dist_f=scaled_norm(fs - rf, grid),
                      dist_u=scaled_norm(us - ref.u_star, grid),
                      align=(abs(i) / (n1 * n2), e_i - e1 - e2) if n1 * n2 > 0 else (1.0, 0),
-                     lambda_max=(op.top_pair.value, op.exponent),
+                     lambda_max=(op.spectrum.lambda_max, op.exponent),
                      seminorm_sq=scaled_inner_product(fs, us, grid))
         rows.append(SweepRow(s=s, J_star=result.J_star, poincare_c=poincare_constant(op),
                              **dict(zip(pairs, scale_back(grid, f"s={s}, ", **pairs)))))

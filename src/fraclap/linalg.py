@@ -37,7 +37,7 @@ class SolveError(Exception):
     gradients broke down or reached its iteration cap, the right-hand side
     or the result is not finite, or the backward error is too large.  Or a
     LAPACK routine (dsytrd, dstemr, dormqr) reported failure, the operator
-    is not positive definite (forward.check_positive_definite), or run_sweep
+    is not positive definite (discretize.Operator.spectrum), or run_sweep
     met a control solve that did not converge.
     """
 
@@ -135,7 +135,9 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
         q = product(p)
         pq = pairwise_dot(p, q)
         if not 0.0 < pq < math.inf:
-            raise SolveError(f"conjugate gradients broke down: p^T A p = {pq:.3e}")
+            raise SolveError(f"conjugate gradients broke down: p^T A p = {pq:.3e}; toeplitz_solve "
+                             f"solves at the scale it is given, and Operator.solve passes a "
+                             f"unit column")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
@@ -191,27 +193,20 @@ def toeplitz_solve(col, b) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue with unit eigenvector (h-weighted norm when h is supplied).
+class Spectrum:
+    """lambda_min and the top eigenpair of a symmetric Toeplitz matrix A, definite or not.
 
-    residual is the relative residual ||A v - value v|| / |value| for the
-    Euclidean-unit v, inf when value is 0: the number that a tol is compared
-    with.  gap is the relative distance |value - next| / |value| to the next
-    eigenvalue inwards; the eigenvector's angular error is about residual / gap.
+    vector is lambda_max's unit eigenvector (h-weighted norm when h is supplied), residual
+    ||A v - lambda_max v|| / |lambda_max| for the Euclidean-unit v, inf when lambda_max is 0,
+    and gap |lambda_max - next| / |lambda_max| to the next eigenvalue down; the eigenvector's
+    angular error is about residual / gap.  Callers compare residual with their tol.
     """
 
-    value: float
+    lambda_min: float
+    lambda_max: float
     vector: np.ndarray
     residual: float
     gap: float
-
-
-@dataclass(frozen=True)
-class ExtremePairs:
-    """The smallest eigenvalue and the largest eigenpair of one symmetric Toeplitz matrix."""
-
-    lambda_min: float
-    top: EigenPair
 
 
 def _half_matrix(col: np.ndarray, parity: int) -> np.ndarray:
@@ -327,18 +322,18 @@ def _lift(z: np.ndarray, parity: int, n: int) -> np.ndarray:
     return v
 
 
-def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
-    """Smallest eigenvalue and largest eigenpair of the symmetric Toeplitz matrix of column col.
+def eig_extreme(col, h: float = 1.0) -> Spectrum:
+    """The Spectrum of the symmetric Toeplitz matrix of column col, definite or not.
 
     One pass over the matrix's even and odd halves (_half_matrix), each
     half of order about n/2 reduced once (_half_pairs), and no n x n matrix.
     The two pairs at each end of each half are merged.  The smallest value
-    is lambda_min, with no vector.  The largest gives the top pair: its
+    is lambda_min, with no vector.  The largest is lambda_max, with its
     vector lifted to full length (exactly even or exactly odd), its relative
     residual against toeplitz(col) itself, and, from the next value inwards,
-    its relative gap.  Callers compare top.residual with their tol.  A col
-    with fewer than 2 entries raises ValueError, and one that is not finite
-    SolveError.
+    its relative gap.  An indefinite col gets its values too: Operator.spectrum
+    refuses it.  A col with fewer than 2 entries raises ValueError, and one
+    that is not finite SolveError.
 
     At most two half-order matrices are alive at once: a half matrix, whose
     memory dsytrd turns into the reflectors, and dstemr's vectors.
@@ -363,9 +358,8 @@ def eig_extreme(col, h: float = 1.0) -> ExtremePairs:
         r = toeplitz_product(col)(v) - lam * v
         residual = float(scipy.linalg.norm(r, check_finite=False)) / math.sqrt(2.0) / abs(lam)
         gap = abs(candidates[-2][0] - lam) / abs(lam)
-    top = EigenPair(value=lam, vector=v / math.sqrt(h * pairwise_dot(v, v)), residual=residual,
-                    gap=gap)
-    return ExtremePairs(lambda_min=candidates[0][0], top=top)
+    return Spectrum(lambda_min=candidates[0][0], lambda_max=lam,
+                    vector=v / math.sqrt(h * pairwise_dot(v, v)), residual=residual, gap=gap)
 
 
 @dataclass(frozen=True)

@@ -753,12 +753,22 @@ class TestMain:
     def test_printed_residual_is_the_one_compared_with_tol(self, tmp_path, capsys):
         # The default operator's top pair: at tol = its relative residual the run converges,
         # one float below it the run does not, and both print that residual.
-        residual = assemble_fractional(Grid(-1.0, 1.0, 256), 0.5).top_pair.residual
+        residual = assemble_fractional(Grid(-1.0, 1.0, 256), 0.5).spectrum.residual
         for tol, code, converged in ((residual, EXIT_OK, True),
                                      (math.nextafter(residual, 0.0), EXIT_NUMERICAL, False)):
             assert main(["control", "--tol", repr(tol), "--out", str(tmp_path)]) == code
             out = capsys.readouterr().out
             assert f" residual={residual:.3e} " in out and f"converged={converged}" in out
+
+    @pytest.mark.parametrize("args", [["--tol", "1e-300"], ["--s", "1e-12"]])
+    def test_zero_control_prints_no_pair(self, args, tmp_path, capsys):
+        # At a = 0 the answer is 0 and reads no eigenpair, so none is printed: not the
+        # residual 8.3e-16 above tol = 1e-300, nor the gap 0 at s = 1e-12.
+        assert main(["control", "--a", "0", *args, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "converged=True" in out and "residual=" not in out and "gap=" not in out
+        _, rows = read_csv(tmp_path / "control.csv")
+        assert len(rows) == RunConfig().n and not any(map(float, rows[0][1:]))
 
     def test_control_at_large_n(self, tmp_path, capsys):
         assert main(["control", "--n", "1024", "--out", str(tmp_path)]) == EXIT_OK
@@ -999,7 +1009,7 @@ def _log_uniform(lo, hi):
 
 @st.composite
 def _extreme_runs(draw):
-    """A subcommand's arguments and config text, with a, mu and the domain length anywhere."""
+    """A subcommand's arguments and config text, with a, mu, tol and the domain length anywhere."""
     a = draw(st.just(0.0) | _log_uniform(-300, 300))
     b = a * 10.0 ** draw(st.floats(min_value=0.0, max_value=3.0))
     length = draw(_log_uniform(-200, 200))
@@ -1009,7 +1019,8 @@ def _extreme_runs(draw):
     text = f"x_left = {left!r}\nx_right = {left + length!r}\n" + ("" if s is None else f"s = {s!r}\n")
     args = [draw(st.sampled_from(["solve", "control", "sweep", "gamma"])),
             "--n", str(draw(st.integers(min_value=3, max_value=64))),
-            "--a", repr(a), "--b", repr(b), "--mu", repr(draw(_log_uniform(-300, 300)))]
+            "--a", repr(a), "--b", repr(b), "--mu", repr(draw(_log_uniform(-300, 300))),
+            "--tol", repr(draw(st.sampled_from([RunConfig().tol, 1e-300]) | _log_uniform(-300, 0)))]
     return args, text
 
 
@@ -1027,6 +1038,8 @@ class TestExitContract:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_extreme_runs())
+    # The zero control reads no eigenpair: it printed one whose residual missed the tol.
+    @example((["control", "--a", "0.0", "--tol", "1e-300"], ""))
     def test_documented_exit_one_line_and_finite_numbers(self, run):
         args, text = run
         with tempfile.TemporaryDirectory() as directory:
@@ -1043,9 +1056,11 @@ class TestExitContract:
             assert len(err.getvalue().splitlines()) == (1 if refused else 0)
             if code != EXIT_OK:
                 return
-            if "converged=True" in out.getvalue():  # control: no run here sets its own tol
-                residual = re.search(r" residual=(\S+)", out.getvalue()).group(1)
-                assert float(residual) <= RunConfig().tol
+            if "converged=True" in out.getvalue():  # control: a pair printed meets this run's tol
+                a, tol = (float(args[args.index(flag) + 1]) for flag in ("--a", "--tol"))
+                residual = re.search(r" residual=(\S+) ", out.getvalue())
+                assert (residual is None) == (a == 0.0)
+                assert residual is None or float(residual.group(1)) <= tol
             cells = [value.rstrip(":") for value in re.findall(r"\w=(\S+)", out.getvalue())]
             for name in os.listdir(out_dir):
                 cells += [cell for row in read_csv(os.path.join(out_dir, name))[1] for cell in row]

@@ -22,6 +22,7 @@ from fraclap.discretize import (
     norm_h,
 )
 from fraclap import control, linalg
+from fraclap.forward import poincare_constant
 from fraclap.linalg import SolveError
 from oracles import eig_full_jacobi, pgd_eigenbasis_reference, pgd_reference, project_annulus
 
@@ -387,7 +388,7 @@ class TestPgdMatchesHelperLoop:
         # optimum is still a^2/2 (1/lambda_max + mu), lambda_max = 1 the true-scale value
         # of the unit column's 0.5 (diagonal 0.5, exponent 1).
         cfg = ControlConfig(mu=1.0, a=a, b=2.0, tol=1e-5)
-        optimum = 0.5 * a * a * (1.0 / np.ldexp(op.top_pair.value, op.exponent) + cfg.mu)
+        optimum = 0.5 * a * a * (1.0 / np.ldexp(op.spectrum.lambda_max, op.exponent) + cfg.mu)
         r = self.assert_close(op, cfg, optimum)
         # The zero trial lands on 0, or restarts from the constant direction on the inner sphere.
         assert r.converged and r.iters <= 3
@@ -586,13 +587,13 @@ class TestEigenSolveControl:
         # form against a short projected step, ||f - P(f - t g)||_h / t with g = u + mu f.
         # Measured: 1.2e-5 relative.
         op, cfg = make_op(n=n), ControlConfig(mu=0.1, a=1.0, b=2.0)
-        pairs, g = op.extreme_pairs, op.grid
-        v = pairs.top.vector
+        spectrum, g = op.spectrum, op.grid
+        v = spectrum.vector
         w = np.random.default_rng(7).standard_normal(n)
         w -= inner_product_h(w, v, g) * v
         w /= norm_h(w, g)
-        top = dataclasses.replace(pairs.top, vector=math.cos(eps) * v + math.sin(eps) * w)
-        op.__dict__["extreme_pairs"] = dataclasses.replace(pairs, top=top)
+        op.__dict__["spectrum"] = dataclasses.replace(
+            spectrum, vector=math.cos(eps) * v + math.sin(eps) * w)
         r = eigen_solve_control(op, cfg)
         f = r.f_star
         t = 1e-4 * control._step(op, cfg.mu)
@@ -619,12 +620,31 @@ class TestEigenSolveControl:
         col = np.random.default_rng(7).standard_normal(30)
         col[0] = 1.0 + 2.0 * np.abs(col[1:]).sum()
         op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 30))
-        residual = op.top_pair.residual
+        residual = op.spectrum.residual
         assert 0.0 < residual <= 1e-14
         cfg = ControlConfig(mu=0.1, a=1.0, b=2.0, tol=residual)
         assert eigen_solve_control(op, cfg).converged
         below = dataclasses.replace(cfg, tol=math.nextafter(residual, 0.0))
         assert not eigen_solve_control(op, below).converged
+
+    def test_one_eigen_pass_per_operator(self, monkeypatch):
+        # A hand-built column, positive definite by diagonal dominance: the Poincare
+        # constant, both direct solves and the gradient method's step read one spectrum.
+        calls, original = [], linalg.eig_extreme
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_extreme", counted)
+        col = np.random.default_rng(7).standard_normal(30)
+        col[0] = 1.0 + 2.0 * np.abs(col[1:]).sum()
+        op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 30))
+        assert poincare_constant(op) > 0.0
+        for a in (0.0, 1.0):
+            assert eigen_solve_control(op, ControlConfig(mu=0.1, a=a, b=2.0)).converged
+        assert control._step(op, 0.1) > 0.0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_indefinite_operator_raises(self, a):

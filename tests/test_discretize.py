@@ -21,7 +21,7 @@ from fraclap.discretize import (
     quadratic_form,
     stencil_weights,
 )
-from fraclap.linalg import toeplitz_product
+from fraclap.linalg import SolveError, eig_extreme, toeplitz_product
 from oracles import direct_toeplitz_product, true_scale_column
 
 
@@ -489,9 +489,25 @@ class TestSpectrum:
             assert value == pytest.approx(expected * r ** (-2.0 * s), rel=1e-12)
 
 
+def test_spectrum_is_the_positive_definiteness_check():
+    # tridiag(2, 1, 2): eigenvalues 1 + 4 cos(k pi / 9), from -2.76.  eig_extreme gives
+    # them for any finite column; the operator refuses them, naming the unit-scale span.
+    col = np.zeros(8)
+    col[:2] = 1.0, 2.0
+    spectrum = eig_extreme(col)
+    assert spectrum.lambda_min == pytest.approx(1.0 - 4.0 * math.cos(math.pi / 9.0), rel=1e-14)
+    op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 8))
+    lo, hi = (math.ldexp(value, -op.exponent) for value in (spectrum.lambda_min,
+                                                            spectrum.lambda_max))
+    with pytest.raises(SolveError, match=re.escape(
+            f"matrix is not positive definite: eigenvalues span [{lo:.3e}, {hi:.3e}]")):
+        op.spectrum
+
+
 def _true_values(op):
     """op's true-scale lambda_min and lambda_max."""
-    return [math.ldexp(value, op.exponent) for value in (op.lambda_min, op.top_pair.value)]
+    spectrum = op.spectrum
+    return [math.ldexp(value, op.exponent) for value in (spectrum.lambda_min, spectrum.lambda_max)]
 
 
 def test_norm_h_matches_inner_product():

@@ -57,12 +57,12 @@ def _exactly_even_or_odd(v):
 class TestEigExtreme:
     def test_three_point_matrix_of_order_three(self):
         # tridiag(-1, 2, -1) of order 3: eigenvalues 2 -/+ sqrt(2), vectors (1, +/-sqrt(2), 1) / 2.
-        pairs = eig_extreme([2.0, -1.0, 0.0])
-        assert pairs.lambda_min == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
-        assert pairs.top.value == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
-        assert _same_up_to_sign(pairs.top.vector, np.array([0.5, -math.sqrt(0.5), 0.5]), 1e-14)
+        spectrum = eig_extreme([2.0, -1.0, 0.0])
+        assert spectrum.lambda_min == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
+        assert spectrum.lambda_max == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
+        assert _same_up_to_sign(spectrum.vector, np.array([0.5, -math.sqrt(0.5), 0.5]), 1e-14)
         # The top's inward neighbour is the eigenvalue 2, of the odd vector (1, 0, -1).
-        assert pairs.top.gap == pytest.approx(math.sqrt(2.0) / (2.0 + math.sqrt(2.0)), rel=1e-14)
+        assert spectrum.gap == pytest.approx(math.sqrt(2.0) / (2.0 + math.sqrt(2.0)), rel=1e-14)
 
     def test_smallest_matches_dirichlet_eigenvalue(self):
         n = 255
@@ -77,18 +77,19 @@ class TestEigExtreme:
         n = 255
         g = Grid(-1.0, 1.0, n)
         op = assemble_classical(g)
-        pair = eig_extreme(_true_col(op), h=g.h).top
-        assert pair.residual <= 1e-9
+        spectrum = eig_extreme(_true_col(op), h=g.h)
+        assert spectrum.residual <= 1e-9
         expected = 4.0 / g.h**2 * math.sin(n * math.pi / (2 * (n + 1))) ** 2
-        assert pair.value == pytest.approx(expected, rel=0.005)
+        assert spectrum.lambda_max == pytest.approx(expected, rel=0.005)
 
     def test_eigenvector_h_normalized_with_small_residual(self):
         g = Grid(-1.0, 1.0, 64)
         op = assemble_fractional(g, 0.5)
-        pair = eig_extreme(_true_col(op), h=g.h).top
-        assert g.h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
-        res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
-        assert res <= 1e-9 * abs(pair.value) * np.linalg.norm(pair.vector)
+        spectrum = eig_extreme(_true_col(op), h=g.h)
+        v, lam = spectrum.vector, spectrum.lambda_max
+        assert g.h * float(v @ v) == pytest.approx(1.0, rel=1e-12)
+        res = np.linalg.norm(op.matrix @ v - lam * v)
+        assert res <= 1e-9 * abs(lam) * np.linalg.norm(v)
 
     @pytest.mark.parametrize("col, error", [(np.ones((2, 2)), ValueError), ([], ValueError),
                                             ([1.0], ValueError), ([2.0, math.nan, 0.0], SolveError),
@@ -103,22 +104,22 @@ class TestEigExtreme:
         g = Grid(-1.0, 1.0, 1024)
         op = assemble_fractional(g, 0.5)
         lam = np.linalg.eigvalsh(op.matrix)
-        pairs = eig_extreme(_true_col(op), h=g.h)
-        assert pairs.lambda_min == pytest.approx(lam[0], rel=1e-10)
-        pair = pairs.top
-        assert pair.residual <= 1e-9
-        assert pair.value == pytest.approx(lam[-1], rel=1e-10)
-        assert pair.gap == pytest.approx((lam[-1] - lam[-2]) / lam[-1], rel=1e-6)
-        res = np.linalg.norm(op.matrix @ pair.vector - pair.value * pair.vector)
-        assert res <= 1e-9 * pair.value * np.linalg.norm(pair.vector)
+        spectrum = eig_extreme(_true_col(op), h=g.h)
+        assert spectrum.lambda_min == pytest.approx(lam[0], rel=1e-10)
+        assert spectrum.residual <= 1e-9
+        assert spectrum.lambda_max == pytest.approx(lam[-1], rel=1e-10)
+        assert spectrum.gap == pytest.approx((lam[-1] - lam[-2]) / lam[-1], rel=1e-6)
+        v = spectrum.vector
+        res = np.linalg.norm(op.matrix @ v - spectrum.lambda_max * v)
+        assert res <= 1e-9 * spectrum.lambda_max * np.linalg.norm(v)
 
     def test_residual_near_the_top_of_the_double_range_is_finite(self):
         # The residual's squared entries overflow, its norm does not; no warning either.
         col = 1e300 * random_spd_toeplitz(30, 7)
-        pair = eig_extreme(col).top
-        assert math.isfinite(pair.residual) and pair.residual <= 1e-9
+        spectrum = eig_extreme(col)
+        assert math.isfinite(spectrum.residual) and spectrum.residual <= 1e-9
         # The absolute residual's square overflows.
-        assert pair.residual * pair.value > 1e155 and pair.value > 1e301
+        assert spectrum.residual * spectrum.lambda_max > 1e155 and spectrum.lambda_max > 1e301
 
     @pytest.mark.parametrize("n", [2, 30, 1024])
     def test_residual_is_relative_to_the_eigenvalue(self, n):
@@ -126,14 +127,14 @@ class TestEigExtreme:
         # would scale with it.
         col = random_spd_toeplitz(n, 7)
         for e in (0, -900, 900):
-            pair = eig_extreme(np.ldexp(col, e)).top
-            assert pair.residual <= 1e-15  # 0 at n = 2, where the lifted vector is exact
+            # 0 at n = 2, where the lifted vector is exact.
+            assert eig_extreme(np.ldexp(col, e)).residual <= 1e-15
 
     def test_zero_top_eigenvalue_has_no_relative_residual(self):
         # [[-1, 1], [1, -1]] has the eigenvalues -2 and 0.
-        pairs = eig_extreme([-1.0, 1.0])
-        assert pairs.lambda_min == -2.0 and pairs.top.value == 0.0
-        assert pairs.top.residual == pairs.top.gap == math.inf
+        spectrum = eig_extreme([-1.0, 1.0])
+        assert spectrum.lambda_min == -2.0 and spectrum.lambda_max == 0.0
+        assert spectrum.residual == spectrum.gap == math.inf
 
     @pytest.mark.parametrize("n", [3, 128, 1024])
     def test_one_toeplitz_product_per_call(self, n, monkeypatch):
@@ -149,11 +150,10 @@ class TestEigExtreme:
             return apply
 
         monkeypatch.setattr(linalg, "toeplitz_product", recorded)
-        top = eig_extreme(_true_col(_assemble(n, 0.5))).top
+        top = eig_extreme(_true_col(_assemble(n, 0.5))).vector
         assert len(applied) == 1
         (v,) = applied
-        assert _same_up_to_sign(v / np.linalg.norm(v), top.vector / np.linalg.norm(top.vector),
-                                1e-15)
+        assert _same_up_to_sign(v / np.linalg.norm(v), top / np.linalg.norm(top), 1e-15)
 
 
 ORDERS = [0.1, 0.5, 0.99, None]  # None: the classical operator
@@ -166,20 +166,20 @@ class TestEigExtremeAgainstDense:
     def check(col, h):
         n = len(col)
         dense = scipy.linalg.toeplitz(col)
-        pairs = eig_extreme(col, h=h)
-        pair = pairs.top
-        lam_max = max(abs(pairs.lambda_min), abs(pair.value))
+        spectrum = eig_extreme(col, h=h)
+        top = spectrum.lambda_max
+        lam_max = max(abs(spectrum.lambda_min), abs(top))
         lam_min = scipy.linalg.eigh(dense, subset_by_index=[0, 0], eigvals_only=True)[0]
-        assert abs(pairs.lambda_min - lam_min) <= 1e-12 * lam_max
+        assert abs(spectrum.lambda_min - lam_min) <= 1e-12 * lam_max
         lam, vecs = scipy.linalg.eigh(dense, subset_by_index=[n - 2, n - 1])
-        assert abs(pair.value - lam[1]) <= 1e-12 * lam_max
-        assert pair.gap == pytest.approx(abs(lam[0] - lam[1]) / abs(lam[1]), rel=1e-6)
-        v = pair.vector / np.linalg.norm(pair.vector)
-        assert pair.residual <= 1e-9
-        assert np.linalg.norm(dense @ v - pair.value * v) <= 1e-9 * abs(pair.value)
+        assert abs(top - lam[1]) <= 1e-12 * lam_max
+        assert spectrum.gap == pytest.approx(abs(lam[0] - lam[1]) / abs(lam[1]), rel=1e-6)
+        v = spectrum.vector / np.linalg.norm(spectrum.vector)
+        assert spectrum.residual <= 1e-9
+        assert np.linalg.norm(dense @ v - top * v) <= 1e-9 * abs(top)
         assert _same_up_to_sign(v, vecs[:, 1], 1e-9)
-        assert _exactly_even_or_odd(pair.vector)
-        assert h * float(pair.vector @ pair.vector) == pytest.approx(1.0, rel=1e-12)
+        assert _exactly_even_or_odd(spectrum.vector)
+        assert h * float(spectrum.vector @ spectrum.vector) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("s", ORDERS)
     @pytest.mark.parametrize("n", range(3, 10))
@@ -202,24 +202,24 @@ class TestEigExtremeAgainstDense:
         # lambda_k = (4/h^2) sin^2(k pi / (2(n+1))), v_k(i) ~ sin(k pi i / (n+1)); no dense matrix.
         op = _assemble(n, None)
         h = op.grid.h
-        pairs = eig_extreme(_true_col(op), h=h)
+        spectrum = eig_extreme(_true_col(op), h=h)
         i = np.arange(1, n + 1)
 
         def value(k):
             return 4.0 / h**2 * math.sin(k * math.pi / (2 * (n + 1))) ** 2
 
-        assert abs(pairs.lambda_min - value(1)) <= 1e-12 * value(n)
-        pair = pairs.top
-        assert abs(pair.value - value(n)) <= 1e-12 * value(n)
-        assert pair.gap == pytest.approx(abs(value(n - 1) - value(n)) / value(n), rel=1e-6)
+        assert abs(spectrum.lambda_min - value(1)) <= 1e-12 * value(n)
+        top = spectrum.lambda_max
+        assert abs(top - value(n)) <= 1e-12 * value(n)
+        assert spectrum.gap == pytest.approx(abs(value(n - 1) - value(n)) / value(n), rel=1e-6)
         mode = np.sin(n * math.pi * i / (n + 1))
-        v = pair.vector / np.linalg.norm(pair.vector)
+        v = spectrum.vector / np.linalg.norm(spectrum.vector)
         assert _same_up_to_sign(v, mode / np.linalg.norm(mode), 1e-9)
         padded = np.concatenate(([0.0], v, [0.0]))
         stencil = (2.0 * v - padded[:-2] - padded[2:]) / h**2
-        assert np.linalg.norm(stencil - pair.value * v) <= 1e-9 * pair.value
-        assert pair.residual <= 1e-9
-        assert _exactly_even_or_odd(pair.vector)
+        assert np.linalg.norm(stencil - top * v) <= 1e-9 * top
+        assert spectrum.residual <= 1e-9
+        assert _exactly_even_or_odd(spectrum.vector)
 
 
 class TestEvenBasis:
@@ -311,10 +311,9 @@ class TestOneReductionPerHalf:
         col = random_spd_toeplitz(2 * k, k)  # both halves of order k
 
         def arrays():
-            pairs, basis = eig_extreme(col), even_basis(col)
-            top = pairs.top
-            return [np.asarray(x) for x in (pairs.lambda_min, top.value, top.vector, top.residual,
-                                            top.gap)] + \
+            spectrum, basis = eig_extreme(col), even_basis(col)
+            return [np.asarray(x) for x in (spectrum.lambda_min, spectrum.lambda_max,
+                                            spectrum.vector, spectrum.residual, spectrum.gap)] + \
                 [basis.values, basis.vectors, basis.reflectors, basis.tau]
 
         ours = arrays()
@@ -482,7 +481,7 @@ class TestJacobi:
         op = assemble_fractional(g, 0.6)
         pairs = eig_full_jacobi(op, h=g.h)
         extremes = eig_extreme(_true_col(op), h=g.h)
-        assert extremes.top.value == pytest.approx(pairs[-1].value, rel=1e-8)
+        assert extremes.lambda_max == pytest.approx(pairs[-1].value, rel=1e-8)
         assert extremes.lambda_min == pytest.approx(pairs[0].value, rel=1e-8)
 
     def test_agrees_with_lapack(self):
@@ -624,6 +623,19 @@ class TestToeplitzSolve:
         col[:2] = 1e-300, -2.5e-301
         with pytest.raises(SolveError, match="^Toeplitz solve returned non-finite values$"):
             toeplitz_solve(col, np.full(n, 1e308))
+
+    @pytest.mark.parametrize("b", [1e308, 1e-315])
+    def test_breakdown_names_the_scale_contract(self, b):
+        # A positive definite column near 1e-300, solved by CG at the scale given: with
+        # b = 1e-315, p^T A p underflows to 0; with b = 1e308 the FFTs of b overflow first,
+        # with numpy's warnings, and p^T A p reads nan.  Operator.solve passes unit columns.
+        n = PCG_MIN_N + 100
+        col = np.zeros(n)
+        col[:2] = 1e-300, -2.5e-301
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolveError, match=(
+                r"^conjugate gradients broke down: p\^T A p = \S+; toeplitz_solve solves at the "
+                r"scale it is given, and Operator.solve passes a unit column$")):
+            toeplitz_solve(col, np.full(n, b))
 
     @pytest.mark.parametrize("path", SOLVERS)
     def test_operator_answer_that_overflows_names_u(self, path):
