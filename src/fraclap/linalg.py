@@ -107,6 +107,11 @@ def toeplitz_product(col: np.ndarray):
     return lambda v: np.convolve(v, band)[w:w + n] + np.fft.irfft(far_symbol * np.fft.rfft(v, m), m)[:n]
 
 
+def _breakdown(what: str) -> SolveError:
+    return SolveError(f"conjugate gradients broke down: {what}; toeplitz_solve solves at the "
+                      f"scale it is given, and Operator.solve passes a unit column")
+
+
 def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
     """Strang-preconditioned conjugate gradients on A x = b, A = toeplitz(col), A v = product(v).
 
@@ -135,9 +140,7 @@ def _pcg(col: np.ndarray, b: np.ndarray, product) -> np.ndarray:
         q = product(p)
         pq = pairwise_dot(p, q)
         if not 0.0 < pq < math.inf:
-            raise SolveError(f"conjugate gradients broke down: p^T A p = {pq:.3e}; toeplitz_solve "
-                             f"solves at the scale it is given, and Operator.solve passes a "
-                             f"unit column")
+            raise _breakdown(f"p^T A p = {pq:.3e}")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
@@ -164,7 +167,9 @@ def toeplitz_solve(col, b) -> np.ndarray:
 
     It solves at the scale it is given.  Operator.solve, its one caller in
     fraclap, passes col and b at unit scale (largest entry in [0.5, 1)), where
-    neither the preconditioner nor the check's bound underflows.
+    neither the preconditioner nor the check's bound underflows.  At another
+    scale, a CG step that overflows or divides by zero raises SolveError naming
+    this contract, not a numpy warning.
     """
     col = _checked_col(col)
     b = np.asarray(b, dtype=float)
@@ -179,7 +184,11 @@ def toeplitz_solve(col, b) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise SolveError(f"Levinson recursion failed: {exc}") from exc
     else:
-        x = _pcg(col, b, product=product)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                x = _pcg(col, b, product=product)
+        except FloatingPointError as exc:
+            raise _breakdown(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SolveError("Toeplitz solve returned non-finite values")
     r_norm = float(np.abs(b - product(x)).max(initial=0.0))

@@ -23,8 +23,7 @@ from fraclap.discretize import (
 from fraclap.forward import poincare_constant, solve_poisson
 from fraclap.limitlab import (
     default_s_ladder,
-    liminf_check,
-    recovery_sequence_check,
+    gamma_check,
     run_sweep,
 )
 from oracles import eig_full_jacobi, project_annulus, unit_rhs_exact_state
@@ -204,12 +203,12 @@ def test_criterion_8_gamma_convergence_clauses():
     f = np.ones(256)
     f *= (control.a + control.b) / 2.0 / norm_h(f, grid)
 
-    recovery = recovery_sequence_check(grid, f, default_s_ladder(10), control)
+    c = 0.1 * norm_h(f, grid)
+    recovery, _ = gamma_check(grid, f, c, default_s_ladder(10), control)
     late = [r for r in recovery.rows if r.s >= 0.99]
     recovery_ok = all(abs(r.margin) <= 0.02 * r.F_limit for r in late)
 
-    c = 0.1 * norm_h(f, grid)
-    liminf = liminf_check(grid, f, c, default_s_ladder(12), control)
+    _, liminf = gamma_check(grid, f, c, default_s_ladder(12), control)
     tail = liminf.rows[-4:]
     liminf_ok = all(r.margin >= -1e-3 for r in tail)
 

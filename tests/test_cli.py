@@ -32,7 +32,7 @@ from fraclap.cli import (
     rhs_preset,
     write_csv,
 )
-from fraclap.discretize import Grid, assemble_fractional, norm_h
+from fraclap.discretize import Grid, assemble_fractional, scaled_norm
 from fraclap.limitlab import default_s_ladder
 
 
@@ -424,17 +424,32 @@ class TestDispatch:
         def errors(lo, hi):
             norms = []
 
-            def recorded_norm_h(v, grid):  # the error's norm, then the closed form's
-                norms.append(norm_h(v, grid))
+            def recorded_scaled_norm(v, grid):  # the error's norm, then the closed form's
+                norms.append(scaled_norm(v, grid))
                 return norms[-1]
 
-            monkeypatch.setattr(fraclap.cli, "norm_h", recorded_norm_h)
+            monkeypatch.setattr(fraclap.cli, "scaled_norm", recorded_scaled_norm)
             cfg = parse_config(f"x_left = {lo!r}\nx_right = {hi!r}\nn = 64\n")
             assert dispatch(cfg, "validate") == EXIT_OK
             capsys.readouterr()
-            return np.divide(norms[0::2], norms[1::2])
+            assert len(norms) == 8
+            return [math.ldexp(d / x, e_d - e_x)
+                    for (d, e_d), (x, e_x) in zip(norms[0::2], norms[1::2])]
 
         np.testing.assert_allclose(errors(left, right), errors(-1.0, 1.0), rtol=1e-11)
+
+    def test_validate_on_a_tiny_domain_passes(self, tmp_path, capsys):
+        # On (0, 1e-153) at s = 0.999 the closed form is about 1e-307 and its h-norm about
+        # 1e-384, which reads 0; the ratio of unit-scale norms does not.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("x_left = 0\nx_right = 1e-153\nn = 16\ns = 0.999\n")
+        assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split()[1] for line in lines[2:6]] == [
+            "4.816511e-04", "2.625766e-04", "1.178041e-04", "3.893973e-05"]
+        assert lines[-1].endswith("-> PASS")
 
     def test_validate_failure_exit_code(self, monkeypatch):
         import fraclap.cli as cli_module
@@ -509,6 +524,33 @@ class TestDispatch:
         clauses = {r[0] for r in rows}
         assert clauses == {"recovery", "liminf"}
         assert len(rows) == 20
+
+    def test_gamma_assembles_each_order_once(self, tmp_path, monkeypatch, capsys):
+        # Both clauses read one operator per order and one classical operator.
+        counts = {"assemble_fractional": 0, "assemble_classical": 0}
+
+        def counting(name):
+            original = getattr(fraclap.limitlab, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(fraclap.limitlab, name, counting(name))
+        assert main(["gamma", "--n", "64", "--out", str(tmp_path)]) == EXIT_OK
+        assert "recovery=pass liminf=pass" in capsys.readouterr().out
+        assert counts == {"assemble_fractional": 10, "assemble_classical": 1}
+
+    def test_gamma_perturbation_leaving_the_annulus_exits_config(self, tmp_path, capsys):
+        # ||f|| = 1.995 and c = 0.1995: f_1 leaves [1.99, 2] at once.
+        code = main(["gamma", "--a", "1.99", "--b", "2", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == ("configuration error: perturbed control leaves the annulus at "
+                                "k=1: ||f_k||=2.004950186413618, bounds [1.99, 2.0]\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self, capsys):
         assert dispatch(RunConfig(), "plot") == EXIT_CONFIG
