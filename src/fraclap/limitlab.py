@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlConfig, eigen_solve_control, reduced_cost
-from .discretize import (Grid, GridFunction, assemble_classical, assemble_fractional, scale_back,
-                         scaled_inner_product, scaled_norm)
+from .discretize import (Grid, GridFunction, assemble_classical, assemble_fractional, norm_h,
+                         scale_back, scaled_inner_product, scaled_norm)
 from .forward import poincare_constant
 from .linalg import SolveError
 
@@ -139,11 +139,7 @@ def gamma_check(grid: Grid, f: GridFunction, c: float, s_list,
     f = np.asarray(f, dtype=float)
     slack = 1e-12 * max(1.0, cfg.b)
     lo, hi = cfg.a - slack, cfg.b + slack
-
-    def norm(v) -> float:
-        return scale_back(grid, norm_f=scaled_norm(v, grid))[0]
-
-    if not lo <= norm(f) <= hi:
+    if not lo <= norm_h(f, grid) <= hi:
         raise ValueError("base control must lie in the admissible annulus")
     F = reduced_cost(assemble_classical(grid), f, cfg.mu)
     ops = [assemble_fractional(grid, s) for s in s_list]
@@ -155,7 +151,7 @@ def gamma_check(grid: Grid, f: GridFunction, c: float, s_list,
     liminf = []
     for k, op in enumerate(ops, start=1):
         f_k = f + amplitude * np.sin(k * np.pi * x)
-        nrm = norm(f_k)
+        nrm = norm_h(f_k, grid)
         if not lo <= nrm <= hi:
             raise ValueError(f"perturbed control leaves the annulus at k={k}: ||f_k||={nrm!r},"
                              f" bounds [{cfg.a}, {cfg.b}]")
