@@ -11,6 +11,7 @@ import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import orjson
 
 from . import limitlab
 from .control import ControlConfig, eigen_solve_control
@@ -128,10 +129,32 @@ def rhs_preset(name: str, grid: Grid) -> np.ndarray:
     return _rhs_formula(name)(grid.nodes(), grid.x_left, grid.x_right)
 
 
-# Text of a block of one column, by its dtype kind. repr of a float from
-# tolist() is repr(float(v)), the shortest round-trip text; ints print exactly.
+def _float_text(block):
+    """repr(float(v)) of each value of a float block, the shortest round-trip text.
+
+    orjson's Ryu writes the same shortest, correctly rounded digits as repr's
+    dtoa, about 15 times faster, and in the same layout for zeros and for
+    1e-4 <= |v| < 1e16. Outside that range the layouts differ (orjson writes
+    0.00001, 1.5e-7 and 1e16 for repr's 1e-05, 1.5e-07 and 1e+16, and null
+    for nan and inf), so those entries take repr. A block with no entry in
+    range skips orjson.
+    """
+    values = np.ascontiguousarray(block, dtype=float)
+    magnitude = np.abs(values)
+    same = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0.0)
+    if not same.any():
+        return map(repr, values.tolist())
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    differ = np.flatnonzero(~same)
+    for i, v in zip(differ.tolist(), values[differ].tolist()):
+        texts[i] = repr(v)
+    return texts
+
+
+# Text of a block of one column, by its dtype kind: floats as repr(float(v)),
+# ints exactly.
 _COLUMN_TEXT = {
-    "f": lambda block: map(repr, block.astype(float, copy=False).tolist()),
+    "f": _float_text,
     "i": lambda block: map(str, block.tolist()),
     "u": lambda block: map(str, block.tolist()),
     "U": lambda block: block.tolist(),
@@ -145,10 +168,10 @@ def write_csv(path: str, header: list[str], columns) -> None:
 
     Each column becomes text a block of CSV_BLOCK_ROWS rows at a time, so the
     temporary strings stay small: floats of any width as the repr of the
-    Python float, ints exactly, strings as given. The bytes equal those of
-    formatting each value on its own. A column count other than the header's,
-    columns of unequal length and a column of any other dtype raise before the
-    temp file exists.
+    Python float, by one orjson call per block (_float_text), ints exactly,
+    strings as given. The bytes equal those of formatting each value on its
+    own. A column count other than the header's, columns of unequal length
+    and a column of any other dtype raise before the temp file exists.
     """
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header):

@@ -309,10 +309,13 @@ class TestWriteCsv:
 
 
 # Values whose shortest round-trip text is easy to get wrong: signed zero,
-# non-finite values, the smallest subnormal and normal, both sides of the
-# switch to exponent notation at 1e16 and 1e-4, and a repeating fraction.
+# non-finite values, the smallest subnormal and normal, both sides of repr's
+# switch to exponent notation at 1e16 and 1e-4 and of orjson's at 1e-5, and a
+# repeating fraction.
 EDGE_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
-               1e16, 9.999999999999999e15, 1e-4, 9.999999999999999e-05, 1.0 / 3.0]
+               1e16, -1e16, float(np.nextafter(1e16, 0.0)), 1e-4, float(np.nextafter(1e-4, 0.0)),
+               1e-5, float(np.nextafter(1e-5, math.inf)), float(np.nextafter(1e-5, -math.inf)),
+               1.0 / 3.0]
 
 
 def _columns(kind, n):
@@ -345,6 +348,35 @@ class TestWriteCsvMatchesRowWriter:
         text = (tmp_path / "columns.csv").read_bytes()
         assert text == (tmp_path / "rows.csv").read_bytes()
         assert text.count(b"\n") == n + 1
+
+    # Raw bit patterns cover subnormals, signed zeros, NaN payloads and infinities,
+    # and the window 1e-5 <= |v| <= 1e17 puts entries on both sides of each layout switch.
+    @seed(20261022)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_bytes_on_raw_bit_patterns(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=80))
+        window = st.integers(int(np.float64(1e-5).view(np.uint64)),
+                             int(np.float64(1e17).view(np.uint64)))
+        edges = np.array(EDGE_FLOATS).view(np.uint64).tolist()
+        # The largest subnormal, a signalling NaN and a negative NaN besides EDGE_FLOATS.
+        edges += [0x000FFFFFFFFFFFFF, 0x7FF0000000000001, 0xFFF8000000000000]
+        bits64 = st.one_of(st.integers(0, 2**64 - 1), window, window.map(lambda b: b | 1 << 63),
+                           st.sampled_from(edges))
+        raw = [np.array(data.draw(st.lists(bits64, min_size=n, max_size=n)), dtype=np.uint64)
+               for _ in range(2)]
+        strided = np.empty(2 * n)
+        strided[::2] = raw[1].view(np.float64)
+        single = np.array(data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
+                          dtype=np.uint32).view(np.float32)
+        columns = [raw[0].view(np.float64), strided[::2], single]
+        assert not columns[1].flags.c_contiguous
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(os.path.join(tmp, "columns.csv"), ["x", "y", "z"], columns)
+            oracles.write_csv_rows(os.path.join(tmp, "rows.csv"), ["x", "y", "z"], zip(*columns))
+            with open(os.path.join(tmp, "columns.csv"), "rb") as got, \
+                    open(os.path.join(tmp, "rows.csv"), "rb") as want:
+                assert got.read() == want.read()
 
     @pytest.mark.parametrize("argv", [
         ["solve"], ["solve", "--n", "4096"], ["control"], ["sweep"], ["gamma"],

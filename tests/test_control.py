@@ -655,3 +655,36 @@ class TestEigenSolveControl:
         op = Operator(kind="fractional", s=0.5, col=col, grid=Grid(-1.0, 1.0, 8))
         with pytest.raises(SolveError, match="not positive definite"):
             eigen_solve_control(op, ControlConfig(mu=0.1, a=a, b=2.0))
+
+
+def _ladder_op(n, s):
+    g = Grid(-1.0, 1.0, n)
+    return assemble_classical(g) if s == 1.0 else assemble_fractional(g, s)
+
+
+class TestTopEigenvalueClosedForms:
+    """The control ladder's closed forms in lambda_max, with no reference but the operator's column."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9, 1.0], ids=["0.25", "0.5", "0.9", "classical"])
+    @pytest.mark.parametrize("n", [64, 255, 256, 1024])
+    def test_cost_above_the_infimum_is_half_the_inverse_top_eigenvalue(self, n, s):
+        # f* = a v_top, so J* = (a^2/2)(1/lambda_max + mu).  J* itself is good to a few eps,
+        # and subtracting a^2 mu/2 magnifies that by J* / (J* - a^2 mu/2) = 1 + mu lambda_max.
+        # Over these 16 cases the error read at most 1.24 eps (1 + mu lambda_max), and
+        # 1.6e-12 at most.
+        op, cfg = _ladder_op(n, s), ControlConfig(mu=0.1, a=1.0, b=2.0)
+        lam = math.ldexp(op.spectrum.lambda_max, op.exponent)
+        excess = eigen_solve_control(op, cfg).J_star - 0.5 * cfg.a**2 * cfg.mu
+        assert excess == pytest.approx(0.5 * cfg.a**2 / lam,
+                                       rel=4.0 * np.finfo(float).eps * (1.0 + cfg.mu * lam), abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9, 1.0], ids=["0.25", "0.5", "0.9", "classical"])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_top_eigenvalue_below_the_truncated_symbol_at_pi(self, n, s):
+        # sigma_n = col_0 + 2 sum (-1)^k col_k.  At even n the last term, k = n - 1, is odd
+        # and adds 2|col_{n-1}|; sigma_n lay 1.3e-6 to 5.8e-4 above lambda_max here, relatively.
+        # At odd n it need not bound lambda_max: at n = 255, s = 0.25 it lies 2.7e-5 below.
+        op = _ladder_op(n, s)
+        signs = np.where(np.arange(n) % 2 == 0, 2.0, -2.0)
+        signs[0] = 1.0
+        assert op.spectrum.lambda_max <= math.fsum(signs * op.col)
